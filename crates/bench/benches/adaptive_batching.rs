@@ -34,10 +34,8 @@
 //! pinned 2 µs call-cost hint so decisions depend only on the measured
 //! link, not on a service-time estimator warming up.
 //!
-//! Both phases ship every batch over the flat length-prefixed wire path.
-//! The final micro isolates that choice: 64-call batches flushed
-//! through `__batch_flat` versus the classic `__batch` `Value`-list
-//! encoding against an overhead-free object, acceptance ≥ 1.3×.
+//! Both phases ship every batch over the flat length-prefixed wire path
+//! (`__batch_flat`).
 
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -45,13 +43,11 @@ use std::time::{Duration, Instant};
 
 use parc_bench::harness::{metric, Criterion};
 use parc_bench::{criterion_group, criterion_main};
-use parc_core::batch::{
-    encode_batch, encode_flat_call, BatchDispatcher, BATCH_METHOD, FLAT_BATCH_METHOD,
-};
+use parc_core::batch::{encode_flat_call, BatchDispatcher, FLAT_BATCH_METHOD};
 use parc_core::{BatchConfig, BatchController};
 use parc_remoting::channel::LinkFeedback;
 use parc_remoting::dispatcher::FnInvokable;
-use parc_remoting::tcp::{DispatchMode, TcpClientChannel, TcpServerChannel};
+use parc_remoting::tcp::{TcpClientChannel, TcpServerChannel};
 use parc_remoting::{
     ClientChannel, Invokable, ObjectTable, ReactorClientChannel, ReactorServerChannel,
     RemoteObject, RemotingError,
@@ -86,10 +82,6 @@ const TICK: Duration = Duration::from_millis(1);
 const BURST_FIRST: usize = 150;
 const BURST_EVERY: usize = 300;
 const BURST_CALLS: usize = 8_192;
-
-/// Flat-vs-list micro: flushes of 64-call batches, best of three.
-const MICRO_BATCH: usize = 64;
-const MICRO_FLUSHES: usize = 256;
 
 /// Shared between the in-process server handlers and the measuring
 /// client: execution counts and per-trickle-call execute timestamps
@@ -170,17 +162,17 @@ enum Server {
 fn start_server(transport: &str, state: &ServerState) -> (Server, String) {
     // One worker pins the drain rate: backlog is real, not absorbed by
     // spare cores, and both transports dispatch identically.
-    let mode = DispatchMode::Mailbox { workers: 1 };
+    let workers = 1;
     match transport {
         "mux" => {
             let server =
-                TcpServerChannel::bind_with_mode("127.0.0.1:0", mode).expect("bind mux server");
+                TcpServerChannel::bind_with_workers("127.0.0.1:0", workers).expect("bind mux server");
             register_objects(server.objects(), state);
             let addr = server.local_addr().to_string();
             (Server::Mux(server), addr)
         }
         _ => {
-            let server = ReactorServerChannel::bind_with_mode("127.0.0.1:0", mode)
+            let server = ReactorServerChannel::bind_with_workers("127.0.0.1:0", workers)
                 .expect("bind reactor server");
             register_objects(server.objects(), state);
             let addr = server.local_addr().to_string();
@@ -404,83 +396,6 @@ fn run_config(transport: &str, fixed: Option<usize>) -> (f64, f64) {
     (uniform, goodput)
 }
 
-/// Flat wire path vs the classic `Value`-list batch encoding: flush
-/// throughput of 64-call batches against an overhead-free object, so
-/// serialization — not dispatch — is what's measured.
-fn bench_flat_vs_list() {
-    let server = TcpServerChannel::bind_with_mode(
-        "127.0.0.1:0",
-        DispatchMode::Mailbox { workers: 1 },
-    )
-    .expect("bind micro server");
-    let executed = Arc::new(AtomicI64::new(0));
-    let count = Arc::clone(&executed);
-    server.objects().register_singleton(
-        "raw",
-        Arc::new(BatchDispatcher::new(Arc::new(FnInvokable(
-            move |method: &str, _args: &[Value]| match method {
-                "cheap" => {
-                    count.fetch_add(1, Ordering::SeqCst);
-                    Ok(Value::Null)
-                }
-                "count" => Ok(Value::I64(count.load(Ordering::SeqCst))),
-                _ => Err(RemotingError::MethodNotFound {
-                    object: "raw".into(),
-                    method: method.into(),
-                }),
-            },
-        )))),
-    );
-    let chan: Arc<dyn ClientChannel> = Arc::new(
-        TcpClientChannel::connect_pooled_with_timeout(
-            &server.local_addr().to_string(),
-            1,
-            CALL_TIMEOUT,
-        )
-        .expect("connect micro client"),
-    );
-    let remote = RemoteObject::new(chan, "raw");
-    let formatter = BinaryFormatter::new();
-
-    let flush_flat = |remote: &RemoteObject| {
-        let mut buf = Vec::with_capacity(MICRO_BATCH * 16);
-        for i in 0..MICRO_BATCH {
-            encode_flat_call(&formatter, &mut buf, "cheap", &[Value::I64(i as i64)])
-                .expect("encode flat");
-        }
-        remote.post(FLAT_BATCH_METHOD, vec![Value::Bytes(buf)]).expect("post flat");
-    };
-    let flush_list = |remote: &RemoteObject| {
-        let calls: Vec<(String, Vec<Value>)> =
-            (0..MICRO_BATCH).map(|i| ("cheap".to_string(), vec![Value::I64(i as i64)])).collect();
-        remote.post(BATCH_METHOD, vec![encode_batch(calls)]).expect("post list");
-    };
-    let measure = |flush: &dyn Fn(&RemoteObject)| -> f64 {
-        let before = executed.load(Ordering::SeqCst);
-        let start = Instant::now();
-        for _ in 0..MICRO_FLUSHES {
-            flush(&remote);
-        }
-        let done =
-            remote.call("count", vec![]).expect("micro barrier").as_i64().expect("count") - before;
-        assert_eq!(done, (MICRO_FLUSHES * MICRO_BATCH) as i64, "lost micro calls");
-        (MICRO_FLUSHES * MICRO_BATCH) as f64 / start.elapsed().as_secs_f64()
-    };
-
-    flush_flat(&remote);
-    flush_list(&remote);
-    remote.call("count", vec![]).expect("micro warmup");
-    let mut flat: f64 = 0.0;
-    let mut list: f64 = 0.0;
-    for _ in 0..3 {
-        list = list.max(measure(&flush_list));
-        flat = flat.max(measure(&flush_flat));
-    }
-    metric("flat_flush_calls_per_s", flat);
-    metric("list_flush_calls_per_s", list);
-    metric("flat_vs_list_flush_ratio", flat / list);
-}
-
 fn bench_adaptive_batching(_c: &mut Criterion) {
     let mut worst_uniform = f64::INFINITY;
     let mut worst_bursty = f64::INFINITY;
@@ -512,7 +427,6 @@ fn bench_adaptive_batching(_c: &mut Criterion) {
     // The acceptance ratios report the controller's *worst* transport.
     metric("uniform_controller_vs_best_fixed", worst_uniform);
     metric("bursty_controller_vs_best_fixed", worst_bursty);
-    bench_flat_vs_list();
 }
 
 criterion_group!(benches, bench_adaptive_batching);

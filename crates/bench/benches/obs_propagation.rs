@@ -23,7 +23,7 @@ use std::sync::Arc;
 use parc_bench::harness::{metric, Criterion};
 use parc_bench::{criterion_group, criterion_main};
 use parc_remoting::dispatcher::FnInvokable;
-use parc_remoting::tcp::{DispatchMode, TcpClientChannel, TcpServerChannel};
+use parc_remoting::tcp::{TcpClientChannel, TcpServerChannel};
 use parc_remoting::{ClientChannel, RemoteObject, RemotingError};
 use parc_serial::Value;
 
@@ -35,8 +35,7 @@ const CALLS: usize = 2_000;
 
 fn spin_server() -> TcpServerChannel {
     let server =
-        TcpServerChannel::bind_with_mode("127.0.0.1:0", DispatchMode::Mailbox { workers: 2 })
-            .expect("bind bench server");
+        TcpServerChannel::bind_with_workers("127.0.0.1:0", 2).expect("bind bench server");
     server.objects().register_singleton(
         "Work",
         Arc::new(FnInvokable(|method: &str, args: &[Value]| match method {

@@ -19,8 +19,8 @@
 //!   exactly the cost the reactor exists to delete.
 //!
 //! The server method sleeps [`SERVICE_LATENCY`] per call (service time,
-//! not CPU), as in `tcp_concurrency`: on the single-core bench host the
-//! measurable win is calls overlapping *waiting*.
+//! not CPU): on the single-core bench host the measurable win is calls
+//! overlapping *waiting*.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;

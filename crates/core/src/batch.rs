@@ -1,77 +1,24 @@
 //! The aggregate-call protocol — the generalized `processN` of Fig. 7.
 //!
 //! When a proxy object aggregates asynchronous calls, it ships one message
-//! whose method is [`BATCH_METHOD`] and whose single argument is a list of
-//! `Call{m, a}` structs. The paper's preprocessor generated a dedicated
-//! `processN` per method; here a generic [`BatchDispatcher`] wrapper
-//! unpacks any batch in order against the wrapped implementation object,
-//! so every IO accepts both plain and aggregated calls.
+//! whose method is [`FLAT_BATCH_METHOD`] and whose single `Bytes` argument
+//! is a concatenation of length-prefixed, pre-serialized calls. The
+//! paper's preprocessor generated a dedicated `processN` per method; here
+//! a generic [`BatchDispatcher`] wrapper replays any batch in order
+//! against the wrapped implementation object, so every IO accepts both
+//! plain and aggregated calls.
 
 use std::sync::Arc;
 
 use parc_remoting::{Invokable, RemotingError};
-use parc_serial::{BinaryFormatter, Formatter, StructValue, Value};
+use parc_serial::{BinaryFormatter, Formatter, Value};
 
-/// Reserved method name for aggregate messages.
-pub const BATCH_METHOD: &str = "__batch";
-
-/// Reserved method name for *flat* aggregate messages: one `Bytes`
-/// argument holding length-prefixed pre-serialized calls (see
+/// Reserved method name for aggregate messages: one `Bytes` argument
+/// holding length-prefixed pre-serialized calls (see
 /// [`encode_flat_call`]). The proxy serializes each call once at enqueue
 /// time into a recycled pool buffer, and the dispatcher replays entries
-/// streaming — neither side materializes the intermediate `Value` list
-/// the classic [`BATCH_METHOD`] form carries.
+/// streaming — neither side materializes an intermediate `Value` list.
 pub const FLAT_BATCH_METHOD: &str = "__batch_flat";
-
-/// Encodes `(method, args)` pairs into the single batch argument.
-///
-/// Takes the calls by value: the method strings and argument vectors move
-/// into the wire [`Value`] unchanged, so flushing an aggregation buffer of
-/// N calls is N moves, not N deep clones of every argument payload.
-pub fn encode_batch(calls: Vec<(String, Vec<Value>)>) -> Value {
-    Value::List(
-        calls
-            .into_iter()
-            .map(|(m, a)| {
-                Value::Struct(
-                    StructValue::new("Call")
-                        .with_field("m", Value::Str(m))
-                        .with_field("a", Value::List(a)),
-                )
-            })
-            .collect(),
-    )
-}
-
-/// Decodes a batch argument back into `(method, args)` pairs.
-///
-/// # Errors
-///
-/// [`RemotingError::BadArguments`] when the payload is not a batch.
-pub fn decode_batch(arg: &Value) -> Result<Vec<(String, Vec<Value>)>, RemotingError> {
-    let malformed = |detail: &str| RemotingError::BadArguments {
-        method: BATCH_METHOD.to_string(),
-        detail: detail.to_string(),
-    };
-    let items = arg.as_list().ok_or_else(|| malformed("batch is not a list"))?;
-    items
-        .iter()
-        .map(|item| {
-            let s = item.as_struct().filter(|s| s.name() == "Call")
-                .ok_or_else(|| malformed("batch entry is not a Call struct"))?;
-            let method = s
-                .field("m")
-                .and_then(Value::as_str)
-                .ok_or_else(|| malformed("batch entry missing method"))?
-                .to_string();
-            let args = match s.field("a") {
-                Some(Value::List(a)) => a.clone(),
-                _ => return Err(malformed("batch entry missing args")),
-            };
-            Ok((method, args))
-        })
-        .collect()
-}
 
 /// Appends one call to a flat batch buffer.
 ///
@@ -187,8 +134,7 @@ impl Iterator for FlatBatchReader<'_> {
 }
 
 /// Wraps an implementation object so it also understands aggregate
-/// messages — the classic `Value`-list form and the flat pre-serialized
-/// form. Calls inside a batch run in order on the caller's dispatch
+/// messages. Calls inside a batch run in order on the caller's dispatch
 /// thread; the batch returns `Null` (its members were asynchronous calls,
 /// which have no results by definition).
 pub struct BatchDispatcher {
@@ -201,43 +147,25 @@ impl BatchDispatcher {
     pub fn new(inner: Arc<dyn Invokable>) -> BatchDispatcher {
         BatchDispatcher { inner, formatter: BinaryFormatter::new() }
     }
-
-    fn missing_batch(method: &str) -> RemotingError {
-        RemotingError::BadArguments {
-            method: method.to_string(),
-            detail: "missing batch argument".to_string(),
-        }
-    }
 }
 
 impl Invokable for BatchDispatcher {
     fn invoke(&self, method: &str, args: &[Value]) -> Result<Value, RemotingError> {
-        match method {
-            BATCH_METHOD => {
-                let batch_arg = args.first().ok_or_else(|| Self::missing_batch(method))?;
-                for (m, a) in decode_batch(batch_arg)? {
-                    // A failure mid-batch aborts the rest — same as N
-                    // one-way calls where call k crashed the server object.
-                    self.inner.invoke(&m, &a)?;
-                }
-                Ok(Value::Null)
-            }
-            FLAT_BATCH_METHOD => {
-                let bytes = match args.first() {
-                    Some(Value::Bytes(b)) => b,
-                    Some(_) => {
-                        return Err(FlatBatchReader::malformed("flat batch argument not bytes"))
-                    }
-                    None => return Err(Self::missing_batch(method)),
-                };
-                for entry in FlatBatchReader::new(&self.formatter, bytes) {
-                    let (m, a) = entry?;
-                    self.inner.invoke(&m, &a)?;
-                }
-                Ok(Value::Null)
-            }
-            _ => self.inner.invoke(method, args),
+        if method != FLAT_BATCH_METHOD {
+            return self.inner.invoke(method, args);
         }
+        let bytes = match args.first() {
+            Some(Value::Bytes(b)) => b,
+            Some(_) => return Err(FlatBatchReader::malformed("flat batch argument not bytes")),
+            None => return Err(FlatBatchReader::malformed("missing batch argument")),
+        };
+        for entry in FlatBatchReader::new(&self.formatter, bytes) {
+            let (m, a) = entry?;
+            // A failure mid-batch aborts the rest — same as N one-way
+            // calls where call k crashed the server object.
+            self.inner.invoke(&m, &a)?;
+        }
+        Ok(Value::Null)
     }
 }
 
@@ -264,77 +192,12 @@ mod tests {
     }
 
     #[test]
-    fn encode_decode_roundtrip() {
-        let calls = vec![
-            ("a".to_string(), vec![Value::I32(1)]),
-            ("b".to_string(), vec![Value::I32(2), Value::Str("x".into())]),
-            ("c".to_string(), vec![]),
-        ];
-        assert_eq!(decode_batch(&encode_batch(calls.clone())).unwrap(), calls);
-    }
-
-    #[test]
-    fn batch_executes_in_order() {
-        let (log, obj) = recorder();
-        let d = BatchDispatcher::new(obj);
-        let calls: Vec<(String, Vec<Value>)> =
-            (0..10).map(|i| ("work".to_string(), vec![Value::I32(i)])).collect();
-        d.invoke(BATCH_METHOD, &[encode_batch(calls)]).unwrap();
-        let seen: Vec<i32> = log.lock().iter().map(|(_, v)| *v).collect();
-        assert_eq!(seen, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn mixed_methods_preserve_order() {
-        let (log, obj) = recorder();
-        let d = BatchDispatcher::new(obj);
-        let calls = vec![
-            ("first".to_string(), vec![Value::I32(1)]),
-            ("second".to_string(), vec![Value::I32(2)]),
-            ("first".to_string(), vec![Value::I32(3)]),
-        ];
-        d.invoke(BATCH_METHOD, &[encode_batch(calls)]).unwrap();
-        let names: Vec<String> = log.lock().iter().map(|(m, _)| m.clone()).collect();
-        assert_eq!(names, vec!["first", "second", "first"]);
-    }
-
-    #[test]
     fn non_batch_calls_pass_through() {
         let (log, obj) = recorder();
         let d = BatchDispatcher::new(obj);
         d.invoke("direct", &[Value::I32(7)]).unwrap();
         assert_eq!(log.lock().as_slice(), &[("direct".to_string(), 7)]);
     }
-
-    #[test]
-    fn failure_mid_batch_stops_the_rest() {
-        let (log, obj) = recorder();
-        let d = BatchDispatcher::new(obj);
-        let calls = vec![
-            ("ok".to_string(), vec![Value::I32(1)]),
-            ("boom".to_string(), vec![]),
-            ("never".to_string(), vec![Value::I32(3)]),
-        ];
-        assert!(d.invoke(BATCH_METHOD, &[encode_batch(calls)]).is_err());
-        assert_eq!(log.lock().len(), 1);
-    }
-
-    #[test]
-    fn malformed_batches_rejected() {
-        let (_, obj) = recorder();
-        let d = BatchDispatcher::new(obj);
-        assert!(d.invoke(BATCH_METHOD, &[]).is_err());
-        assert!(d.invoke(BATCH_METHOD, &[Value::I32(1)]).is_err());
-        assert!(d
-            .invoke(BATCH_METHOD, &[Value::List(vec![Value::I32(1)])])
-            .is_err());
-        let no_args = Value::List(vec![Value::Struct(
-            StructValue::new("Call").with_field("m", Value::Str("x".into())),
-        )]);
-        assert!(d.invoke(BATCH_METHOD, &[no_args]).is_err());
-    }
-
-    // ---- flat batch wire path -----------------------------------------
 
     fn flat(calls: &[(&str, Vec<Value>)]) -> Vec<u8> {
         let f = BinaryFormatter::new();

@@ -9,11 +9,6 @@ pub enum Placement {
     /// Cycle through nodes in order — ParC++'s default policy.
     #[default]
     RoundRobin,
-    /// Pick a node uniformly at random (seeded, reproducible).
-    Random {
-        /// PRNG seed; equal seeds give equal placements.
-        seed: u64,
-    },
     /// Query every OM's load and pick the least loaded node.
     LeastLoaded,
     /// Resolve through the sharded object directory's consistent-hash
@@ -24,17 +19,14 @@ pub enum Placement {
 
 impl Placement {
     /// Parses a policy name as accepted by the `PARC_PLACEMENT`
-    /// environment variable: `ring`, `leastloaded` (or `least-loaded`),
-    /// `rr` (or `round-robin`/`roundrobin`), and `random:SEED`.
+    /// environment variable: `ring`, `leastloaded` (or `least-loaded`)
+    /// and `rr` (or `round-robin`/`roundrobin`).
     pub fn parse(s: &str) -> Option<Placement> {
         match s.trim().to_ascii_lowercase().as_str() {
             "ring" => Some(Placement::Ring),
             "leastloaded" | "least-loaded" => Some(Placement::LeastLoaded),
             "rr" | "round-robin" | "roundrobin" => Some(Placement::RoundRobin),
-            other => other
-                .strip_prefix("random:")
-                .and_then(|seed| seed.parse().ok())
-                .map(|seed| Placement::Random { seed }),
+            _ => None,
         }
     }
 
@@ -48,7 +40,6 @@ impl fmt::Display for Placement {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Placement::RoundRobin => f.write_str("round-robin"),
-            Placement::Random { seed } => write!(f, "random(seed={seed})"),
             Placement::LeastLoaded => f.write_str("least-loaded"),
             Placement::Ring => f.write_str("ring"),
         }
@@ -131,7 +122,6 @@ mod tests {
     #[test]
     fn placement_displays() {
         assert_eq!(Placement::RoundRobin.to_string(), "round-robin");
-        assert_eq!(Placement::Random { seed: 3 }.to_string(), "random(seed=3)");
         assert_eq!(Placement::LeastLoaded.to_string(), "least-loaded");
         assert_eq!(Placement::Ring.to_string(), "ring");
         assert_eq!(Placement::default(), Placement::RoundRobin);
@@ -145,8 +135,7 @@ mod tests {
         assert_eq!(Placement::parse("round-robin"), Some(Placement::RoundRobin));
         assert_eq!(Placement::parse("leastloaded"), Some(Placement::LeastLoaded));
         assert_eq!(Placement::parse("least-loaded"), Some(Placement::LeastLoaded));
-        assert_eq!(Placement::parse("random:42"), Some(Placement::Random { seed: 42 }));
         assert_eq!(Placement::parse("bogus"), None);
-        assert_eq!(Placement::parse("random:x"), None);
+        assert_eq!(Placement::parse("random:42"), None);
     }
 }

@@ -306,8 +306,9 @@ impl Invokable for FactoryService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::{encode_batch, BATCH_METHOD};
+    use crate::batch::{encode_flat_call, FLAT_BATCH_METHOD};
     use parc_remoting::dispatcher::FnInvokable;
+    use parc_serial::BinaryFormatter;
 
     fn service() -> (FactoryService, ObjectTable, Arc<OmState>) {
         let registry = ClassRegistry::new();
@@ -346,8 +347,9 @@ mod tests {
         let (svc, objects, _) = service();
         let name = svc.invoke("create", &[Value::Str("Echo".into())]).unwrap();
         let io = objects.resolve(name.as_str().unwrap()).unwrap();
-        let batch = encode_batch(vec![("echo".into(), vec![Value::I32(1)])]);
-        assert_eq!(io.invoke(BATCH_METHOD, &[batch]).unwrap(), Value::Null);
+        let mut batch = Vec::new();
+        encode_flat_call(&BinaryFormatter::new(), &mut batch, "echo", &[Value::I32(1)]).unwrap();
+        assert_eq!(io.invoke(FLAT_BATCH_METHOD, &[Value::Bytes(batch)]).unwrap(), Value::Null);
     }
 
     #[test]

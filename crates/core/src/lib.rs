@@ -10,8 +10,8 @@
 //!
 //! * **method call aggregation** — delay and combine a series of
 //!   asynchronous calls into a single aggregate message, cutting
-//!   per-message overhead and latency ([`po::Po`] + the `__batch` protocol
-//!   in [`batch`], Fig. 7);
+//!   per-message overhead and latency ([`po::Po`] + the `__batch_flat`
+//!   protocol in [`batch`], Fig. 7);
 //! * **object agglomeration** — when parallelism is excessive, create new
 //!   "parallel" objects locally so their calls execute synchronously and
 //!   serially ([`runtime::ParcRuntime::create`] deciding local vs remote,

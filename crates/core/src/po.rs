@@ -535,7 +535,7 @@ mod tests {
     use parc_remoting::channel::ClientChannel;
     use parc_remoting::dispatcher::FnInvokable;
     use parc_remoting::inproc::InprocNetwork;
-    use parc_remoting::tcp::{DispatchMode, TcpClientChannel, TcpServerChannel};
+    use parc_remoting::tcp::{TcpClientChannel, TcpServerChannel};
     use parc_remoting::{
         ChaosChannel, FaultPlan, FaultSpec, ObjectUri, ReactorClientChannel,
         ReactorServerChannel,
@@ -745,8 +745,7 @@ mod tests {
     #[test]
     fn chaos_delays_never_reorder_mux_batches() {
         let server =
-            TcpServerChannel::bind_with_mode("127.0.0.1:0", DispatchMode::Mailbox { workers: 2 })
-                .unwrap();
+            TcpServerChannel::bind_with_workers("127.0.0.1:0", 2).unwrap();
         let (io, log) = recorder();
         server.objects().register_singleton("obj", io);
         let addr = server.local_addr().to_string();
@@ -761,8 +760,7 @@ mod tests {
     #[test]
     fn chaos_delays_never_reorder_reactor_batches() {
         let server =
-            ReactorServerChannel::bind_with_mode("127.0.0.1:0", DispatchMode::Mailbox { workers: 2 })
-                .unwrap();
+            ReactorServerChannel::bind_with_workers("127.0.0.1:0", 2).unwrap();
         let (io, log) = recorder();
         server.objects().register_singleton("obj", io);
         let addr = server.local_addr().to_string();

@@ -96,7 +96,7 @@ impl RuntimeBuilder {
 
     /// Placement policy. An explicit choice here wins over the
     /// `PARC_PLACEMENT` environment variable; without one the variable
-    /// (`ring`, `leastloaded`, `rr`, `random:SEED`) overrides the
+    /// (`ring`, `leastloaded`, `rr`) overrides the
     /// round-robin default.
     pub fn placement(&mut self, placement: Placement) -> &mut Self {
         self.placement = placement;
@@ -212,7 +212,7 @@ impl RuntimeBuilder {
             grain: self.grain,
             placement,
             rr_counter: AtomicUsize::new(0),
-            rng: Mutex::new(seeded_rng(placement)),
+            rng: Mutex::new(parc_sim_free::SplitMix64::new(0x5eed)),
             next_object_id: AtomicU64::new(1),
             created: AtomicU64::new(0),
             adapter: Arc::new(GrainAdapter::mono_default()),
@@ -271,13 +271,6 @@ fn boot_node(
     Ok((ep, om_state))
 }
 
-fn seeded_rng(placement: Placement) -> parc_sim_free::SplitMix64 {
-    match placement {
-        Placement::Random { seed } => parc_sim_free::SplitMix64::new(seed),
-        _ => parc_sim_free::SplitMix64::new(0x5eed),
-    }
-}
-
 /// Tiny local PRNG so `parc-core` does not depend on `parc-sim` for three
 /// lines of arithmetic (the workspace carries no external randomness
 /// crate; every consumer seeds a SplitMix64 explicitly).
@@ -302,10 +295,6 @@ mod parc_sim_free {
 
         pub fn next_f64(&mut self) -> f64 {
             (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-        }
-
-        pub fn next_below(&mut self, bound: u64) -> u64 {
-            ((u128::from(self.next_u64()) * u128::from(bound)) >> 64) as u64
         }
     }
 }
@@ -642,8 +631,7 @@ impl ParcRuntime {
 
     /// Picks a hosting node among the alive ones, or `None` when every
     /// node is dead. With all nodes alive each policy behaves exactly as
-    /// before fault-awareness (round-robin cycles 0,1,2,…; seeded random
-    /// reproduces its sequence).
+    /// before fault-awareness (round-robin cycles 0,1,2,…).
     fn place(&self, class: &str) -> Option<usize> {
         let nodes = self.nodes();
         match self.placement {
@@ -655,14 +643,6 @@ impl ParcRuntime {
                     }
                 }
                 None
-            }
-            Placement::Random { .. } => {
-                let alive = self.failover.alive_nodes();
-                if alive.is_empty() {
-                    return None;
-                }
-                let i = self.rng.lock().next_below(alive.len() as u64) as usize;
-                Some(alive[i])
             }
             Placement::LeastLoaded => {
                 // Ask every OM for its load, as the cooperating OMs of
@@ -1121,6 +1101,23 @@ impl Drop for RebalancerHandle {
     }
 }
 
+impl Drop for ParcRuntime {
+    /// Stops every endpoint the runtime still owns, exactly as
+    /// [`ParcRuntime::kill_node`] stops one. Merely dropping an
+    /// [`InprocEndpoint`] leaves its pump waiting for the last sender to
+    /// go, and objects that hold channels to sibling nodes (pipeline
+    /// stages, farm workers) keep those senders alive in a cycle — the
+    /// pump and scheduler threads of every node would outlive the runtime.
+    fn drop(&mut self) {
+        for ep in self.endpoints.get_mut().iter().flatten() {
+            self.net.stop_endpoint(ep.name());
+        }
+        if let Some(rescue) = self.failover.rescue.lock().as_ref() {
+            self.net.stop_endpoint(rescue.name());
+        }
+    }
+}
+
 impl std::fmt::Debug for ParcRuntime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ParcRuntime")
@@ -1229,22 +1226,6 @@ mod tests {
             vec![Some(0), Some(1), Some(2), Some(0), Some(1), Some(2)]
         );
         assert_eq!(rt.node_loads(), vec![2, 2, 2]);
-    }
-
-    #[test]
-    fn random_placement_is_seeded_and_in_range() {
-        let run = |seed| {
-            let mut b = ParcRuntime::builder();
-            b.nodes(4).placement(Placement::Random { seed });
-            let rt = b.build().unwrap();
-            counter_class(&rt);
-            (0..10)
-                .map(|_| rt.create("Counter").unwrap().node().unwrap())
-                .collect::<Vec<_>>()
-        };
-        let a = run(7);
-        assert_eq!(a, run(7), "same seed, same placement");
-        assert!(a.iter().all(|&n| n < 4));
     }
 
     #[test]

@@ -32,9 +32,7 @@ struct Counters {
 
 /// A point-in-time copy of every runtime counter.
 ///
-/// Plain data: cheap to take, comparable, and printable — replaces the
-/// getter-at-a-time reads the ablation benches used to do (which could
-/// tear across a running workload).
+/// Plain data: cheap to take, comparable, and printable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StatsSnapshot {
     /// Asynchronous (one-way) method calls issued by proxies.
@@ -119,7 +117,7 @@ impl RuntimeStats {
     }
 
     /// Takes a consistent-enough copy of every counter (each field is an
-    /// atomic read; there is no cross-field lock, same as the old getters).
+    /// atomic read; there is no cross-field lock).
     pub fn snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {
             async_calls: self.inner.async_calls.get(),
@@ -131,62 +129,6 @@ impl RuntimeStats {
             remote_creations: self.inner.remote_creations.get(),
             local_fast_path_calls: self.inner.local_fast_path_calls.get(),
         }
-    }
-
-    /// Asynchronous (one-way) method calls issued by proxies.
-    #[deprecated(note = "use snapshot().async_calls")]
-    pub fn async_calls(&self) -> u64 {
-        self.inner.async_calls.get()
-    }
-
-    /// Synchronous (value-returning) method calls issued by proxies.
-    #[deprecated(note = "use snapshot().sync_calls")]
-    pub fn sync_calls(&self) -> u64 {
-        self.inner.sync_calls.get()
-    }
-
-    /// Wire messages actually sent (aggregation makes this smaller than
-    /// `async_calls + sync_calls`).
-    #[deprecated(note = "use snapshot().messages_sent")]
-    pub fn messages_sent(&self) -> u64 {
-        self.inner.messages_sent.get()
-    }
-
-    /// Aggregate messages sent.
-    #[deprecated(note = "use snapshot().batches_sent")]
-    pub fn batches_sent(&self) -> u64 {
-        self.inner.batches_sent.get()
-    }
-
-    /// Calls delivered inside aggregate messages.
-    #[deprecated(note = "use snapshot().calls_in_batches")]
-    pub fn calls_in_batches(&self) -> u64 {
-        self.inner.calls_in_batches.get()
-    }
-
-    /// Parallel objects agglomerated (created locally).
-    #[deprecated(note = "use snapshot().local_creations")]
-    pub fn local_creations(&self) -> u64 {
-        self.inner.local_creations.get()
-    }
-
-    /// Parallel objects created on a remote node via a factory.
-    #[deprecated(note = "use snapshot().remote_creations")]
-    pub fn remote_creations(&self) -> u64 {
-        self.inner.remote_creations.get()
-    }
-
-    /// Calls served by the intra-grain fast path (PO → local IO, Fig. 3
-    /// call *b*).
-    #[deprecated(note = "use snapshot().local_fast_path_calls")]
-    pub fn local_fast_path_calls(&self) -> u64 {
-        self.inner.local_fast_path_calls.get()
-    }
-
-    /// Mean calls per wire message — the aggregation payoff metric.
-    #[deprecated(note = "use snapshot().calls_per_message()")]
-    pub fn calls_per_message(&self) -> f64 {
-        self.snapshot().calls_per_message()
     }
 }
 
@@ -241,17 +183,6 @@ mod tests {
     #[test]
     fn zero_messages_means_zero_ratio() {
         assert_eq!(RuntimeStats::new().snapshot().calls_per_message(), 0.0);
-    }
-
-    #[test]
-    fn deprecated_getters_still_agree_with_snapshot() {
-        let s = RuntimeStats::new();
-        s.record_batch(3);
-        #[allow(deprecated)]
-        {
-            assert_eq!(s.batches_sent(), s.snapshot().batches_sent);
-            assert_eq!(s.messages_sent(), s.snapshot().messages_sent);
-        }
     }
 
     #[test]

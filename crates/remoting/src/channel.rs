@@ -18,13 +18,10 @@ use crate::uri::ObjectUri;
 
 /// A client-side transport to one endpoint.
 ///
-/// TCP implementations span three transports with identical observable
-/// semantics (pinned by `tests/transport_conformance.rs`): the
-/// multiplexed [`TcpClientChannel`](crate::tcp::TcpClientChannel)
-/// (default; dedicated reader thread per socket), the
-/// lock-per-roundtrip
-/// [`LockStepClientChannel`](crate::tcp::LockStepClientChannel)
-/// baseline, and the readiness-driven
+/// TCP has two implementations with identical observable semantics
+/// (pinned by `tests/transport_conformance.rs`): the multiplexed
+/// [`TcpClientChannel`](crate::tcp::TcpClientChannel) (default;
+/// dedicated reader thread per socket) and the readiness-driven
 /// [`ReactorClientChannel`](crate::reactor::ReactorClientChannel),
 /// whose nonblocking sockets are swept by a fixed reactor pool
 /// (`PARC_TRANSPORT=reactor` selects it through the providers).

@@ -9,9 +9,11 @@
 
 use std::sync::Arc;
 
-use parc_serial::Value;
+use parc_serial::{BinaryFormatter, Value};
 
 use crate::error::RemotingError;
+use crate::frame::{self, FrameHeader, TraceExt};
+use crate::mailbox::MailboxScheduler;
 use crate::message::{CallMessage, ReturnMessage};
 use crate::wellknown::ObjectTable;
 
@@ -82,6 +84,67 @@ pub fn dispatch(table: &ObjectTable, call: &CallMessage) -> Option<ReturnMessage
         Err(RemotingError::ServerFault { detail }) => ReturnMessage::fault(call.call_id, detail),
         Err(e) => ReturnMessage::fault(call.call_id, e.to_string()),
     })
+}
+
+/// Dispatches a two-way call, turning a "no reply" dispatch outcome (which
+/// only a one-way-marked message produces) into an explicit fault instead
+/// of leaving the caller to time out.
+fn dispatch_call(objects: &ObjectTable, call: &CallMessage) -> ReturnMessage {
+    dispatch(objects, call)
+        .unwrap_or_else(|| ReturnMessage::fault(call.call_id, "call produced no reply"))
+}
+
+/// The one server-side path from a received frame to an invocation,
+/// shared by the threaded TCP server and the reactor server: peel the
+/// optional trace-context extension, decode the [`CallMessage`], enqueue
+/// it on the target object's mailbox and return — the transport thread
+/// never runs a method body. One-way posts, batches and two-way calls
+/// all ride the same per-object FIFO, so arrival order per object
+/// (including one-way/two-way interleaving on one connection) is
+/// execution order while distinct objects run in parallel.
+///
+/// `reply` is how a two-way caller hears back; it runs on the mailbox
+/// worker once the method returns, or right here with a fault (call id 0)
+/// when the frame body or its trace extension is malformed. The frame
+/// flag, not the payload, decides whether it is ever called: a one-way
+/// frame never produces a reply, so a post can never consume (or corrupt)
+/// a caller's correlation slot, and a malformed one is dropped silently.
+pub(crate) fn serve_frame(
+    sched: &MailboxScheduler,
+    objects: &ObjectTable,
+    header: &FrameHeader,
+    payload: &[u8],
+    reply: impl FnOnce(&ReturnMessage) + Send + 'static,
+) {
+    let oneway = header.oneway();
+    let decoded = frame::split_trace_ext(header, payload)
+        .map_err(|e| e.to_string())
+        .and_then(|(ext, body)| {
+            CallMessage::decode(&BinaryFormatter::new(), body)
+                .map(|call| (ext.map(TraceExt::to_context), call))
+                .map_err(|e| e.to_string())
+        });
+    let (trace_ctx, call) = match decoded {
+        Ok(decoded) => decoded,
+        Err(detail) => {
+            if !oneway {
+                reply(&ReturnMessage::fault(0, detail));
+            }
+            return;
+        }
+    };
+    let objects = objects.clone();
+    let object = call.object.clone();
+    sched.enqueue(&object, move || {
+        // The remote caller becomes the parent of every span the
+        // dispatch opens.
+        let _trace = parc_obs::trace::with_remote_parent(trace_ctx);
+        if oneway {
+            let _ = dispatch(&objects, &call);
+        } else {
+            reply(&dispatch_call(&objects, &call));
+        }
+    });
 }
 
 /// Convenience [`Invokable`] built from a closure — handy in tests and for

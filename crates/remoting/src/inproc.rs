@@ -10,10 +10,7 @@
 //! interleave on the server exactly as they would across machines.
 //! Payloads still pass through the binary formatter, so marshalling
 //! costs and wire sizes are identical to the TCP channel — only the wire
-//! itself is a queue. The pre-mailbox shape (a shared fixed pool with no
-//! per-object ordering beyond pool size 1) survives behind
-//! [`InprocNetwork::create_endpoint_with_pool`] as the benchmark
-//! baseline.
+//! itself is a queue.
 //!
 //! This is the channel the single-machine SCOOPP runtime and most tests
 //! use; URIs look like `inproc://node0/PrimeServer`.
@@ -32,7 +29,6 @@ use crate::dispatcher::dispatch;
 use crate::error::RemotingError;
 use crate::mailbox::{DispatchDepth, MailboxScheduler};
 use crate::message::CallMessage;
-use crate::threadpool::ThreadPool;
 use crate::uri::{ObjectUri, Scheme};
 use crate::wellknown::ObjectTable;
 
@@ -43,13 +39,12 @@ use crate::wellknown::ObjectTable;
 pub const DEFAULT_TIMEOUT: Duration = crate::retry::DEFAULT_CALL_TIMEOUT;
 
 /// One reply travelling back to a parked caller. The in-process
-/// analogue of a reply frame with a [`crate::frame::DepthExt`]: mailbox
-/// endpoints stamp their live backlog on every reply so the caller's
-/// aggregation controller sees backpressure; pool-baseline endpoints
-/// send `None`, like an inline TCP server's bare frames.
+/// analogue of a reply frame with a [`crate::frame::DepthExt`]: the
+/// endpoint stamps its live backlog (`pending`, `busiest`) on every
+/// reply so the caller's aggregation controller sees backpressure.
 struct InprocReply {
     bytes: Vec<u8>,
-    depth: Option<(usize, usize)>,
+    depth: (usize, usize),
 }
 
 struct Envelope {
@@ -108,30 +103,7 @@ impl InprocNetwork {
         name: impl Into<String>,
         workers: usize,
     ) -> Result<InprocEndpoint, RemotingError> {
-        self.create_endpoint_inner(name.into(), InprocDispatch::Mailbox(workers))
-    }
-
-    /// Creates and starts an endpoint with the pre-mailbox dispatch
-    /// shape: a shared fixed pool of `workers` threads with **no**
-    /// per-object ordering beyond pool size 1. Kept as the explicit
-    /// baseline for the `mailbox_scaling` comparison.
-    ///
-    /// # Errors
-    ///
-    /// [`RemotingError::Transport`] if the name is already taken.
-    pub fn create_endpoint_with_pool(
-        &self,
-        name: impl Into<String>,
-        workers: usize,
-    ) -> Result<InprocEndpoint, RemotingError> {
-        self.create_endpoint_inner(name.into(), InprocDispatch::Pool(workers))
-    }
-
-    fn create_endpoint_inner(
-        &self,
-        name: String,
-        mode: InprocDispatch,
-    ) -> Result<InprocEndpoint, RemotingError> {
+        let name = name.into();
         let (tx, rx) = unbounded::<Envelope>();
         let shared = Arc::new(EndpointShared {
             tx,
@@ -151,23 +123,15 @@ impl InprocNetwork {
         let objects = ObjectTable::new();
         let pump_objects = objects.clone();
         let pump_shared = Arc::clone(&shared);
-        let (scheduler, pool_workers) = match mode {
-            InprocDispatch::Mailbox(w) => {
-                (Some(Arc::new(MailboxScheduler::with_workers(w))), 0)
-            }
-            InprocDispatch::Pool(w) => (None, w.max(1)),
-        };
-        let pump_scheduler = scheduler.clone();
+        let scheduler = Arc::new(MailboxScheduler::with_workers(workers));
+        let pump_scheduler = Arc::clone(&scheduler);
         // Interned once: every span dispatched on this endpoint is tagged
         // with its name, so multi-node traces in one process stay
         // attributable per node.
         let node = parc_obs::trace::node_id(&name);
         let thread = std::thread::Builder::new()
             .name(format!("inproc-{name}"))
-            .spawn(move || match pump_scheduler {
-                Some(sched) => pump_mailbox(rx, pump_objects, pump_shared, sched, node),
-                None => pump_pool(rx, pump_objects, pump_shared, pool_workers, node),
-            })
+            .spawn(move || pump_mailbox(rx, pump_objects, pump_shared, pump_scheduler, node))
             .expect("spawning inproc endpoint thread");
         Ok(InprocEndpoint {
             name,
@@ -230,18 +194,17 @@ impl std::fmt::Debug for InprocNetwork {
     }
 }
 
-/// How an endpoint executes decoded calls.
-enum InprocDispatch {
-    /// Per-object mailboxes on a work-stealing scheduler (the default).
-    Mailbox(usize),
-    /// The pre-mailbox baseline: a shared fixed pool.
-    Pool(usize),
-}
-
-/// Router loop (default): decode on the pump thread — the decoded call is
-/// what routes to a mailbox — then enqueue; the scheduler's workers
-/// dispatch and reply. A slow method on one object only backs up that
-/// object's mailbox, never this router.
+/// Router loop: decode on the pump thread — the decoded call is what
+/// routes to a mailbox — then enqueue; the scheduler's workers dispatch
+/// and reply. A slow method on one object only backs up that object's
+/// mailbox, never this router.
+///
+/// Kept apart from [`crate::dispatcher::serve_frame`]: an envelope has
+/// no frame header to peel (trace context and enqueue timestamp travel
+/// beside the bytes, the reply sender decides one-way), and the job tags
+/// its spans with this endpoint's node id and records queue wait —
+/// sharing would mean the socket servers' function branching on its
+/// caller.
 fn pump_mailbox(
     rx: Receiver<Envelope>,
     objects: ObjectTable,
@@ -270,7 +233,7 @@ fn pump_mailbox(
                     if let Ok(bytes) = fault.encode(&formatter) {
                         let _ = tx.send(InprocReply {
                             bytes,
-                            depth: Some((depth.pending(), depth.max_object_depth())),
+                            depth: (depth.pending(), depth.max_object_depth()),
                         });
                     }
                 }
@@ -290,7 +253,7 @@ fn pump_mailbox(
                 if let Ok(bytes) = out.encode(&BinaryFormatter::new()) {
                     let _ = tx.send(InprocReply {
                         bytes,
-                        depth: Some((depth.pending(), depth.max_object_depth())),
+                        depth: (depth.pending(), depth.max_object_depth()),
                     });
                 }
             }
@@ -301,55 +264,13 @@ fn pump_mailbox(
     drop(sched);
 }
 
-/// Baseline dispatcher loop: decode, route and reply on a shared fixed
-/// pool, with no per-object ordering (the pre-mailbox shape).
-fn pump_pool(
-    rx: Receiver<Envelope>,
-    objects: ObjectTable,
-    shared: Arc<EndpointShared>,
-    workers: usize,
-    node: u32,
-) {
-    let pool = ThreadPool::new(workers.max(1));
-    let formatter = BinaryFormatter::new();
-    while let Ok(envelope) = rx.recv() {
-        if shared.stopped.load(Ordering::Relaxed) {
-            break;
-        }
-        shared.bytes_received.fetch_add(envelope.bytes.len() as u64, Ordering::Relaxed);
-        shared.messages_received.fetch_add(1, Ordering::Relaxed);
-        let objects = objects.clone();
-        pool.submit(move || {
-            let _node = parc_obs::trace::enter_node_id(node);
-            let _trace = parc_obs::trace::with_remote_parent(envelope.trace);
-            parc_obs::record_wait(parc_obs::kinds::QUEUE_WAIT, envelope.enqueued_ns);
-            let reply = match CallMessage::decode(&formatter, &envelope.bytes) {
-                Ok(call) => dispatch(&objects, &call),
-                Err(e) => {
-                    // Undecodable frame: fault with id 0 if a reply channel
-                    // exists; otherwise drop.
-                    Some(crate::message::ReturnMessage::fault(0, e.to_string()))
-                }
-            };
-            if let (Some(reply), Some(tx)) = (reply, envelope.reply) {
-                let _span = parc_obs::Span::enter(parc_obs::kinds::REPLY);
-                if let Ok(bytes) = reply.encode(&formatter) {
-                    // The pool baseline has no scheduler to report.
-                    let _ = tx.send(InprocReply { bytes, depth: None });
-                }
-            }
-        });
-    }
-    pool.shutdown();
-}
-
 /// A live in-process endpoint (server side). Dropping it unregisters the
 /// endpoint and stops its dispatcher once queued work drains.
 pub struct InprocEndpoint {
     name: String,
     objects: ObjectTable,
     network: InprocNetwork,
-    scheduler: Option<Arc<MailboxScheduler>>,
+    scheduler: Arc<MailboxScheduler>,
     thread: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -364,16 +285,15 @@ impl InprocEndpoint {
         &self.objects
     }
 
-    /// Live backlog view of this endpoint's mailbox scheduler (`None` for
-    /// pool-baseline endpoints). The handle stays valid after the
-    /// endpoint drops.
+    /// Live backlog view of this endpoint's mailbox scheduler (always
+    /// `Some`). The handle stays valid after the endpoint drops.
     pub fn dispatch_depth(&self) -> Option<DispatchDepth> {
-        self.scheduler.as_ref().map(|s| s.depth_handle())
+        Some(self.scheduler.depth_handle())
     }
 
-    /// Scheduler counter snapshot (`None` for pool-baseline endpoints).
+    /// Scheduler counter snapshot (always `Some`).
     pub fn dispatch_stats(&self) -> Option<crate::mailbox::DispatchStats> {
-        self.scheduler.as_ref().map(|s| s.stats())
+        Some(self.scheduler.stats())
     }
 }
 
@@ -446,9 +366,8 @@ impl ClientChannel for InprocClient {
                 .map_err(|_| RemotingError::timed_out(started.elapsed(), self.timeout))?
         };
         self.feedback.record_rtt(started.elapsed());
-        if let Some((pending, busiest)) = reply.depth {
-            self.feedback.record_depth(pending, busiest);
-        }
+        let (pending, busiest) = reply.depth;
+        self.feedback.record_depth(pending, busiest);
         let _span = parc_obs::Span::enter(parc_obs::kinds::DESERIALIZE);
         Ok(crate::message::ReturnMessage::decode(&BinaryFormatter::new(), &reply.bytes)?)
     }
@@ -733,9 +652,8 @@ mod tests {
         }
     }
 
-    /// Mailbox endpoints report their backlog on every reply; the inproc
-    /// channel surfaces it (plus RTT) through `feedback()`, while
-    /// pool-baseline endpoints report none (like an inline TCP server).
+    /// Endpoints report their backlog on every reply; the inproc channel
+    /// surfaces it (plus RTT) through `feedback()`.
     #[test]
     fn mailbox_replies_carry_depth_feedback() {
         let (net, _ep) = adder_network();
@@ -746,22 +664,6 @@ mod tests {
         adder.call("add", vec![Value::I32(1), Value::I32(2)]).unwrap();
         assert!(feedback.rtt().is_some(), "call recorded no RTT sample");
         assert!(feedback.depth().is_some(), "mailbox reply carried no depth report");
-
-        let pool_net = InprocNetwork::new();
-        let pool_ep = pool_net.create_endpoint_with_pool("pooled", 2).unwrap();
-        pool_ep.objects().register_singleton(
-            "Echo",
-            Arc::new(FnInvokable(|_m: &str, args: &[Value]| {
-                Ok(args.first().cloned().unwrap_or(Value::Null))
-            })),
-        );
-        let uri: ObjectUri = "inproc://pooled/Echo".parse().unwrap();
-        let chan = pool_net.open(&uri).unwrap();
-        let feedback = chan.feedback().unwrap();
-        let echo = RemoteObject::new(chan, "Echo");
-        echo.call("e", vec![Value::I32(4)]).unwrap();
-        assert!(feedback.rtt().is_some());
-        assert!(feedback.depth().is_none(), "pool baseline should report no depth");
     }
 
     #[test]

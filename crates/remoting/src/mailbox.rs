@@ -7,9 +7,9 @@
 //!
 //! * **Per-object serialization** — at most one invocation of a given
 //!   object is in flight at any moment, and invocations run in exactly
-//!   the order they were enqueued (one-way posts, `__batch` flushes and
-//!   two-way calls alike). This is the serial-per-grain semantics the
-//!   ParC++ SO message loop provided (§3.2 of the paper).
+//!   the order they were enqueued (one-way posts, `__batch_flat` flushes
+//!   and two-way calls alike). This is the serial-per-grain semantics
+//!   the ParC++ SO message loop provided (§3.2 of the paper).
 //! * **Cross-object parallelism** — mailboxes of distinct objects drain
 //!   on distinct workers concurrently; a slow method on one object never
 //!   head-of-line-blocks another object, and never blocks the reader

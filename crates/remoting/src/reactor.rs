@@ -12,11 +12,10 @@
 //! are nonblocking, a reactor thread sweeps the connections it owns for
 //! readable bytes and drainable write queues, and *completed frames* —
 //! reassembled incrementally by [`crate::frame::FrameAssembler`] across
-//! arbitrary partial-read boundaries — feed the exact same dispatch
-//! backends the blocking readers feed today ([`DispatchMode::Mailbox`]
-//! per-object mailboxes by default, the fixed-pool
-//! [`DispatchMode::Inline`] baseline on request). Resident threads are
-//! O(reactor pool + dispatch workers), never O(connections).
+//! arbitrary partial-read boundaries — go through the same
+//! [`crate::dispatcher::serve_frame`] onto the same per-object mailboxes
+//! the blocking readers feed. Resident threads are O(reactor pool +
+//! dispatch workers), never O(connections).
 //!
 //! **Readiness model.** Hermetic and std-only means no epoll/kqueue
 //! crates; readiness is level-triggered by construction: a sweep simply
@@ -39,10 +38,11 @@
 //! (TCP's own flow control then pushes back on clients) while still
 //! draining writes, and resumes as the workers catch up.
 //!
-//! The thread-per-connection transports stay available as explicit
-//! baselines behind `PARC_TRANSPORT` (see [`crate::tcp::Transport`]);
-//! `PARC_REACTOR_THREADS` overrides the pool size (default
-//! `min(cores, 4)`).
+//! `PARC_TRANSPORT` chooses between this client and the
+//! thread-per-connection mux client (see [`crate::tcp::Transport`]): an
+//! idle sweep parks, so a lone caller pays the park in latency, while
+//! the mux client pays a thread per socket. `PARC_REACTOR_THREADS`
+//! overrides the pool size (default `min(cores, 4)`).
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -56,13 +56,13 @@ use parc_sync::{Condvar, Mutex};
 
 use crate::bufpool;
 use crate::channel::{ClientChannel, LinkFeedback};
-use crate::dispatcher::dispatch;
+use crate::dispatcher::serve_frame;
 use crate::error::RemotingError;
 use crate::frame::{self, FrameAssembler, FrameHeader, TraceExt, FLAG_DEPTH, FLAG_ONEWAY};
-use crate::mailbox::DispatchDepth;
+use crate::mailbox::{DispatchDepth, MailboxScheduler};
 use crate::message::{CallMessage, ReturnMessage};
 use crate::retry::call_timeout;
-use crate::tcp::{dispatch_call, DispatchMode, MuxShared, ServerDispatch, Slot};
+use crate::tcp::{MuxShared, Slot};
 use crate::wellknown::ObjectTable;
 
 /// Environment variable overriding the reactor pool size.
@@ -124,18 +124,18 @@ enum Io {
 /// [`ReactorServerChannel`].
 struct ServerHandler {
     objects: ObjectTable,
-    dispatch: ServerDispatch,
-    /// Live backlog of the mailbox scheduler (`None` under inline).
-    depth: Option<DispatchDepth>,
+    scheduler: Arc<MailboxScheduler>,
+    /// Live backlog of `scheduler`: read before every sweep
+    /// (backpressure) and stamped onto every reply.
+    depth: DispatchDepth,
     /// The owning server's stop flag; set on drop, closing every
     /// connection at the next sweep.
     stop: Arc<AtomicBool>,
-    formatter: BinaryFormatter,
 }
 
 /// Which protocol role a registered connection plays.
 enum Handler {
-    Server(ServerHandler),
+    Server(Arc<ServerHandler>),
     /// Client side: completed frames are replies, routed to parked
     /// callers by correlation ID through the same [`MuxShared`] the
     /// thread-per-connection mux client uses. Depth reports piggybacked
@@ -200,9 +200,7 @@ impl ReactorConn {
     /// True when the dispatch backlog says "stop reading for now".
     fn saturated(&self) -> bool {
         match &self.handler {
-            Handler::Server(h) => {
-                h.depth.as_ref().is_some_and(|d| d.saturated(BACKPRESSURE_HIGH_WATER))
-            }
+            Handler::Server(h) => h.depth.saturated(BACKPRESSURE_HIGH_WATER),
             Handler::Client { .. } => false,
         }
     }
@@ -391,70 +389,12 @@ impl ReactorConn {
                     slot.complete(Ok(buf));
                 }
             }
-            Handler::Server(h) => self.serve_frame(h, header, payload),
-        }
-    }
-
-    /// Server role: decode and dispatch exactly like the blocking
-    /// reader threads do — mailbox mode enqueues and returns, inline
-    /// mode runs one-ways right here (the baseline's own hazard) and
-    /// two-ways on the shared pool.
-    fn serve_frame(self: &Arc<ReactorConn>, h: &ServerHandler, header: FrameHeader, payload: &[u8]) {
-        // Peel the optional trace-context extension off the payload and
-        // install the remote caller as the parent of whatever spans the
-        // dispatch opens (same contract as the blocking reader threads).
-        let (trace_ctx, body) = match frame::split_trace_ext(&header, payload) {
-            Ok((ext, rest)) => (ext.map(TraceExt::to_context), rest),
-            Err(e) => {
-                if !header.oneway() {
-                    send_reply(self, header.corr_id, &ReturnMessage::fault(0, e.to_string()));
-                }
-                return;
-            }
-        };
-        let call = match CallMessage::decode(&h.formatter, body) {
-            Ok(call) => call,
-            Err(e) => {
-                if !header.oneway() {
-                    send_reply(self, header.corr_id, &ReturnMessage::fault(0, e.to_string()));
-                }
-                return;
-            }
-        };
-        match &h.dispatch {
-            ServerDispatch::Mailbox(sched) => {
-                let object = call.object.clone();
-                if header.oneway() {
-                    let objects = h.objects.clone();
-                    sched.enqueue(&object, move || {
-                        let _trace = parc_obs::trace::with_remote_parent(trace_ctx);
-                        let _ = dispatch(&objects, &call);
-                    });
-                } else {
-                    let objects = h.objects.clone();
-                    let conn = Arc::clone(self);
-                    let corr_id = header.corr_id;
-                    sched.enqueue(&object, move || {
-                        let _trace = parc_obs::trace::with_remote_parent(trace_ctx);
-                        let reply = dispatch_call(&objects, &call);
-                        send_reply(&conn, corr_id, &reply);
-                    });
-                }
-            }
-            ServerDispatch::Inline(pool) => {
-                if header.oneway() {
-                    let _trace = parc_obs::trace::with_remote_parent(trace_ctx);
-                    let _ = dispatch(&h.objects, &call);
-                } else {
-                    let objects = h.objects.clone();
-                    let conn = Arc::clone(self);
-                    let corr_id = header.corr_id;
-                    pool.submit(move || {
-                        let _trace = parc_obs::trace::with_remote_parent(trace_ctx);
-                        let reply = dispatch_call(&objects, &call);
-                        send_reply(&conn, corr_id, &reply);
-                    });
-                }
+            Handler::Server(h) => {
+                let conn = Arc::clone(self);
+                let corr_id = header.corr_id;
+                serve_frame(&h.scheduler, &h.objects, &header, payload, move |reply| {
+                    send_reply(&conn, corr_id, reply);
+                });
             }
         }
     }
@@ -466,24 +406,19 @@ impl ReactorConn {
 fn send_reply(conn: &Arc<ReactorConn>, corr_id: u64, reply: &ReturnMessage) {
     let formatter = BinaryFormatter::new();
     let _span = parc_obs::Span::enter(parc_obs::kinds::REPLY);
-    // Mailbox-mode servers stamp their live backlog onto every reply
-    // (sampled at write time, the freshest signal the client can get).
-    // The ext bytes ride at the front of the frame body with FLAG_DEPTH
-    // set; `send_frame` counts them in the length like any payload.
-    let depth_ext = match &conn.handler {
-        Handler::Server(h) => h.depth.as_ref().map(frame::DepthExt::capture),
-        Handler::Client { .. } => None,
+    let Handler::Server(h) = &conn.handler else {
+        return; // only server connections ever reply
     };
+    // The live backlog is stamped onto every reply (sampled at write
+    // time, the freshest signal the client can get). The ext bytes ride
+    // at the front of the frame body with FLAG_DEPTH set; `send_frame`
+    // counts them in the length like any payload.
     let mut buf = bufpool::global().checkout();
-    let mut flags = 0;
-    if let Some(ext) = depth_ext {
-        buf.extend_from_slice(&ext.to_bytes());
-        flags |= FLAG_DEPTH;
-    }
+    buf.extend_from_slice(&frame::DepthExt::capture(&h.depth).to_bytes());
     if reply.encode_into(&formatter, &mut buf).is_ok() {
         // Replies are never traced: the caller's own span covers the
         // round trip.
-        let _ = conn.send_frame(corr_id, flags, None, &buf);
+        let _ = conn.send_frame(corr_id, FLAG_DEPTH, None, &buf);
     }
     bufpool::global().checkin(buf);
 }
@@ -492,31 +427,11 @@ fn send_reply(conn: &Arc<ReactorConn>, corr_id: u64, reply: &ReturnMessage) {
 // The reactor pool
 // ---------------------------------------------------------------------------
 
-/// A listening socket swept for acceptable connections.
+/// A listening socket swept for acceptable connections; every accepted
+/// connection shares the listener's [`ServerHandler`].
 struct ListenerEntry {
     listener: TcpListener,
-    handler_proto: Arc<ServerHandlerProto>,
-}
-
-/// Everything needed to stamp out a [`ServerHandler`] per accepted
-/// connection.
-struct ServerHandlerProto {
-    objects: ObjectTable,
-    dispatch: ServerDispatch,
-    depth: Option<DispatchDepth>,
-    stop: Arc<AtomicBool>,
-}
-
-impl ServerHandlerProto {
-    fn handler(&self) -> Handler {
-        Handler::Server(ServerHandler {
-            objects: self.objects.clone(),
-            dispatch: self.dispatch.clone(),
-            depth: self.depth.clone(),
-            stop: Arc::clone(&self.stop),
-            formatter: BinaryFormatter::new(),
-        })
-    }
+    handler: Arc<ServerHandler>,
 }
 
 enum Registered {
@@ -661,7 +576,7 @@ fn sweep_loop(shared: &Arc<ReactorShared>, me: usize) {
         let mut progress = false;
         items.retain(|item| match item {
             Registered::Listener(entry) => {
-                if entry.handler_proto.stop.load(Ordering::SeqCst) {
+                if entry.handler.stop.load(Ordering::SeqCst) {
                     return false; // dropping the entry closes the listener
                 }
                 loop {
@@ -672,7 +587,10 @@ fn sweep_loop(shared: &Arc<ReactorShared>, me: usize) {
                                 continue;
                             }
                             let _ = stream.set_nodelay(true);
-                            global().register_conn(stream, entry.handler_proto.handler());
+                            global().register_conn(
+                                stream,
+                                Handler::Server(Arc::clone(&entry.handler)),
+                            );
                         }
                         Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                         Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
@@ -756,49 +674,48 @@ fn sweep_loop(shared: &Arc<ReactorShared>, me: usize) {
 /// threads — the listener itself is swept by the reactor pool.
 ///
 /// Dispatch semantics are identical to [`crate::tcp::TcpServerChannel`]:
-/// per-object FIFO mailboxes by default, the inline/fixed-pool baseline
-/// via [`DispatchMode::Inline`].
+/// per-object FIFO mailboxes, through the same
+/// [`crate::dispatcher::serve_frame`].
 pub struct ReactorServerChannel {
     addr: SocketAddr,
     objects: ObjectTable,
     stop: Arc<AtomicBool>,
-    scheduler: Option<Arc<crate::mailbox::MailboxScheduler>>,
+    scheduler: Arc<MailboxScheduler>,
 }
 
 impl ReactorServerChannel {
-    /// Binds and registers the listener with the global reactor, using
-    /// the environment-configured dispatch mode.
+    /// Binds and registers the listener with the global reactor, with
+    /// the configured mailbox worker count
+    /// ([`crate::mailbox::workers_from_env`]).
     ///
     /// # Errors
     ///
     /// Socket bind failures.
     pub fn bind(addr: &str) -> Result<ReactorServerChannel, RemotingError> {
-        ReactorServerChannel::bind_with_mode(addr, DispatchMode::from_env())
+        ReactorServerChannel::bind_with_workers(addr, crate::mailbox::workers_from_env())
     }
 
-    /// Binds with an explicit dispatch mode.
+    /// Binds with an explicit mailbox worker count.
     ///
     /// # Errors
     ///
     /// Socket bind failures.
-    pub fn bind_with_mode(
+    pub fn bind_with_workers(
         addr: &str,
-        mode: DispatchMode,
+        workers: usize,
     ) -> Result<ReactorServerChannel, RemotingError> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
         let objects = ObjectTable::new();
         let stop = Arc::new(AtomicBool::new(false));
-        let dispatch = ServerDispatch::for_mode(mode);
-        let scheduler = dispatch.scheduler();
-        let depth = scheduler.as_ref().map(|s| s.depth_handle());
+        let scheduler = Arc::new(MailboxScheduler::with_workers(workers));
         global().register_listener(ListenerEntry {
             listener,
-            handler_proto: Arc::new(ServerHandlerProto {
+            handler: Arc::new(ServerHandler {
                 objects: objects.clone(),
-                dispatch,
-                depth,
+                scheduler: Arc::clone(&scheduler),
+                depth: scheduler.depth_handle(),
                 stop: Arc::clone(&stop),
             }),
         });
@@ -820,15 +737,14 @@ impl ReactorServerChannel {
         format!("tcp://{}/{}", self.addr, object)
     }
 
-    /// Live backlog view of the mailbox scheduler (`None` under
-    /// [`DispatchMode::Inline`]).
+    /// Live backlog view of the mailbox scheduler (always `Some`).
     pub fn dispatch_depth(&self) -> Option<DispatchDepth> {
-        self.scheduler.as_ref().map(|s| s.depth_handle())
+        Some(self.scheduler.depth_handle())
     }
 
-    /// Scheduler counter snapshot (`None` under [`DispatchMode::Inline`]).
+    /// Scheduler counter snapshot (always `Some`).
     pub fn dispatch_stats(&self) -> Option<crate::mailbox::DispatchStats> {
-        self.scheduler.as_ref().map(|s| s.stats())
+        Some(self.scheduler.stats())
     }
 }
 
@@ -1116,9 +1032,7 @@ mod tests {
     use parc_serial::Value;
 
     fn start_echo_server() -> ReactorServerChannel {
-        let server =
-            ReactorServerChannel::bind_with_mode("127.0.0.1:0", DispatchMode::Mailbox { workers: 4 })
-                .unwrap();
+        let server = ReactorServerChannel::bind_with_workers("127.0.0.1:0", 4).unwrap();
         server.objects().register_singleton(
             "Echo",
             Arc::new(FnInvokable(|method: &str, args: &[Value]| match method {
@@ -1241,7 +1155,7 @@ mod tests {
         }
     }
 
-    /// Reactor replies from a mailbox server carry the depth report and
+    /// Reactor replies carry the server's depth report and
     /// the channel surfaces it (plus RTT) through `feedback()`.
     #[test]
     fn reactor_replies_carry_depth_feedback() {

@@ -590,7 +590,7 @@ mod tests {
             _ => unreachable!(),
         };
         let session = table.resolve(&alias).unwrap();
-        for method in [CLAIM_METHOD, "__migrate", "__batch"] {
+        for method in [CLAIM_METHOD, "__migrate", "__batch_flat"] {
             assert!(matches!(
                 session.invoke(method, &[Value::Str("x".into())]),
                 Err(RemotingError::MethodNotFound { .. })

@@ -1,5 +1,5 @@
 //! The TCP channel: binary formatter over framed sockets — Mono's
-//! `TcpChannel`, rebuilt as a **multiplexed, pipelined connection**.
+//! `TcpChannel`, built as a **multiplexed, pipelined connection**.
 //!
 //! Frames are the v2 format of [`crate::frame`]: a 13-byte header
 //! (length, correlation ID, flags) followed by the formatter payload.
@@ -12,24 +12,20 @@
 //! variable) for bandwidth-bound payloads.
 //!
 //! The server accepts connections on a loopback-or-LAN socket and serves
-//! each connection from its own reader thread. By default that thread
-//! only decodes frames and enqueues them on the shared per-object
-//! [`MailboxScheduler`] ([`DispatchMode::Mailbox`]), returning to the
-//! socket immediately: calls to one object run serially in arrival order
-//! (one-way posts, batches and two-way calls alike), distinct objects
-//! run in parallel on the scheduler's work-stealing workers, and a slow
-//! method on one object can no longer head-of-line-block every object
-//! behind the same socket. Replies are written back in completion order;
-//! the correlation ID is what makes out-of-order replies safe.
+//! each connection from its own reader thread. That thread only reads
+//! frames and hands them to [`crate::dispatcher::serve_frame`], which
+//! decodes and enqueues on the server's per-object [`MailboxScheduler`],
+//! so the reader returns to the socket immediately: calls to one object
+//! run serially in arrival order (one-way posts, batches and two-way
+//! calls alike), distinct objects run in parallel on the scheduler's
+//! work-stealing workers, and a slow method on one object cannot
+//! head-of-line-block the objects behind the same socket. Replies are
+//! written back in completion order; the correlation ID is what makes
+//! out-of-order replies safe.
 //!
-//! The pre-mailbox server — one-way posts dispatched inline on the
-//! reader thread, two-way calls on a fixed [`DISPATCH_WORKERS`]-sized
-//! pool — survives as [`DispatchMode::Inline`] (select it with
-//! `PARC_DISPATCH_MODE=inline` or [`TcpServerChannel::bind_with_mode`])
-//! so the `mailbox_scaling` benchmark can measure exactly what the
-//! scheduler buys. Likewise the pre-multiplexing client — one
-//! connection, stream mutex held across the entire round trip — survives
-//! as [`LockStepClientChannel`] for `tcp_concurrency`.
+//! `PARC_TRANSPORT=reactor` swaps the client for
+//! [`crate::reactor::ReactorClientChannel`] (no per-connection threads);
+//! see [`Transport`].
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -42,13 +38,12 @@ use parc_sync::{Condvar, Mutex};
 
 use crate::bufpool;
 use crate::channel::{ChannelProvider, ClientChannel, LinkFeedback};
-use crate::dispatcher::dispatch;
+use crate::dispatcher::serve_frame;
 use crate::error::RemotingError;
 use crate::frame::{self, DepthExt, FrameRead, FLAG_ONEWAY};
 use crate::mailbox::{DispatchDepth, MailboxScheduler};
 use crate::message::{CallMessage, ReturnMessage};
 use crate::retry::call_timeout;
-use crate::threadpool::ThreadPool;
 use crate::uri::{ObjectUri, Scheme};
 use crate::wellknown::ObjectTable;
 
@@ -62,37 +57,25 @@ pub const DEFAULT_TIMEOUT: Duration = crate::retry::DEFAULT_CALL_TIMEOUT;
 /// Default per-authority socket-pool size.
 pub const DEFAULT_POOL_SIZE: usize = 2;
 
-/// Worker threads in an [`DispatchMode::Inline`] server's shared two-way
-/// dispatch pool (the pre-mailbox baseline shape).
-pub const DISPATCH_WORKERS: usize = 4;
-
 /// Environment variable overriding the per-authority socket-pool size.
 pub const POOL_SIZE_ENV: &str = "PARC_TCP_POOL";
-
-/// Environment variable selecting the server dispatch mode: `inline`
-/// restores the pre-mailbox baseline; anything else (or unset) means
-/// [`DispatchMode::Mailbox`].
-pub const DISPATCH_MODE_ENV: &str = "PARC_DISPATCH_MODE";
 
 /// Environment variable selecting the client transport the
 /// [`TcpChannelProvider`] opens for `tcp://` URIs: `reactor` multiplexes
 /// onto the shared readiness-driven reactor pool
-/// ([`crate::reactor::ReactorClientChannel`]), `lockstep` restores the
-/// pre-multiplexing baseline, anything else (or unset) means the
-/// thread-per-connection multiplexed client ([`TcpClientChannel`]).
+/// ([`crate::reactor::ReactorClientChannel`]), anything else (or unset)
+/// means the thread-per-connection multiplexed client
+/// ([`TcpClientChannel`]).
 pub const TRANSPORT_ENV: &str = "PARC_TRANSPORT";
 
 /// Which client transport serves `tcp://` URIs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Transport {
     /// Multiplexed pipelined connections, one reader thread per socket
-    /// (the default).
+    /// (the default): lowest single-caller latency.
     Mux,
-    /// One blocking socket, stream mutex across the round trip — the
-    /// pre-multiplexing baseline.
-    Lockstep,
     /// Nonblocking sockets multiplexed onto the shared reactor pool: no
-    /// per-connection threads at all.
+    /// per-connection threads at all, for wide fan-in.
     Reactor,
 }
 
@@ -101,67 +84,7 @@ impl Transport {
     pub fn from_env() -> Transport {
         match std::env::var(TRANSPORT_ENV).as_deref() {
             Ok("reactor") => Transport::Reactor,
-            Ok("lockstep") => Transport::Lockstep,
             _ => Transport::Mux,
-        }
-    }
-}
-
-/// How a server executes decoded calls.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DispatchMode {
-    /// Per-object FIFO mailboxes drained by `workers` work-stealing
-    /// threads (the default; see [`crate::mailbox`]).
-    Mailbox {
-        /// Worker-thread count (clamped to ≥ 1).
-        workers: usize,
-    },
-    /// The pre-mailbox baseline: one-way posts run inline on each
-    /// connection's reader thread, two-way calls on a fixed
-    /// [`DISPATCH_WORKERS`]-sized shared pool. Kept so `mailbox_scaling`
-    /// compares honestly.
-    Inline,
-}
-
-impl DispatchMode {
-    /// The configured mode: [`DispatchMode::Inline`] when
-    /// `PARC_DISPATCH_MODE=inline`, otherwise [`DispatchMode::Mailbox`]
-    /// with [`crate::mailbox::workers_from_env`] workers.
-    pub fn from_env() -> DispatchMode {
-        match std::env::var(DISPATCH_MODE_ENV).as_deref() {
-            Ok("inline") => DispatchMode::Inline,
-            _ => DispatchMode::Mailbox { workers: crate::mailbox::workers_from_env() },
-        }
-    }
-}
-
-/// A server's live dispatch backend, shared by every connection. The
-/// reactor server (`crate::reactor`) reuses the same backend shapes, so
-/// "mailbox vs inline" means exactly the same thing on every transport.
-#[derive(Clone)]
-pub(crate) enum ServerDispatch {
-    Mailbox(Arc<MailboxScheduler>),
-    Inline(Arc<ThreadPool>),
-}
-
-impl ServerDispatch {
-    /// Builds the backend a [`DispatchMode`] names.
-    pub(crate) fn for_mode(mode: DispatchMode) -> ServerDispatch {
-        match mode {
-            DispatchMode::Mailbox { workers } => {
-                ServerDispatch::Mailbox(Arc::new(MailboxScheduler::with_workers(workers)))
-            }
-            DispatchMode::Inline => {
-                ServerDispatch::Inline(Arc::new(ThreadPool::new(DISPATCH_WORKERS)))
-            }
-        }
-    }
-
-    /// The mailbox scheduler, when this backend has one.
-    pub(crate) fn scheduler(&self) -> Option<Arc<MailboxScheduler>> {
-        match self {
-            ServerDispatch::Mailbox(s) => Some(Arc::clone(s)),
-            ServerDispatch::Inline(_) => None,
         }
     }
 }
@@ -181,60 +104,56 @@ pub struct TcpServerChannel {
     addr: SocketAddr,
     objects: ObjectTable,
     stop: Arc<AtomicBool>,
-    scheduler: Option<Arc<MailboxScheduler>>,
+    scheduler: Arc<MailboxScheduler>,
 }
 
 impl TcpServerChannel {
-    /// Binds and starts accepting with the configured dispatch mode
-    /// ([`DispatchMode::from_env`]). Use `"127.0.0.1:0"` to let the OS
-    /// pick a port, then read it back with
+    /// Binds and starts accepting, with the configured mailbox worker
+    /// count ([`crate::mailbox::workers_from_env`]). Use `"127.0.0.1:0"`
+    /// to let the OS pick a port, then read it back with
     /// [`TcpServerChannel::local_addr`].
     ///
     /// # Errors
     ///
     /// Socket bind failures.
     pub fn bind(addr: &str) -> Result<TcpServerChannel, RemotingError> {
-        TcpServerChannel::bind_with_mode(addr, DispatchMode::from_env())
+        TcpServerChannel::bind_with_workers(addr, crate::mailbox::workers_from_env())
     }
 
-    /// Binds with an explicit dispatch mode.
+    /// Binds with an explicit mailbox worker count. Per-object FIFO order
+    /// holds at any count; `workers` only bounds cross-object parallelism.
     ///
     /// # Errors
     ///
     /// Socket bind failures.
-    pub fn bind_with_mode(
+    pub fn bind_with_workers(
         addr: &str,
-        mode: DispatchMode,
+        workers: usize,
     ) -> Result<TcpServerChannel, RemotingError> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let objects = ObjectTable::new();
         let stop = Arc::new(AtomicBool::new(false));
-        // One dispatch backend per server, shared by every connection.
-        // Mailbox: per-object serial, cross-object parallel, stealing
-        // workers. Inline: the pre-mailbox fixed pool (the analogue of
-        // Mono serving remoting from its managed thread pool), kept as
-        // the benchmark baseline.
-        let dispatch = ServerDispatch::for_mode(mode);
-        let scheduler = dispatch.scheduler();
+        // One scheduler per server, shared by every connection.
+        let scheduler = Arc::new(MailboxScheduler::with_workers(workers));
         let accept_objects = objects.clone();
         let accept_stop = Arc::clone(&stop);
+        let accept_sched = Arc::clone(&scheduler);
         std::thread::Builder::new()
             .name(format!("tcp-accept-{local}"))
-            .spawn(move || accept_loop(listener, accept_objects, accept_stop, dispatch))
+            .spawn(move || accept_loop(listener, accept_objects, accept_stop, accept_sched))
             .expect("spawning tcp accept thread");
         Ok(TcpServerChannel { addr: local, objects, stop, scheduler })
     }
 
-    /// Live backlog view of the mailbox scheduler (`None` when the server
-    /// runs in [`DispatchMode::Inline`]).
+    /// Live backlog view of the mailbox scheduler (always `Some`).
     pub fn dispatch_depth(&self) -> Option<DispatchDepth> {
-        self.scheduler.as_ref().map(|s| s.depth_handle())
+        Some(self.scheduler.depth_handle())
     }
 
-    /// Scheduler counter snapshot (`None` in [`DispatchMode::Inline`]).
+    /// Scheduler counter snapshot (always `Some`).
     pub fn dispatch_stats(&self) -> Option<crate::mailbox::DispatchStats> {
-        self.scheduler.as_ref().map(|s| s.stats())
+        Some(self.scheduler.stats())
     }
 
     /// The bound address (host:port).
@@ -271,7 +190,7 @@ fn accept_loop(
     listener: TcpListener,
     objects: ObjectTable,
     stop: Arc<AtomicBool>,
-    dispatch: ServerDispatch,
+    sched: Arc<MailboxScheduler>,
 ) {
     for conn in listener.incoming() {
         if stop.load(Ordering::SeqCst) {
@@ -280,61 +199,61 @@ fn accept_loop(
         let Ok(stream) = conn else { continue };
         let objects = objects.clone();
         let stop = Arc::clone(&stop);
-        let dispatch = dispatch.clone();
+        let sched = Arc::clone(&sched);
         let _ = std::thread::Builder::new()
             .name("tcp-conn".into())
-            .spawn(move || serve_connection(stream, objects, stop, dispatch));
+            .spawn(move || serve_connection(stream, objects, stop, sched));
     }
 }
 
-/// Encodes `reply` and writes it as one frame under the connection's
-/// write mutex, tearing the connection down on a failed write (a
-/// half-written reply stream cannot be resynced). When the server runs a
-/// mailbox scheduler, its live queue depth is sampled *at reply-write
-/// time* and piggybacked as a [`DepthExt`] so the client's aggregation
-/// controller sees backpressure with zero extra round trips.
-fn write_reply(
-    writer: &Arc<Mutex<TcpStream>>,
-    corr_id: u64,
-    reply: &ReturnMessage,
-    depth: Option<&DispatchDepth>,
-) {
-    let formatter = BinaryFormatter::new();
-    let _span = parc_obs::Span::enter(parc_obs::kinds::REPLY);
-    let mut reply_buf = bufpool::global().checkout();
-    if reply.encode_into(&formatter, &mut reply_buf).is_ok() {
-        let ext = depth.map(DepthExt::capture);
-        let mut w = writer.lock();
-        if frame::write_frame_depth(&mut *w, corr_id, 0, ext, &reply_buf).is_err() {
-            let _ = w.shutdown(std::net::Shutdown::Both);
+/// The reply half of one server connection, shared with the mailbox
+/// workers that answer its calls.
+struct ReplyWriter {
+    /// Write half of the socket; replies go out in completion order.
+    /// Correlation IDs are what make that safe for the client.
+    stream: Mutex<TcpStream>,
+    /// Live backlog of the server's scheduler.
+    depth: DispatchDepth,
+}
+
+impl ReplyWriter {
+    /// Encodes `reply` and writes it as one frame under the write mutex,
+    /// tearing the connection down on a failed write (a half-written
+    /// reply stream cannot be resynced). The scheduler's queue depth is
+    /// sampled *at reply-write time* and piggybacked as a [`DepthExt`] so
+    /// the client's aggregation controller sees backpressure with zero
+    /// extra round trips.
+    fn write(&self, corr_id: u64, reply: &ReturnMessage) {
+        let formatter = BinaryFormatter::new();
+        let _span = parc_obs::Span::enter(parc_obs::kinds::REPLY);
+        let mut reply_buf = bufpool::global().checkout();
+        if reply.encode_into(&formatter, &mut reply_buf).is_ok() {
+            let ext = DepthExt::capture(&self.depth);
+            let mut w = self.stream.lock();
+            if frame::write_frame_depth(&mut *w, corr_id, 0, Some(ext), &reply_buf).is_err() {
+                let _ = w.shutdown(std::net::Shutdown::Both);
+            }
         }
+        bufpool::global().checkin(reply_buf);
     }
-    bufpool::global().checkin(reply_buf);
 }
 
 fn serve_connection(
     mut stream: TcpStream,
     objects: ObjectTable,
     stop: Arc<AtomicBool>,
-    dispatch_backend: ServerDispatch,
+    sched: Arc<MailboxScheduler>,
 ) {
-    let formatter = BinaryFormatter::new();
     let _ = stream.set_nodelay(true);
-    // The read half stays on this thread; replies are written by dispatch
-    // workers under this mutex, in completion order. Correlation IDs are
-    // what make completion-order replies safe for the client.
+    // The read half stays on this thread; replies are written by mailbox
+    // workers through the cloned write half.
     let writer = match stream.try_clone() {
-        Ok(w) => Arc::new(Mutex::new(w)),
+        Ok(w) => Arc::new(ReplyWriter { stream: Mutex::new(w), depth: sched.depth_handle() }),
         Err(_) => return,
     };
-    // Mailbox servers report their live backlog on every reply; the
-    // inline baseline has no scheduler and sends bare frames.
-    let depth = dispatch_backend.scheduler().map(|s| s.depth_handle());
-    // The request buffer is recycled through the global pool. In mailbox
-    // mode every frame is decoded right here (the decoded call is what
-    // routes to a mailbox), so the buffer is reusable immediately; in
-    // inline mode two-way frames hand it to a pool worker and take a
-    // fresh (pooled) buffer for the next read.
+    // Every frame is decoded before the next read (the decoded call is
+    // what routes to a mailbox), so one pooled request buffer serves the
+    // whole connection.
     let mut payload = bufpool::global().checkout();
     loop {
         let header = match frame::read_frame_into(&mut stream, &mut payload) {
@@ -347,109 +266,13 @@ fn serve_connection(
         if stop.load(Ordering::SeqCst) {
             break;
         }
-        // Peel the trace-context extension (if any) off the payload; the
-        // caller's context is installed around the dispatch below so the
-        // server-side spans become children of the client's send span.
-        let (trace_ctx, body_start) = match frame::split_trace_ext(&header, &payload) {
-            Ok((ext, rest)) => {
-                (ext.map(frame::TraceExt::to_context), payload.len() - rest.len())
-            }
-            Err(e) => {
-                if !header.oneway() {
-                    write_reply(
-                        &writer,
-                        header.corr_id,
-                        &ReturnMessage::fault(0, e.to_string()),
-                        depth.as_ref(),
-                    );
-                }
-                continue;
-            }
-        };
-        // Trust the frame flag over the payload: a post never gets a
-        // reply, so it can never consume (or corrupt) a caller's slot.
-        match &dispatch_backend {
-            // Mailbox mode: decode and enqueue, nothing more — the reader
-            // returns to the socket immediately. One-way posts, batches
-            // and two-way calls all ride the target object's FIFO
-            // mailbox, so per-object order (including one-way/two-way
-            // interleaving from this connection) is preserved while
-            // distinct objects run in parallel.
-            ServerDispatch::Mailbox(sched) => {
-                let call = match CallMessage::decode(&formatter, &payload[body_start..]) {
-                    Ok(call) => call,
-                    Err(e) => {
-                        if !header.oneway() {
-                            write_reply(
-                                &writer,
-                                header.corr_id,
-                                &ReturnMessage::fault(0, e.to_string()),
-                                depth.as_ref(),
-                            );
-                        }
-                        continue;
-                    }
-                };
-                let object = call.object.clone();
-                if header.oneway() {
-                    let objects = objects.clone();
-                    sched.enqueue(&object, move || {
-                        let _trace = parc_obs::trace::with_remote_parent(trace_ctx);
-                        let _ = dispatch(&objects, &call);
-                    });
-                } else {
-                    let objects = objects.clone();
-                    let writer = Arc::clone(&writer);
-                    let corr_id = header.corr_id;
-                    let depth = depth.clone();
-                    sched.enqueue(&object, move || {
-                        let _trace = parc_obs::trace::with_remote_parent(trace_ctx);
-                        let reply = dispatch_call(&objects, &call);
-                        write_reply(&writer, corr_id, &reply, depth.as_ref());
-                    });
-                }
-            }
-            // Inline baseline: the pre-mailbox shape. One-way posts run
-            // on this reader thread in arrival order; a slow post
-            // head-of-line-blocks the whole connection (exactly what the
-            // mailbox_scaling bench measures against).
-            ServerDispatch::Inline(pool) => {
-                if header.oneway() {
-                    if let Ok(call) = CallMessage::decode(&formatter, &payload[body_start..]) {
-                        let _trace = parc_obs::trace::with_remote_parent(trace_ctx);
-                        let _ = dispatch(&objects, &call);
-                    }
-                    continue;
-                }
-                // Two-way call: run it on the shared pool so a slow call
-                // does not convoy the calls pipelined behind it.
-                let mut req = bufpool::global().checkout();
-                std::mem::swap(&mut req, &mut payload);
-                let objects = objects.clone();
-                let writer = Arc::clone(&writer);
-                let corr_id = header.corr_id;
-                pool.submit(move || {
-                    let formatter = BinaryFormatter::new();
-                    let _trace = parc_obs::trace::with_remote_parent(trace_ctx);
-                    let reply = match CallMessage::decode(&formatter, &req[body_start..]) {
-                        Ok(call) => dispatch_call(&objects, &call),
-                        Err(e) => ReturnMessage::fault(0, e.to_string()),
-                    };
-                    bufpool::global().checkin(req);
-                    write_reply(&writer, corr_id, &reply, None);
-                });
-            }
-        }
+        let writer = Arc::clone(&writer);
+        let corr_id = header.corr_id;
+        serve_frame(&sched, &objects, &header, &payload, move |reply| {
+            writer.write(corr_id, reply);
+        });
     }
     bufpool::global().checkin(payload);
-}
-
-/// Dispatches a two-way call, turning a "no reply" dispatch outcome (which
-/// only one-way posts produce) into an explicit fault instead of leaving
-/// the caller to time out.
-pub(crate) fn dispatch_call(objects: &ObjectTable, call: &CallMessage) -> ReturnMessage {
-    dispatch(objects, call)
-        .unwrap_or_else(|| ReturnMessage::fault(call.call_id, "call produced no reply"))
 }
 
 /// One completion slot a caller parks on while its call is in flight.
@@ -903,120 +726,10 @@ impl std::fmt::Debug for TcpClientChannel {
     }
 }
 
-/// The pre-multiplexing client: one connection whose stream mutex is held
-/// across the **entire** request/response round trip, so concurrent
-/// callers fully serialize. Kept as the baseline for the
-/// `tcp_concurrency` benchmark; new code should use [`TcpClientChannel`].
-pub struct LockStepClientChannel {
-    stream: Mutex<TcpStream>,
-    formatter: BinaryFormatter,
-    next_corr: AtomicU64,
-    timeout: Duration,
-    feedback: Arc<LinkFeedback>,
-}
-
-impl LockStepClientChannel {
-    /// Connects to a server with the per-call deadline from
-    /// [`crate::retry::call_timeout`].
-    ///
-    /// # Errors
-    ///
-    /// Connection failures.
-    pub fn connect(addr: &str) -> Result<LockStepClientChannel, RemotingError> {
-        let timeout = call_timeout();
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(timeout))?;
-        Ok(LockStepClientChannel {
-            stream: Mutex::new(stream),
-            formatter: BinaryFormatter::new(),
-            next_corr: AtomicU64::new(1),
-            timeout,
-            feedback: Arc::new(LinkFeedback::new()),
-        })
-    }
-}
-
-impl ClientChannel for LockStepClientChannel {
-    fn call(&self, msg: &CallMessage) -> Result<ReturnMessage, RemotingError> {
-        let bytes = {
-            let _span = parc_obs::Span::enter(parc_obs::kinds::SERIALIZE);
-            msg.encode(&self.formatter)?
-        };
-        let corr_id = self.next_corr.fetch_add(1, Ordering::Relaxed);
-        let rtt_started = Instant::now();
-        let mut stream = self.stream.lock();
-        {
-            let _span = parc_obs::Span::enter(parc_obs::kinds::CHANNEL_SEND);
-            let trace = frame::TraceExt::capture();
-            frame::write_frame_traced(&mut *stream, corr_id, 0, trace, &bytes)?;
-        }
-        let started = Instant::now();
-        let mut payload = Vec::new();
-        let header;
-        {
-            let _span = parc_obs::Span::enter(parc_obs::kinds::CHANNEL_RECV);
-            loop {
-                match frame::read_frame_into(&mut *stream, &mut payload)? {
-                    FrameRead::Frame(h) if h.corr_id == corr_id => {
-                        header = h;
-                        break;
-                    }
-                    // Stale reply from a timed-out predecessor: skip it.
-                    FrameRead::Frame(_) => continue,
-                    FrameRead::Idle => {
-                        return Err(RemotingError::timed_out(started.elapsed(), self.timeout))
-                    }
-                    FrameRead::Eof => {
-                        return Err(RemotingError::Transport {
-                            detail: "server closed connection".into(),
-                        })
-                    }
-                }
-            }
-        }
-        self.feedback.record_rtt(rtt_started.elapsed());
-        let (ext, body) = frame::split_depth_ext(&header, &payload)?;
-        if let Some(ext) = ext {
-            self.feedback.record_depth(ext.pending as usize, ext.busiest as usize);
-        }
-        let _span = parc_obs::Span::enter(parc_obs::kinds::DESERIALIZE);
-        Ok(ReturnMessage::decode(&self.formatter, body)?)
-    }
-
-    fn post(&self, msg: &CallMessage) -> Result<usize, RemotingError> {
-        let bytes = {
-            let _span = parc_obs::Span::enter(parc_obs::kinds::SERIALIZE);
-            msg.encode(&self.formatter)?
-        };
-        let corr_id = self.next_corr.fetch_add(1, Ordering::Relaxed);
-        let mut stream = self.stream.lock();
-        let _span = parc_obs::Span::enter(parc_obs::kinds::CHANNEL_SEND);
-        let trace = frame::TraceExt::capture();
-        frame::write_frame_traced(&mut *stream, corr_id, FLAG_ONEWAY, trace, &bytes)?;
-        Ok(bytes.len())
-    }
-
-    fn scheme(&self) -> &'static str {
-        "tcp"
-    }
-
-    fn feedback(&self) -> Option<Arc<LinkFeedback>> {
-        Some(Arc::clone(&self.feedback))
-    }
-}
-
-impl std::fmt::Debug for LockStepClientChannel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LockStepClientChannel").finish_non_exhaustive()
-    }
-}
-
 /// Channel provider resolving `tcp://host:port/Object` URIs, with one
 /// cached channel per authority. The channel's shape follows
 /// [`Transport::from_env`]: multiplexed thread-per-connection by default,
-/// the shared reactor pool under `PARC_TRANSPORT=reactor`, the lockstep
-/// baseline under `PARC_TRANSPORT=lockstep`.
+/// the shared reactor pool under `PARC_TRANSPORT=reactor`.
 pub struct TcpChannelProvider {
     cache: Mutex<std::collections::HashMap<String, Arc<dyn ClientChannel>>>,
     transport: Transport,
@@ -1061,7 +774,6 @@ impl ChannelProvider for TcpChannelProvider {
         }
         let chan: Arc<dyn ClientChannel> = match self.transport {
             Transport::Mux => Arc::new(TcpClientChannel::connect(uri.authority())?),
-            Transport::Lockstep => Arc::new(LockStepClientChannel::connect(uri.authority())?),
             Transport::Reactor => {
                 Arc::new(crate::reactor::ReactorClientChannel::connect(uri.authority())?)
             }
@@ -1176,8 +888,7 @@ mod tests {
     #[test]
     fn server_overlaps_pipelined_calls_from_one_connection() {
         let server =
-            TcpServerChannel::bind_with_mode("127.0.0.1:0", DispatchMode::Mailbox { workers: 4 })
-                .unwrap();
+            TcpServerChannel::bind_with_workers("127.0.0.1:0", 4).unwrap();
         for i in 0..4 {
             register_sleepy(&server, &format!("Sleepy{i}"));
         }
@@ -1210,8 +921,7 @@ mod tests {
     #[test]
     fn calls_to_one_object_never_overlap() {
         let server =
-            TcpServerChannel::bind_with_mode("127.0.0.1:0", DispatchMode::Mailbox { workers: 4 })
-                .unwrap();
+            TcpServerChannel::bind_with_workers("127.0.0.1:0", 4).unwrap();
         let in_flight = Arc::new(AtomicUsize::new(0));
         let overlapped = Arc::new(AtomicBool::new(false));
         let (flight, over) = (Arc::clone(&in_flight), Arc::clone(&overlapped));
@@ -1256,30 +966,6 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         assert!(server.dispatch_stats().unwrap().executed >= 80);
-    }
-
-    /// The pre-mailbox baseline stays selectable and functional.
-    #[test]
-    fn inline_baseline_mode_still_serves() {
-        let server =
-            TcpServerChannel::bind_with_mode("127.0.0.1:0", DispatchMode::Inline).unwrap();
-        assert!(server.dispatch_depth().is_none(), "inline mode has no scheduler");
-        server.objects().register_singleton(
-            "Echo",
-            Arc::new(FnInvokable(|method: &str, args: &[Value]| match method {
-                "echo" => Ok(args.first().cloned().unwrap_or(Value::Null)),
-                _ => Err(RemotingError::MethodNotFound {
-                    object: "Echo".into(),
-                    method: method.into(),
-                }),
-            })),
-        );
-        let provider = TcpChannelProvider::new();
-        let proxy = Activator::get_object(&provider, &server.uri_for("Echo")).unwrap();
-        proxy.post("echo", vec![Value::I32(7)]).unwrap();
-        for i in 0..10 {
-            assert_eq!(proxy.call("echo", vec![Value::I32(i)]).unwrap(), Value::I32(i));
-        }
     }
 
     #[test]
@@ -1352,20 +1038,6 @@ mod tests {
                 });
             }
         });
-    }
-
-    #[test]
-    fn lockstep_baseline_still_roundtrips() {
-        let server = start_echo_server();
-        let chan = Arc::new(
-            LockStepClientChannel::connect(&server.local_addr().to_string()).unwrap(),
-        );
-        let proxy =
-            crate::channel::RemoteObject::new(chan as Arc<dyn ClientChannel>, "Echo");
-        proxy.post("missing", vec![]).unwrap();
-        for i in 0..10 {
-            assert_eq!(proxy.call("echo", vec![Value::I32(i)]).unwrap(), Value::I32(i));
-        }
     }
 
     #[test]
@@ -1460,8 +1132,7 @@ mod tests {
         );
     }
 
-    /// Every reply from a mailbox-mode server reports its scheduler
-    /// backlog; the mux channel surfaces it (plus RTT) through
+    /// Every reply reports the server's scheduler backlog; the mux channel surfaces it (plus RTT) through
     /// [`ClientChannel::feedback`] without disturbing the payload.
     #[test]
     fn mux_replies_carry_depth_feedback() {
@@ -1477,45 +1148,6 @@ mod tests {
         assert_eq!(proxy.call("echo", vec![Value::I32(9)]).unwrap(), Value::I32(9));
         assert!(feedback.rtt().is_some(), "call recorded no RTT sample");
         assert!(feedback.depth().is_some(), "mailbox reply carried no depth report");
-    }
-
-    #[test]
-    fn lockstep_replies_carry_depth_feedback() {
-        let server = start_echo_server();
-        let chan = Arc::new(
-            LockStepClientChannel::connect(&server.local_addr().to_string()).unwrap(),
-        );
-        let feedback = chan.feedback().expect("lockstep channel exposes feedback");
-        let proxy =
-            crate::channel::RemoteObject::new(Arc::clone(&chan) as Arc<dyn ClientChannel>, "Echo");
-        assert_eq!(proxy.call("echo", vec![Value::I32(3)]).unwrap(), Value::I32(3));
-        assert!(feedback.rtt().is_some());
-        assert!(feedback.depth().is_some());
-    }
-
-    /// Inline-mode servers have no scheduler: replies stay bare frames
-    /// and the client's depth view stays `None` (RTT still accrues).
-    #[test]
-    fn inline_replies_report_no_depth() {
-        let server =
-            TcpServerChannel::bind_with_mode("127.0.0.1:0", DispatchMode::Inline).unwrap();
-        server.objects().register_singleton(
-            "Echo",
-            Arc::new(FnInvokable(|_m: &str, args: &[Value]| {
-                Ok(args.first().cloned().unwrap_or(Value::Null))
-            })),
-        );
-        let chan = Arc::new(
-            TcpClientChannel::connect_pooled(&server.local_addr().to_string(), 1).unwrap(),
-        );
-        let feedback = chan.feedback().unwrap();
-        let proxy = crate::channel::RemoteObject::new(
-            Arc::clone(&chan) as Arc<dyn ClientChannel>,
-            "Echo",
-        );
-        proxy.call("echo", vec![Value::I32(1)]).unwrap();
-        assert!(feedback.rtt().is_some());
-        assert!(feedback.depth().is_none(), "inline server should send no depth ext");
     }
 
     #[test]

@@ -1,5 +1,7 @@
-//! A real bounded thread pool — the execution engine behind delegates and
-//! server-side dispatch.
+//! A real bounded thread pool — the execution engine behind
+//! [`crate::Delegate::begin_invoke`], the paper's Fig. 4 asynchronous
+//! delegate, and its only user in this crate: server-side dispatch runs
+//! on the per-object [`crate::mailbox`] scheduler instead.
 //!
 //! Mono's runtime serves both remoting dispatch and `BeginInvoke` delegates
 //! from a bounded managed pool; the paper blames exactly that bound for the

@@ -5,21 +5,15 @@
 #
 #   scripts/bench.sh                   # everything
 #   scripts/bench.sh obs_overhead      # just the observability costs
-#   scripts/bench.sh tcp_concurrency   # mux-vs-lockstep channel speedup
+#   scripts/bench.sh tcp_scaling       # reactor vs mux at 1/64/1024 sockets
 #
-# The full run includes tcp_concurrency, whose BENCH_tcp_concurrency.json
-# records calls/s for the multiplexed and lock-per-roundtrip TCP clients
-# plus their speedup ratio at 4 concurrent callers, and mailbox_scaling,
-# whose BENCH_mailbox_scaling.json compares per-object mailbox dispatch
-# against the inline reader-thread baseline (speedup_8_objects is the
-# acceptance ratio; latency_ratio_mailbox_vs_inline must stay near 1),
-# and fault_recovery, whose BENCH_fault_recovery.json records farm call
-# throughput before/during/after killing one of three runtime nodes
-# mid-run plus the p99 recovery latency from the runtime's own
-# recovery.latency histogram (recovery_throughput_ratio is the
+# The full run includes fault_recovery, whose BENCH_fault_recovery.json
+# records farm call throughput before/during/after killing one of three
+# runtime nodes mid-run plus the p99 recovery latency from the runtime's
+# own recovery.latency histogram (recovery_throughput_ratio is the
 # acceptance ratio: post-recovery throughput must stay >= 0.8x
 # pre-fault), and tcp_scaling, whose BENCH_tcp_scaling.json sweeps the
-# reactor transport against the thread-per-connection mux baseline at
+# reactor transport against the thread-per-connection mux client at
 # 1/64/1024 sockets — reactor_vs_mux_64_conns is the acceptance ratio
 # (must stay >= 0.9x) and reactor_resident_threads_1024_conns shows the
 # fixed-pool thread count while 1024 sockets are live, and
@@ -38,13 +32,13 @@
 # closed-loop batch controller against fixed batch sizes {1, 8, 64}
 # over mux and reactor (uniform_controller_vs_best_fixed must stay
 # >= 0.9; bursty_controller_vs_best_fixed, deadline goodput under
-# periodic floods, must stay >= 1.5) and pins the flat batch wire
-# path >= 1.3x the Value-list encoding at batch size 64
-# (flat_vs_list_flush_ratio), and reservations, whose
+# periodic floods, must stay >= 1.5), and reservations, whose
 # BENCH_reservations.json prices multi-object claims against a coarse
 # global lock (reservation_ratio_1obj >= 0.5: claim overhead bounded
 # at 2x under full contention; reservation_ratio_8obj >= 2.0: disjoint
 # compound ops must overlap where the global lock serializes them).
+# The last numbers of the retired tcp_concurrency / mailbox_scaling /
+# flat-vs-list ratios are in EXPERIMENTS.md ("Retired baselines").
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

@@ -81,13 +81,13 @@ done
 
 # Gate 7: reactor transport. The conformance suite proves the
 # readiness-driven transport is semantically identical to the
-# thread-per-connection baselines (FIFO ordering, one-way/two-way
+# thread-per-connection mux transport (FIFO ordering, one-way/two-way
 # interleaving, reply-by-correlation-ID, poison-on-death, unknown-frame
-# tolerance) across every transport x dispatch combination. Then a
-# traced sieve run hosted entirely over reactor sockets must actually
-# push frames through the reactor (reactor.frames > 0 in the metrics
-# summary), compute the correct primes (the example asserts them), and
-# emit a structurally valid Chrome trace.
+# tolerance, hostile request frames) by running every invariant over
+# both. Then a traced sieve run hosted entirely over reactor sockets
+# must actually push frames through the reactor (reactor.frames > 0 in
+# the metrics summary), compute the correct primes (the example asserts
+# them), and emit a structurally valid Chrome trace.
 cargo test -q --offline --test transport_conformance
 reactor_out=$(PARC_OBS=1 cargo run --release --offline -q --example reactor_sieve 2>&1)
 reactor_frames=$(printf '%s\n' "$reactor_out" | awk '$1 == "reactor.frames" { print $2 }')
@@ -205,3 +205,18 @@ for seed in 21 22; do
         target/bank_transfer_trace.json --min-events 10
     echo "ok: chaos bank transfer (seed ${seed}) injected ${bank_injected} faults, ${bank_claims} claims, conserved, trace valid"
 done
+
+# Gate 12: the knob count. Every "PARC_*" string literal the libraries
+# read (crates/ and src/) must have a row in README's "Environment
+# variables" table and vice versa, so an option cannot appear, or
+# linger in the docs after its code is gone, without this gate moving.
+code_knobs=$(grep -rhoE '"PARC_[A-Z_]+"' crates src | tr -d '"' | sort -u)
+doc_knobs=$(sed -n '/^## Environment variables/,/^## /p' README.md \
+    | grep -oE '^\| `PARC_[A-Z_]+`' | grep -oE 'PARC_[A-Z_]+' | sort -u)
+if [ "${code_knobs}" != "${doc_knobs}" ]; then
+    echo "FAIL: PARC_* knobs in code and in README's environment table differ:" >&2
+    echo "  (< only in code, > only in README)" >&2
+    diff <(printf '%s\n' "${code_knobs}") <(printf '%s\n' "${doc_knobs}") >&2 || true
+    exit 1
+fi
+echo "ok: $(printf '%s\n' "${code_knobs}" | wc -l) PARC_* knobs, each read in code and documented in README"

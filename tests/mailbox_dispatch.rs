@@ -8,8 +8,7 @@
 //! * a stalled object blocks neither other objects nor the reader thread;
 //! * the scheduler's observability signals (`dispatch.mailbox_wait`,
 //!   `dispatch.steal`) actually fire under load — the smoke check
-//!   `scripts/verify.sh` gates on;
-//! * the inline pre-mailbox baseline still serves traffic.
+//!   `scripts/verify.sh` gates on.
 
 use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -19,7 +18,7 @@ use parc_sync::Mutex;
 use parc_testkit::Config;
 
 use parc::remoting::dispatcher::FnInvokable;
-use parc::remoting::tcp::{DispatchMode, TcpClientChannel, TcpServerChannel};
+use parc::remoting::tcp::{TcpClientChannel, TcpServerChannel};
 use parc::remoting::{ClientChannel, MailboxScheduler, RemoteObject, RemotingError};
 use parc::serial::Value;
 
@@ -65,10 +64,7 @@ fn per_object_fifo_holds_under_concurrent_clients() {
         },
         |(objects, tapes)| {
             let server =
-                TcpServerChannel::bind_with_mode("127.0.0.1:0", DispatchMode::Mailbox {
-                    workers: 4,
-                })
-                .unwrap();
+                TcpServerChannel::bind_with_workers("127.0.0.1:0", 4).unwrap();
             let names: Vec<String> = (0..*objects).map(|o| format!("Obj{o}")).collect();
             let logs: Vec<_> =
                 names.iter().map(|n| register_recorder(&server, n)).collect();
@@ -166,10 +162,7 @@ fn register_sleepy(
 /// its own calls strictly one at a time.
 #[test]
 fn distinct_objects_overlap_but_each_is_serial() {
-    let server = TcpServerChannel::bind_with_mode("127.0.0.1:0", DispatchMode::Mailbox {
-        workers: 4,
-    })
-    .unwrap();
+    let server = TcpServerChannel::bind_with_workers("127.0.0.1:0", 4).unwrap();
     let nap = Duration::from_millis(100);
     let global_in_flight = Arc::new(AtomicUsize::new(0));
     let high_water = Arc::new(AtomicUsize::new(0));
@@ -216,10 +209,7 @@ fn distinct_objects_overlap_but_each_is_serial() {
 /// order).
 #[test]
 fn stalled_object_blocks_neither_reader_nor_other_objects() {
-    let server = TcpServerChannel::bind_with_mode("127.0.0.1:0", DispatchMode::Mailbox {
-        workers: 2,
-    })
-    .unwrap();
+    let server = TcpServerChannel::bind_with_workers("127.0.0.1:0", 2).unwrap();
 
     let (gate_tx, gate_rx) = mpsc::channel::<()>();
     let gate_rx = Mutex::new(gate_rx);
@@ -362,24 +352,5 @@ fn oneway_then_call_interleave_in_program_order() {
             Value::I64(round),
             "two-way call overtook an earlier one-way post"
         );
-    }
-}
-
-/// The pre-mailbox inline baseline still serves mixed traffic and
-/// reports no scheduler to observe.
-#[test]
-fn inline_baseline_serves_and_exposes_no_depth() {
-    let server =
-        TcpServerChannel::bind_with_mode("127.0.0.1:0", DispatchMode::Inline).unwrap();
-    assert!(server.dispatch_depth().is_none());
-    assert!(server.dispatch_stats().is_none());
-    register_recorder(&server, "Tally");
-    let addr = server.local_addr().to_string();
-    let chan: Arc<dyn ClientChannel> =
-        Arc::new(TcpClientChannel::connect_pooled(&addr, 1).unwrap());
-    let remote = RemoteObject::new(chan, "Tally");
-    for round in 1..=10i64 {
-        remote.post("record", vec![Value::I64(0), Value::I64(round)]).unwrap();
-        assert_eq!(remote.call("count", vec![]).unwrap(), Value::I64(round));
     }
 }

@@ -12,7 +12,6 @@ use parc::remoting::channel::RemoteObject;
 use parc::remoting::dispatcher::FnInvokable;
 use parc::remoting::inproc::InprocNetwork;
 use parc::remoting::reactor::{ReactorClientChannel, ReactorServerChannel};
-use parc::remoting::tcp::DispatchMode;
 use parc::remoting::{ChannelProvider, Forwarder, Invokable, RemotingError};
 use parc::scoopp::{ParcRuntime, Placement, RebalanceConfig};
 use parc::serial::Value;
@@ -314,20 +313,12 @@ fn forwarder_conformance_over_inproc() {
 fn forwarder_conformance_over_reactor() {
     // Old home and new home are two reactor servers; the forwarder at the
     // old home relays over a real socket.
-    let new_home = ReactorServerChannel::bind_with_mode(
-        "127.0.0.1:0",
-        DispatchMode::Mailbox { workers: 2 },
-    )
-    .unwrap();
+    let new_home = ReactorServerChannel::bind_with_workers("127.0.0.1:0", 2).unwrap();
     let (object, log) = recorder();
     new_home.objects().register_singleton("real", object);
     let new_uri = format!("tcp://{}/real", new_home.local_addr());
     let relay = Arc::new(ReactorClientChannel::connect(&new_home.local_addr().to_string()).unwrap());
-    let old_home = ReactorServerChannel::bind_with_mode(
-        "127.0.0.1:0",
-        DispatchMode::Mailbox { workers: 2 },
-    )
-    .unwrap();
+    let old_home = ReactorServerChannel::bind_with_workers("127.0.0.1:0", 2).unwrap();
     old_home.objects().register_singleton(
         "old",
         Arc::new(Forwarder::new(RemoteObject::new(relay, "real"), new_uri.clone())),

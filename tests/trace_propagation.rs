@@ -17,7 +17,7 @@ use parc::obs::ring::{Record, SpanRecord};
 use parc::obs::trace::NODE_UNSET;
 use parc::remoting::dispatcher::FnInvokable;
 use parc::remoting::reactor::{ReactorClientChannel, ReactorServerChannel};
-use parc::remoting::tcp::{DispatchMode, TcpClientChannel, TcpServerChannel};
+use parc::remoting::tcp::{TcpClientChannel, TcpServerChannel};
 use parc::remoting::{
     ChaosChannel, ClientChannel, FaultPlan, FaultSpec, Invokable, RemoteObject, RetryPolicy,
 };
@@ -201,8 +201,7 @@ fn chaos_drop_dup_delay_keeps_traces_causal_over_mux() {
     parc::obs::reset();
 
     let server =
-        TcpServerChannel::bind_with_mode("127.0.0.1:0", DispatchMode::Mailbox { workers: 2 })
-            .unwrap();
+        TcpServerChannel::bind_with_workers("127.0.0.1:0", 2).unwrap();
     server.objects().register_singleton("Echo", echo_object());
     let chan: Arc<dyn ClientChannel> =
         Arc::new(TcpClientChannel::connect_pooled(&server.local_addr().to_string(), 1).unwrap());
@@ -219,8 +218,7 @@ fn chaos_drop_dup_delay_keeps_traces_causal_over_reactor() {
     parc::obs::reset();
 
     let server =
-        ReactorServerChannel::bind_with_mode("127.0.0.1:0", DispatchMode::Mailbox { workers: 2 })
-            .unwrap();
+        ReactorServerChannel::bind_with_workers("127.0.0.1:0", 2).unwrap();
     server.objects().register_singleton("Echo", echo_object());
     let chan: Arc<dyn ClientChannel> =
         Arc::new(ReactorClientChannel::connect(&server.local_addr().to_string()).unwrap());

@@ -1,7 +1,7 @@
 //! Cross-transport conformance suite: one set of contract checks run
-//! against every transport × dispatch-mode combination (lockstep, mux,
-//! reactor × inline, mailbox), so every future transport inherits the
-//! same behavioral bar instead of re-deriving it test by test.
+//! against both TCP transports (mux client → threaded server, reactor
+//! client → reactor server), so every future transport inherits the same
+//! behavioral bar instead of re-deriving it test by test.
 //!
 //! The contract, in order of appearance:
 //! * per-object FIFO ordering — frames sent by one caller to one object
@@ -11,7 +11,9 @@
 //! * replies route by correlation ID, never by arrival order;
 //! * a dead connection poisons pending *and* future calls (fail fast,
 //!   not hang);
-//! * unknown-correlation-ID frames are tolerated and skipped.
+//! * unknown-correlation-ID frames are tolerated and skipped;
+//! * hostile request frames (undecodable body, truncated trace
+//!   extension) fault or are dropped without wedging the connection.
 //!
 //! Also here: parc-testkit property tapes for [`FrameAssembler`] — the
 //! reactor's incremental reassembly must decode a frame stream
@@ -19,7 +21,7 @@
 //! mid-reassembly, and report truncation honestly.
 
 use std::io::Read;
-use std::net::TcpListener;
+use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -27,10 +29,11 @@ use parc_testkit::Config;
 
 use parc::remoting::dispatcher::FnInvokable;
 use parc::remoting::frame::{
-    read_frame_into, write_frame, FrameAssembler, FrameRead, FLAG_ONEWAY, HEADER_LEN, MAX_FRAME,
+    read_frame_into, split_depth_ext, write_frame, FrameAssembler, FrameRead, FLAG_ONEWAY,
+    FLAG_TRACE, HEADER_LEN, MAX_FRAME,
 };
 use parc::remoting::reactor::{ReactorClientChannel, ReactorServerChannel};
-use parc::remoting::tcp::{DispatchMode, LockStepClientChannel, TcpClientChannel, TcpServerChannel};
+use parc::remoting::tcp::{TcpClientChannel, TcpServerChannel};
 use parc::remoting::wellknown::ObjectTable;
 use parc::remoting::{
     CallMessage, ClientChannel, Invokable, RemoteObject, RemotingError, ReturnMessage,
@@ -38,40 +41,34 @@ use parc::remoting::{
 use parc::serial::{BinaryFormatter, Value};
 
 // ---------------------------------------------------------------------------
-// The combination matrix
+// The transports under test
 // ---------------------------------------------------------------------------
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Transport {
-    Lockstep,
     Mux,
     Reactor,
 }
 
-const TRANSPORTS: [Transport; 3] = [Transport::Lockstep, Transport::Mux, Transport::Reactor];
+const TRANSPORTS: [Transport; 2] = [Transport::Mux, Transport::Reactor];
 
-fn modes() -> [(&'static str, DispatchMode); 2] {
-    [("inline", DispatchMode::Inline), ("mailbox", DispatchMode::Mailbox { workers: 4 })]
-}
-
-/// A bound server of whichever shape the transport needs. Lockstep and
-/// mux clients speak to the thread-per-connection server; the reactor
-/// client gets the reactor server, so the combination exercises the new
-/// stack end to end.
+/// A bound server of whichever shape the transport needs: the mux client
+/// speaks to the thread-per-connection server, the reactor client to the
+/// reactor server, so each stack is exercised end to end.
 enum Server {
     Threaded(TcpServerChannel),
     Reactor(ReactorServerChannel),
 }
 
 impl Server {
-    fn bind(transport: Transport, mode: DispatchMode) -> Server {
+    fn bind(transport: Transport) -> Server {
         match transport {
             Transport::Reactor => Server::Reactor(
-                ReactorServerChannel::bind_with_mode("127.0.0.1:0", mode)
+                ReactorServerChannel::bind_with_workers("127.0.0.1:0", 4)
                     .expect("binding reactor server"),
             ),
-            Transport::Lockstep | Transport::Mux => Server::Threaded(
-                TcpServerChannel::bind_with_mode("127.0.0.1:0", mode)
+            Transport::Mux => Server::Threaded(
+                TcpServerChannel::bind_with_workers("127.0.0.1:0", 4)
                     .expect("binding threaded server"),
             ),
         }
@@ -94,9 +91,6 @@ impl Server {
 
 fn connect(transport: Transport, addr: &str) -> Arc<dyn ClientChannel> {
     match transport {
-        Transport::Lockstep => {
-            Arc::new(LockStepClientChannel::connect(addr).expect("lockstep connect"))
-        }
         // Pool of exactly one so hand-rolled single-socket servers see a
         // deterministic connection count.
         Transport::Mux => Arc::new(TcpClientChannel::connect_pooled(addr, 1).expect("mux connect")),
@@ -106,15 +100,20 @@ fn connect(transport: Transport, addr: &str) -> Arc<dyn ClientChannel> {
     }
 }
 
-/// Runs `check` once per transport × dispatch-mode combination against a
-/// freshly bound server; the label names the combination in failures.
+/// Runs `check` once per transport against a freshly bound server and a
+/// connected channel; the label names the transport in failures.
 fn for_each_combo(check: impl Fn(&str, &Server, Arc<dyn ClientChannel>)) {
+    for_each_server(|label, server, transport| {
+        check(label, server, connect(transport, &server.addr()));
+    });
+}
+
+/// Runs `check` once per transport against a freshly bound server. The
+/// transport is passed through so a check can open as many connections
+/// as it needs.
+fn for_each_server(check: impl Fn(&str, &Server, Transport)) {
     for transport in TRANSPORTS {
-        for (mode_name, mode) in modes() {
-            let server = Server::bind(transport, mode);
-            let chan = connect(transport, &server.addr());
-            check(&format!("{transport:?}/{mode_name}"), &server, chan);
-        }
+        check(&format!("{transport:?}"), &Server::bind(transport), transport);
     }
 }
 
@@ -201,9 +200,7 @@ fn oneway_twoway_interleaving_preserves_order_on_every_combo() {
 // ---------------------------------------------------------------------------
 
 /// Concurrent callers sharing one channel each get *their* reply back:
-/// replies route by correlation ID, not arrival order. (Lockstep
-/// serializes internally — the contract is about correctness, not
-/// concurrency.)
+/// replies route by correlation ID, not arrival order.
 #[test]
 fn replies_route_by_correlation_id_on_every_combo() {
     for_each_combo(|combo, server, chan| {
@@ -340,28 +337,91 @@ fn unknown_corr_id_frames_are_skipped_on_every_transport() {
 }
 
 // ---------------------------------------------------------------------------
-// Contract: claim/release (multi-object reservations)
+// Contract: hostile request frames
 // ---------------------------------------------------------------------------
 
-/// Runs `check` once per transport with mailbox dispatch — the mode the
-/// claim plane is specified against (claims park in the one-in-flight
-/// mailbox slot; the scheduler routes alias traffic on its own lane).
-/// The transport is passed through so a check can open extra
-/// connections: a parked foreign call must not share a lock-step
-/// channel with the holder that will unblock it.
-fn for_each_mailbox_combo(check: impl Fn(&str, &Server, Transport)) {
-    for transport in TRANSPORTS {
-        let server = Server::bind(transport, DispatchMode::Mailbox { workers: 4 });
-        check(&format!("{transport:?}/mailbox"), &server, transport);
+/// Reads the next reply frame off a raw client socket, peeling the
+/// server's depth extension.
+fn read_reply(stream: &mut TcpStream) -> (u64, ReturnMessage) {
+    let mut payload = Vec::new();
+    match read_frame_into(stream, &mut payload).expect("reading reply frame") {
+        FrameRead::Frame(header) => {
+            let (_, body) = split_depth_ext(&header, &payload).expect("depth extension");
+            let reply = ReturnMessage::decode(&BinaryFormatter::new(), body)
+                .expect("reply body decodes");
+            (header.corr_id, reply)
+        }
+        FrameRead::Idle => panic!("no reply within the read timeout"),
+        FrameRead::Eof => panic!("server closed the connection"),
     }
 }
+
+/// A request frame the shared serve path cannot decode — a body that is
+/// not a `CallMessage`, or a `FLAG_TRACE` frame too short to hold its
+/// extension — gets a fault reply under the same correlation ID when it
+/// is two-way and is dropped silently when it is one-way; either way a
+/// well-formed call sent right behind it on the same connection still
+/// succeeds.
+#[test]
+fn hostile_request_frames_fault_or_drop_and_keep_the_connection() {
+    for_each_server(|combo, server, _| {
+        server.objects().register_singleton(
+            "Echo",
+            Arc::new(FnInvokable(|_: &str, args: &[Value]| {
+                Ok(args.first().cloned().unwrap_or(Value::Null))
+            })),
+        );
+        let mut stream = TcpStream::connect(server.addr()).expect("raw connect");
+        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let formatter = BinaryFormatter::new();
+
+        let cases: [(&str, u8, bool); 4] = [
+            ("garbage body, two-way", 0, false),
+            ("garbage body, one-way", 0, true),
+            ("truncated trace ext, two-way", FLAG_TRACE, false),
+            ("truncated trace ext, one-way", FLAG_TRACE, true),
+        ];
+        for (i, (case, extra_flags, oneway)) in cases.into_iter().enumerate() {
+            let hostile_id = 100 + 2 * i as u64;
+            let good_id = hostile_id + 1;
+            let good = CallMessage::new("Echo", "echo", vec![Value::I32(i as i32)])
+                .encode(&formatter)
+                .unwrap();
+            let (mut wire, _) = wire_image(&[
+                (hostile_id, oneway, b"line noise".to_vec()),
+                (good_id, false, good),
+            ]);
+            wire[HEADER_LEN - 1] |= extra_flags; // the hostile frame's flag byte
+            std::io::Write::write_all(&mut stream, &wire).unwrap();
+
+            if !oneway {
+                let (corr_id, reply) = read_reply(&mut stream);
+                assert_eq!(corr_id, hostile_id, "[{combo}] {case}: fault under the wrong id");
+                assert!(reply.result.is_err(), "[{combo}] {case}: expected a fault, got {reply:?}");
+            }
+            // One-way: the very next frame is already the good call's
+            // reply, so the hostile frame produced nothing.
+            let (corr_id, reply) = read_reply(&mut stream);
+            assert_eq!(corr_id, good_id, "[{combo}] {case}: unexpected reply frame");
+            assert_eq!(
+                reply.result,
+                Ok(Value::I32(i as i32)),
+                "[{combo}] {case}: well-formed call behind it failed"
+            );
+        }
+    });
+}
+
+// ---------------------------------------------------------------------------
+// Contract: claim/release (multi-object reservations)
+// ---------------------------------------------------------------------------
 
 /// `__claim` grants a private alias, the holder's calls flow through it,
 /// releasing through the alias reopens the object — identically on every
 /// transport.
 #[test]
 fn claim_grants_alias_and_release_reopens_on_every_transport() {
-    for_each_mailbox_combo(|combo, server, transport| {
+    for_each_server(|combo, server, transport| {
         let (object, log) = recorder();
         let claims = Arc::new(parc::remoting::ClaimTable::new());
         parc::remoting::register_claimable(server.objects(), "Recorder", object, &claims);
@@ -405,7 +465,7 @@ fn claim_grants_alias_and_release_reopens_on_every_transport() {
 /// only runs after the holder releases — on every transport.
 #[test]
 fn foreign_calls_park_until_release_on_every_transport() {
-    for_each_mailbox_combo(|combo, server, transport| {
+    for_each_server(|combo, server, transport| {
         let (object, log) = recorder();
         let claims = Arc::new(parc::remoting::ClaimTable::new());
         parc::remoting::register_claimable(server.objects(), "Recorder", object, &claims);
@@ -420,9 +480,7 @@ fn foreign_calls_park_until_release_on_every_transport() {
             .to_string();
         let holder = RemoteObject::new(Arc::clone(&chan), alias);
 
-        // The foreign caller gets its own connection: while its call is
-        // parked server-side it would otherwise pin a lock-step channel
-        // shut and the release could never be sent.
+        // The foreign caller gets its own connection.
         let foreign_chan = connect(transport, &server.addr());
         let foreign_done = Arc::new(Mutex::new(false));
         let observer = std::thread::spawn({
@@ -463,7 +521,7 @@ fn foreign_calls_park_until_release_on_every_transport() {
 /// the same alias; a different claim id must wait its turn.
 #[test]
 fn claim_is_idempotent_per_claim_id_on_every_transport() {
-    for_each_mailbox_combo(|combo, server, transport| {
+    for_each_server(|combo, server, transport| {
         let (object, _log) = recorder();
         let claims = Arc::new(parc::remoting::ClaimTable::new());
         parc::remoting::register_claimable(server.objects(), "Recorder", object, &claims);
