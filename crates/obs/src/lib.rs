@@ -372,6 +372,7 @@ mod tests {
 
     #[test]
     fn init_reports_effective_ring_capacity() {
+        let _guard = test_lock(); // `init` stores the enabled flag
         let cfg = init(ObsConfig { enabled: false, ring_capacity: 123 });
         // Whatever the first initialiser in this test binary chose wins;
         // the call still reports the real capacity.

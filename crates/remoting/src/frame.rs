@@ -449,8 +449,8 @@ pub enum FrameRead {
     Idle,
 }
 
-/// Reads one v2 frame into `payload` (cleared and resized in place, so the
-/// buffer's allocation is reused across frames).
+/// Reads one v2 frame into `payload` (cleared and filled in place: the
+/// allocation is reused across frames and never zero-filled first).
 ///
 /// # Errors
 ///
@@ -467,12 +467,7 @@ pub fn read_frame_into(
     while have < HEADER_LEN {
         match stream.read(&mut header[have..]) {
             Ok(0) if have == 0 => return Ok(FrameRead::Eof),
-            Ok(0) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "eof inside frame header",
-                ))
-            }
+            Ok(0) => return Err(truncated("eof inside frame header")),
             Ok(n) => have += n,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(e)
@@ -489,9 +484,15 @@ pub fn read_frame_into(
     }
     let header = FrameHeader::from_bytes(&header)?;
     payload.clear();
-    payload.resize(header.len, 0);
-    stream.read_exact(payload)?;
+    payload.reserve(header.len);
+    if stream.take(header.len as u64).read_to_end(payload)? < header.len {
+        return Err(truncated("eof inside frame payload"));
+    }
     Ok(FrameRead::Frame(header))
+}
+
+fn truncated(what: &'static str) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::UnexpectedEof, what)
 }
 
 /// Incremental v2 frame reassembly for readiness-driven transports.

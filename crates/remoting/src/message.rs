@@ -1,12 +1,18 @@
 //! The remoting wire protocol: call and return messages.
 //!
-//! Messages are represented as [`Value`] structs and pushed through a
-//! [`Formatter`], so the bytes each channel puts on the wire are real —
-//! the benchmark harness measures them directly.
+//! On the wire a message is a `Call` or `Return` struct in a
+//! [`Formatter`]'s encoding, so the bytes each channel sends are real —
+//! the benchmark harness measures them directly. Encoding writes that
+//! struct from borrowed [`Field`]s and decoding moves the fields out of
+//! the decoded [`Value`]: no argument is cloned into or out of a tree.
 
-use parc_serial::{Formatter, SerialError, StructValue, Value};
+use parc_serial::{Field, Formatter, SerialError, Value};
 
 use crate::error::RemotingError;
+
+/// A fresh encode buffer starts here: small envelopes never regrow, and
+/// bulk arguments reserve their own size.
+const ENVELOPE_HINT: usize = 128;
 
 /// A method invocation travelling to a server object.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,16 +47,19 @@ impl CallMessage {
         CallMessage { oneway: true, ..CallMessage::new(object, method, args) }
     }
 
+    fn fields(&self) -> [(&'static str, Field<'_>); 5] {
+        [
+            ("obj", Field::Str(&self.object)),
+            ("method", Field::Str(&self.method)),
+            ("id", Field::I64(self.call_id as i64)),
+            ("oneway", Field::Bool(self.oneway)),
+            ("args", Field::List(&self.args)),
+        ]
+    }
+
     /// Encodes into a wire [`Value`].
     pub fn to_value(&self) -> Value {
-        Value::Struct(
-            StructValue::new("Call")
-                .with_field("obj", Value::Str(self.object.clone()))
-                .with_field("method", Value::Str(self.method.clone()))
-                .with_field("id", Value::I64(self.call_id as i64))
-                .with_field("oneway", Value::Bool(self.oneway))
-                .with_field("args", Value::List(self.args.clone())),
-        )
+        Field::struct_value("Call", &self.fields())
     }
 
     /// Decodes from a wire [`Value`].
@@ -59,14 +68,18 @@ impl CallMessage {
     ///
     /// [`SerialError::Parse`] when the value is not a well-formed call.
     pub fn from_value(value: &Value) -> Result<CallMessage, SerialError> {
-        let s = expect_struct(value, "Call")?;
+        CallMessage::from_owned(value.clone())
+    }
+
+    fn from_owned(value: Value) -> Result<CallMessage, SerialError> {
+        let mut s = expect_struct(value, "Call")?;
         Ok(CallMessage {
-            object: expect_str(s, "obj")?,
-            method: expect_str(s, "method")?,
-            call_id: expect_i64(s, "id")? as u64,
-            oneway: expect_bool(s, "oneway")?,
-            args: match s.field("args") {
-                Some(Value::List(items)) => items.clone(),
+            object: take_str(&mut s, "obj").ok_or_else(|| shape_err("obj"))?,
+            method: take_str(&mut s, "method").ok_or_else(|| shape_err("method"))?,
+            call_id: expect(&s, "id", Value::as_i64)? as u64,
+            oneway: expect(&s, "oneway", Value::as_bool)?,
+            args: match take_field(&mut s, "args") {
+                Some(Value::List(items)) => items,
                 _ => return Err(shape_err("args list")),
             },
         })
@@ -78,7 +91,8 @@ impl CallMessage {
     ///
     /// Propagates formatter failures.
     pub fn encode(&self, f: &dyn Formatter) -> Result<Vec<u8>, SerialError> {
-        f.serialize(&self.to_value())
+        let mut out = Vec::with_capacity(ENVELOPE_HINT);
+        self.encode_into(f, &mut out).map(|()| out)
     }
 
     /// Serializes through a formatter into a reused buffer (appends).
@@ -87,7 +101,7 @@ impl CallMessage {
     ///
     /// Propagates formatter failures.
     pub fn encode_into(&self, f: &dyn Formatter, out: &mut Vec<u8>) -> Result<(), SerialError> {
-        f.serialize_into(&self.to_value(), out)
+        f.serialize_struct_into("Call", &self.fields(), out)
     }
 
     /// Deserializes through a formatter.
@@ -96,7 +110,7 @@ impl CallMessage {
     ///
     /// Propagates formatter failures and shape errors.
     pub fn decode(f: &dyn Formatter, bytes: &[u8]) -> Result<CallMessage, SerialError> {
-        CallMessage::from_value(&f.deserialize(bytes)?)
+        CallMessage::from_owned(f.deserialize(bytes)?)
     }
 }
 
@@ -132,19 +146,23 @@ impl ReturnMessage {
         self
     }
 
+    /// The envelope's fields; `moved` is present only when set.
+    fn with_fields<R>(&self, f: impl FnOnce(&[(&str, Field<'_>)]) -> R) -> R {
+        let outcome = match &self.result {
+            Ok(v) => ("value", Field::Value(v)),
+            Err(e) => ("error", Field::Str(e)),
+        };
+        let id = ("id", Field::I64(self.call_id as i64));
+        let ok = ("ok", Field::Bool(self.result.is_ok()));
+        match &self.moved_to {
+            Some(uri) => f(&[id, ok, outcome, ("moved", Field::Str(uri))]),
+            None => f(&[id, ok, outcome]),
+        }
+    }
+
     /// Encodes into a wire [`Value`].
     pub fn to_value(&self) -> Value {
-        let mut s = StructValue::new("Return")
-            .with_field("id", Value::I64(self.call_id as i64))
-            .with_field("ok", Value::Bool(self.result.is_ok()));
-        match &self.result {
-            Ok(v) => s.push_field("value", v.clone()),
-            Err(e) => s.push_field("error", Value::Str(e.clone())),
-        }
-        if let Some(uri) = &self.moved_to {
-            s.push_field("moved", Value::Str(uri.clone()));
-        }
-        Value::Struct(s)
+        self.with_fields(|fields| Field::struct_value("Return", fields))
     }
 
     /// Decodes from a wire [`Value`].
@@ -153,15 +171,18 @@ impl ReturnMessage {
     ///
     /// [`SerialError::Parse`] when the value is not a well-formed reply.
     pub fn from_value(value: &Value) -> Result<ReturnMessage, SerialError> {
-        let s = expect_struct(value, "Return")?;
-        let call_id = expect_i64(s, "id")? as u64;
-        let ok = expect_bool(s, "ok")?;
-        let result = if ok {
-            Ok(s.field("value").cloned().ok_or_else(|| shape_err("value field"))?)
+        ReturnMessage::from_owned(value.clone())
+    }
+
+    fn from_owned(value: Value) -> Result<ReturnMessage, SerialError> {
+        let mut s = expect_struct(value, "Return")?;
+        let call_id = expect(&s, "id", Value::as_i64)? as u64;
+        let result = if expect(&s, "ok", Value::as_bool)? {
+            Ok(take_field(&mut s, "value").ok_or_else(|| shape_err("value field"))?)
         } else {
-            Err(expect_str(s, "error")?)
+            Err(take_str(&mut s, "error").ok_or_else(|| shape_err("error"))?)
         };
-        let moved_to = s.field("moved").and_then(Value::as_str).map(str::to_string);
+        let moved_to = take_str(&mut s, "moved");
         Ok(ReturnMessage { call_id, result, moved_to })
     }
 
@@ -171,7 +192,8 @@ impl ReturnMessage {
     ///
     /// Propagates formatter failures.
     pub fn encode(&self, f: &dyn Formatter) -> Result<Vec<u8>, SerialError> {
-        f.serialize(&self.to_value())
+        let mut out = Vec::with_capacity(ENVELOPE_HINT);
+        self.encode_into(f, &mut out).map(|()| out)
     }
 
     /// Serializes through a formatter into a reused buffer (appends).
@@ -180,7 +202,7 @@ impl ReturnMessage {
     ///
     /// Propagates formatter failures.
     pub fn encode_into(&self, f: &dyn Formatter, out: &mut Vec<u8>) -> Result<(), SerialError> {
-        f.serialize_into(&self.to_value(), out)
+        self.with_fields(|fields| f.serialize_struct_into("Return", fields, out))
     }
 
     /// Deserializes through a formatter.
@@ -189,7 +211,7 @@ impl ReturnMessage {
     ///
     /// Propagates formatter failures and shape errors.
     pub fn decode(f: &dyn Formatter, bytes: &[u8]) -> Result<ReturnMessage, SerialError> {
-        ReturnMessage::from_value(&f.deserialize(bytes)?)
+        ReturnMessage::from_owned(f.deserialize(bytes)?)
     }
 
     /// Converts the reply into the caller-facing result.
@@ -219,29 +241,37 @@ fn shape_err(what: &str) -> SerialError {
     SerialError::Parse { detail: format!("malformed message: missing {what}") }
 }
 
-fn expect_struct<'v>(value: &'v Value, name: &str) -> Result<&'v StructValue, SerialError> {
-    match value.as_struct() {
-        Some(s) if s.name() == name => Ok(s),
+fn expect_struct(value: Value, name: &str) -> Result<Vec<(String, Value)>, SerialError> {
+    match value {
+        Value::Struct(s) if s.name() == name => Ok(s.into_fields()),
         _ => Err(SerialError::Parse { detail: format!("expected {name} message") }),
     }
 }
 
-fn expect_str(s: &StructValue, field: &str) -> Result<String, SerialError> {
-    s.field(field).and_then(Value::as_str).map(str::to_string).ok_or_else(|| shape_err(field))
+/// Moves the first field called `name` out, leaving `Null` behind.
+fn take_field(fields: &mut [(String, Value)], name: &str) -> Option<Value> {
+    fields.iter_mut().find(|(n, _)| n == name).map(|(_, v)| std::mem::take(v))
 }
 
-fn expect_i64(s: &StructValue, field: &str) -> Result<i64, SerialError> {
-    s.field(field).and_then(Value::as_i64).ok_or_else(|| shape_err(field))
+fn take_str(fields: &mut [(String, Value)], name: &str) -> Option<String> {
+    match take_field(fields, name) {
+        Some(Value::Str(s)) => Some(s),
+        _ => None,
+    }
 }
 
-fn expect_bool(s: &StructValue, field: &str) -> Result<bool, SerialError> {
-    s.field(field).and_then(Value::as_bool).ok_or_else(|| shape_err(field))
+fn expect<T>(
+    fields: &[(String, Value)],
+    name: &str,
+    get: impl FnOnce(&Value) -> Option<T>,
+) -> Result<T, SerialError> {
+    fields.iter().find(|(n, _)| n == name).and_then(|(_, v)| get(v)).ok_or_else(|| shape_err(name))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parc_serial::{BinaryFormatter, JavaFormatter, SoapFormatter};
+    use parc_serial::{BinaryFormatter, JavaFormatter, SoapFormatter, StructValue};
 
     fn sample_call() -> CallMessage {
         let mut c = CallMessage::new("PrimeServer", "process", vec![Value::I32Array(vec![1, 2, 3])]);

@@ -386,7 +386,7 @@ impl ReactorConn {
                     let mut buf =
                         bufpool::global().checkout_with_capacity(body.len());
                     buf.extend_from_slice(body);
-                    slot.complete(Ok(buf));
+                    slot.complete(Ok((buf, 0)));
                 }
             }
             Handler::Server(h) => {
@@ -865,13 +865,13 @@ impl ClientCore {
     ) -> Result<ReturnMessage, RemotingError> {
         let started = Instant::now();
         self.send(formatter, msg, corr_id, 0)?;
-        let payload = {
+        let (payload, body) = {
             let _span = parc_obs::Span::enter(parc_obs::kinds::CHANNEL_RECV);
             slot.wait(timeout)?
         };
         self.feedback.record_rtt(started.elapsed());
         let _span = parc_obs::Span::enter(parc_obs::kinds::DESERIALIZE);
-        let reply = ReturnMessage::decode(formatter, &payload);
+        let reply = ReturnMessage::decode(formatter, &payload[body..]);
         bufpool::global().checkin(payload);
         Ok(reply?)
     }

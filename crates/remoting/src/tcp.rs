@@ -283,9 +283,12 @@ pub(crate) struct Slot {
     cv: Condvar,
 }
 
+/// The pooled reply payload and the offset its formatter bytes start at.
+pub(crate) type SlotOutcome = Result<(Vec<u8>, usize), RemotingError>;
+
 enum SlotState {
     Waiting,
-    Done(Result<Vec<u8>, RemotingError>),
+    Done(SlotOutcome),
 }
 
 impl Slot {
@@ -293,12 +296,12 @@ impl Slot {
         Arc::new(Slot { state: Mutex::new(SlotState::Waiting), cv: Condvar::new() })
     }
 
-    pub(crate) fn complete(&self, outcome: Result<Vec<u8>, RemotingError>) {
+    pub(crate) fn complete(&self, outcome: SlotOutcome) {
         *self.state.lock() = SlotState::Done(outcome);
         self.cv.notify_all();
     }
 
-    pub(crate) fn wait(&self, timeout: Duration) -> Result<Vec<u8>, RemotingError> {
+    pub(crate) fn wait(&self, timeout: Duration) -> SlotOutcome {
         let start = Instant::now();
         let deadline = start + timeout;
         let mut state = self.state.lock();
@@ -470,13 +473,13 @@ impl MuxConnection {
     ) -> Result<ReturnMessage, RemotingError> {
         let started = Instant::now();
         self.send_frame(msg, corr_id, 0)?;
-        let payload = {
+        let (payload, body) = {
             let _span = parc_obs::Span::enter(parc_obs::kinds::CHANNEL_RECV);
             slot.wait(self.timeout)?
         };
         self.feedback.record_rtt(started.elapsed());
         let _span = parc_obs::Span::enter(parc_obs::kinds::DESERIALIZE);
-        let reply = ReturnMessage::decode(&self.formatter, &payload);
+        let reply = ReturnMessage::decode(&self.formatter, &payload[body..]);
         bufpool::global().checkin(payload);
         Ok(reply?)
     }
@@ -522,22 +525,23 @@ fn reader_loop(mut stream: TcpStream, shared: &Arc<MuxShared>, feedback: &LinkFe
                 return;
             }
         };
-        // Peel the server's backlog report (if any) off the reply and
-        // strip its bytes so callers decode a bare payload.
-        match frame::split_depth_ext(&header, &payload) {
-            Ok((Some(ext), _)) => {
-                feedback.record_depth(ext.pending as usize, ext.busiest as usize);
-                payload.drain(..frame::DEPTH_EXT_LEN);
+        // Peel the server's backlog report (if any) off the reply; the
+        // caller decodes from the offset its body starts at.
+        let body = match frame::split_depth_ext(&header, &payload) {
+            Ok((ext, body)) => {
+                if let Some(ext) = ext {
+                    feedback.record_depth(ext.pending as usize, ext.busiest as usize);
+                }
+                payload.len() - body.len()
             }
-            Ok((None, _)) => {}
             Err(e) => {
                 pool.checkin(payload);
                 shared.poison(&format!("malformed depth extension: {e}"));
                 return;
             }
-        }
+        };
         match shared.pending.lock().remove(&header.corr_id) {
-            Some(slot) => slot.complete(Ok(payload)),
+            Some(slot) => slot.complete(Ok((payload, body))),
             // Unknown id: a reply that raced a caller's timeout (its slot
             // is gone) — drop it and keep the stream healthy.
             None => pool.checkin(payload),

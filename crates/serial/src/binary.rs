@@ -8,7 +8,7 @@
 
 use crate::value::{StructValue, Value, ValueKind};
 use crate::varint;
-use crate::{Formatter, SerialError};
+use crate::{Field, Formatter, SerialError};
 
 const MAGIC: [u8; 2] = [0xb1, 0x4f];
 const VERSION: u8 = 1;
@@ -30,44 +30,62 @@ impl BinaryFormatter {
             Value::Bool(b) => out.push(u8::from(*b)),
             Value::I32(v) => varint::write_i64(out, i64::from(*v)),
             Value::I64(v) => varint::write_i64(out, *v),
-            Value::F64(v) => out.extend_from_slice(&v.to_le_bits_bytes()),
-            Value::Str(s) => {
-                varint::write_u64(out, s.len() as u64);
-                out.extend_from_slice(s.as_bytes());
-            }
-            Value::Bytes(b) => {
-                varint::write_u64(out, b.len() as u64);
-                out.extend_from_slice(b);
-            }
+            Value::F64(v) => out.extend_from_slice(&v.to_bits().to_le_bytes()),
+            Value::Str(s) => write_len_prefixed(out, s.as_bytes()),
+            Value::Bytes(b) => write_len_prefixed(out, b),
+            // Primitive arrays are one bulk little-endian copy: after the
+            // `reserve` the `extend` compiles to a straight vectorised fill.
             Value::I32Array(a) => {
                 varint::write_u64(out, a.len() as u64);
-                for v in a {
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
+                out.reserve(a.len() * 4);
+                out.extend(a.iter().flat_map(|v| v.to_le_bytes()));
             }
             Value::F64Array(a) => {
                 varint::write_u64(out, a.len() as u64);
-                for v in a {
-                    out.extend_from_slice(&v.to_le_bits_bytes());
-                }
+                out.reserve(a.len() * 8);
+                out.extend(a.iter().flat_map(|v| v.to_bits().to_le_bytes()));
             }
-            Value::List(items) => {
-                varint::write_u64(out, items.len() as u64);
-                for item in items {
-                    Self::write_value(out, item);
-                }
-            }
+            Value::List(items) => Self::write_items(out, items),
             Value::Struct(s) => {
-                varint::write_u64(out, s.name().len() as u64);
-                out.extend_from_slice(s.name().as_bytes());
-                varint::write_u64(out, s.fields().len() as u64);
-                for (name, v) in s.fields() {
-                    varint::write_u64(out, name.len() as u64);
-                    out.extend_from_slice(name.as_bytes());
-                    Self::write_value(out, v);
-                }
+                let fields = s.fields().iter().map(|(name, v)| (name.as_str(), Field::Value(v)));
+                Self::write_fields(out, s.name(), fields);
             }
             Value::Ref(id) => varint::write_u64(out, u64::from(*id)),
+        }
+    }
+
+    fn write_items(out: &mut Vec<u8>, items: &[Value]) {
+        varint::write_u64(out, items.len() as u64);
+        for item in items {
+            Self::write_value(out, item);
+        }
+    }
+
+    /// What follows a struct's tag, for `Value::Struct` and the tree-free
+    /// [`Formatter::serialize_struct_into`] alike. A borrowed `Str` or `List`
+    /// gets its tag here and its body from the writer `write_value` uses.
+    fn write_fields<'a>(
+        out: &mut Vec<u8>,
+        name: &str,
+        fields: impl ExactSizeIterator<Item = (&'a str, Field<'a>)>,
+    ) {
+        write_len_prefixed(out, name.as_bytes());
+        varint::write_u64(out, fields.len() as u64);
+        for (fname, field) in fields {
+            write_len_prefixed(out, fname.as_bytes());
+            match field {
+                Field::Str(s) => {
+                    out.push(ValueKind::Str as u8);
+                    write_len_prefixed(out, s.as_bytes());
+                }
+                Field::List(items) => {
+                    out.push(ValueKind::List as u8);
+                    Self::write_items(out, items);
+                }
+                Field::I64(v) => Self::write_value(out, &Value::I64(v)),
+                Field::Bool(b) => Self::write_value(out, &Value::Bool(b)),
+                Field::Value(v) => Self::write_value(out, v),
+            }
         }
     }
 
@@ -87,34 +105,24 @@ impl BinaryFormatter {
                 *pos += 1;
                 Value::Bool(b != 0)
             }
-            ValueKind::I32 => {
-                let v = varint::read_i64(input, pos)?;
-                Value::I32(v as i32)
-            }
+            ValueKind::I32 => Value::I32(
+                i32::try_from(varint::read_i64(input, pos)?)
+                    .map_err(|_| SerialError::BadVarint { offset: tag_offset })?,
+            ),
             ValueKind::I64 => Value::I64(varint::read_i64(input, pos)?),
-            ValueKind::F64 => Value::F64(read_f64(input, pos)?),
+            ValueKind::F64 => Value::F64(f64_le(take(input, pos, 8)?)),
             ValueKind::Str => Value::Str(read_string(input, pos)?),
-            ValueKind::Bytes => {
-                let len = read_len(input, pos)?;
-                let bytes = take(input, pos, len)?.to_vec();
-                Value::Bytes(bytes)
-            }
+            ValueKind::Bytes => Value::Bytes(read_len_prefixed(input, pos)?.to_vec()),
+            // Arrays: `read_len_elems` bounds `len * width` by the input
+            // left, one `take` checks it, one vectorisable pass converts.
             ValueKind::I32Array => {
                 let len = read_len_elems(input, pos, 4)?;
-                let mut a = Vec::with_capacity(len);
-                for _ in 0..len {
-                    let raw = take(input, pos, 4)?;
-                    a.push(i32::from_le_bytes([raw[0], raw[1], raw[2], raw[3]]));
-                }
-                Value::I32Array(a)
+                let le = |c: &[u8]| i32::from_le_bytes(c.try_into().expect("4 bytes"));
+                Value::I32Array(take(input, pos, len * 4)?.chunks_exact(4).map(le).collect())
             }
             ValueKind::F64Array => {
                 let len = read_len_elems(input, pos, 8)?;
-                let mut a = Vec::with_capacity(len);
-                for _ in 0..len {
-                    a.push(read_f64(input, pos)?);
-                }
-                Value::F64Array(a)
+                Value::F64Array(take(input, pos, len * 8)?.chunks_exact(8).map(f64_le).collect())
             }
             ValueKind::List => {
                 let len = read_len_elems(input, pos, 1)?;
@@ -148,14 +156,9 @@ impl BinaryFormatter {
 
 const MAX_DEPTH: usize = 512;
 
-trait F64Ext {
-    fn to_le_bits_bytes(&self) -> [u8; 8];
-}
-
-impl F64Ext for f64 {
-    fn to_le_bits_bytes(&self) -> [u8; 8] {
-        self.to_bits().to_le_bytes()
-    }
+fn write_len_prefixed(out: &mut Vec<u8>, bytes: &[u8]) {
+    varint::write_u64(out, bytes.len() as u64);
+    out.extend_from_slice(bytes);
 }
 
 fn take<'a>(input: &'a [u8], pos: &mut usize, len: usize) -> Result<&'a [u8], SerialError> {
@@ -174,8 +177,9 @@ fn take<'a>(input: &'a [u8], pos: &mut usize, len: usize) -> Result<&'a [u8], Se
     Ok(slice)
 }
 
-fn read_len(input: &[u8], pos: &mut usize) -> Result<usize, SerialError> {
-    read_len_elems(input, pos, 1)
+fn read_len_prefixed<'a>(input: &'a [u8], pos: &mut usize) -> Result<&'a [u8], SerialError> {
+    let len = read_len_elems(input, pos, 1)?;
+    take(input, pos, len)
 }
 
 /// Reads a length prefix and sanity-checks it against the remaining input,
@@ -196,18 +200,13 @@ fn read_len_elems(input: &[u8], pos: &mut usize, min_elem_bytes: usize) -> Resul
     Ok(len)
 }
 
-fn read_f64(input: &[u8], pos: &mut usize) -> Result<f64, SerialError> {
-    let raw = take(input, pos, 8)?;
-    let mut b = [0u8; 8];
-    b.copy_from_slice(raw);
-    Ok(f64::from_bits(u64::from_le_bytes(b)))
+fn f64_le(raw: &[u8]) -> f64 {
+    f64::from_bits(u64::from_le_bytes(raw.try_into().expect("8 bytes")))
 }
 
 fn read_string(input: &[u8], pos: &mut usize) -> Result<String, SerialError> {
-    let len = read_len(input, pos)?;
-    let offset = *pos;
-    let raw = take(input, pos, len)?;
-    String::from_utf8(raw.to_vec()).map_err(|_| SerialError::BadUtf8 { offset })
+    let raw = read_len_prefixed(input, pos)?;
+    String::from_utf8(raw.to_vec()).map_err(|_| SerialError::BadUtf8 { offset: *pos - raw.len() })
 }
 
 impl Formatter for BinaryFormatter {
@@ -225,6 +224,17 @@ impl Formatter for BinaryFormatter {
         out.extend_from_slice(&MAGIC);
         out.push(VERSION);
         Self::write_value(out, value);
+        Ok(())
+    }
+
+    fn serialize_struct_into(
+        &self,
+        name: &str,
+        fields: &[(&str, Field<'_>)],
+        out: &mut Vec<u8>,
+    ) -> Result<(), SerialError> {
+        out.extend_from_slice(&[MAGIC[0], MAGIC[1], VERSION, ValueKind::Struct as u8]);
+        Self::write_fields(out, name, fields.iter().copied());
         Ok(())
     }
 
@@ -363,10 +373,12 @@ mod tests {
     #[test]
     fn huge_declared_length_is_rejected_without_allocation() {
         let f = BinaryFormatter::new();
-        // tag=I32Array, varint length = u32::MAX, no payload
-        let mut bytes = vec![MAGIC[0], MAGIC[1], VERSION, ValueKind::I32Array as u8];
-        crate::varint::write_u64(&mut bytes, u64::from(u32::MAX));
-        assert!(matches!(f.deserialize(&bytes), Err(SerialError::BadLength { .. })));
+        // tag, varint length = u32::MAX, no payload
+        for kind in [ValueKind::I32Array, ValueKind::F64Array, ValueKind::Bytes] {
+            let mut bytes = vec![MAGIC[0], MAGIC[1], VERSION, kind as u8];
+            crate::varint::write_u64(&mut bytes, u64::from(u32::MAX));
+            assert!(matches!(f.deserialize(&bytes), Err(SerialError::BadLength { .. })), "{kind}");
+        }
     }
 
     #[test]

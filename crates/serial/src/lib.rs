@@ -54,6 +54,42 @@ pub use javaser::JavaFormatter;
 pub use soap::SoapFormatter;
 pub use value::{StructValue, Value};
 
+/// One field of a struct encoded straight from borrowed parts
+/// ([`Formatter::serialize_struct_into`]): message envelopes are written
+/// without first cloning their strings and arguments into a [`Value`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Field<'a> {
+    /// Encodes as [`Value::Str`].
+    Str(&'a str),
+    /// Encodes as [`Value::I64`].
+    I64(i64),
+    /// Encodes as [`Value::Bool`].
+    Bool(bool),
+    /// Encodes as the value itself.
+    Value(&'a Value),
+    /// Encodes as [`Value::List`].
+    List(&'a [Value]),
+}
+
+impl Field<'_> {
+    /// The struct value `name { fields }` (clones what the fields borrow):
+    /// the tree [`Formatter::serialize_struct_into`] encodes without building.
+    pub fn struct_value(name: &str, fields: &[(&str, Field<'_>)]) -> Value {
+        let mut s = StructValue::new(name);
+        for (fname, field) in fields {
+            let value = match *field {
+                Field::Str(s) => Value::Str(s.to_string()),
+                Field::I64(v) => Value::I64(v),
+                Field::Bool(b) => Value::Bool(b),
+                Field::Value(v) => v.clone(),
+                Field::List(items) => Value::List(items.to_vec()),
+            };
+            s.push_field(*fname, value);
+        }
+        Value::Struct(s)
+    }
+}
+
 /// A wire format able to turn a [`Value`] into bytes and back.
 ///
 /// Implementations are stateless and cheap to construct; a formatter can be
@@ -88,6 +124,22 @@ pub trait Formatter: Send + Sync {
         let bytes = self.serialize(value)?;
         out.extend_from_slice(&bytes);
         Ok(())
+    }
+
+    /// Appends the struct `name { fields }` to `out`, byte for byte what
+    /// [`Formatter::serialize_into`] makes of [`Field::struct_value`] (the
+    /// default body); a format overrides it to write the borrowed parts.
+    ///
+    /// # Errors
+    ///
+    /// Same failure modes as [`Formatter::serialize_into`].
+    fn serialize_struct_into(
+        &self,
+        name: &str,
+        fields: &[(&str, Field<'_>)],
+        out: &mut Vec<u8>,
+    ) -> Result<(), SerialError> {
+        self.serialize_into(&Field::struct_value(name, fields), out)
     }
 
     /// Decode a value previously produced by [`Formatter::serialize`] on the

@@ -220,3 +220,22 @@ if [ "${code_knobs}" != "${doc_knobs}" ]; then
     exit 1
 fi
 echo "ok: $(printf '%s\n' "${code_knobs}" | wc -l) PARC_* knobs, each read in code and documented in README"
+
+# Gate 13: exact wire counts. The byte counts behind Fig. 8a/8b come out
+# of the encoders, so an encoder change that moves one byte must fail
+# here. tests/wire_format.rs pins the encodings (tree-free envelope ==
+# value tree on all three formatters, golden vectors, bulk array codec ==
+# element-wise reference); then one traced `echo_bulk_tcp` run must
+# report the three counts that repeat exactly from run to run.
+cargo test -q --offline --test wire_format
+wire_json=$(bash benchmark/run.sh --workload echo_bulk_tcp --seed 1 --seconds 3 --trace 1 | tail -n 1)
+wire_counts=""
+for pin in serial.encoded_bytes=262153 message.call_wire_bytes=262217 message.reply_wire_bytes=262189; do
+    got=$(printf '%s\n' "$wire_json" | grep -oE "\"${pin%%=*}\": \{\"value\": [0-9]+" | grep -oE '[0-9]+$' || true)
+    if [ "${got}" != "${pin##*=}" ]; then
+        echo "FAIL: ${pin%%=*} on echo_bulk_tcp is '${got}', pinned at ${pin##*=}" >&2
+        exit 1
+    fi
+    wire_counts="${wire_counts} ${pin%%=*}=${got}"
+done
+echo "ok: wire format pinned (${wire_counts# })"

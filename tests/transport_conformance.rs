@@ -13,7 +13,9 @@
 //!   not hang);
 //! * unknown-correlation-ID frames are tolerated and skipped;
 //! * hostile request frames (undecodable body, truncated trace
-//!   extension) fault or are dropped without wedging the connection.
+//!   extension) fault or are dropped without wedging the connection;
+//! * depth-extended replies decode from the body's offset at every body
+//!   size, and a reply too short for its depth extension poisons.
 //!
 //! Also here: parc-testkit property tapes for [`FrameAssembler`] — the
 //! reactor's incremental reassembly must decode a frame stream
@@ -29,8 +31,8 @@ use parc_testkit::Config;
 
 use parc::remoting::dispatcher::FnInvokable;
 use parc::remoting::frame::{
-    read_frame_into, split_depth_ext, write_frame, FrameAssembler, FrameRead, FLAG_ONEWAY,
-    FLAG_TRACE, HEADER_LEN, MAX_FRAME,
+    read_frame_into, split_depth_ext, write_frame, FrameAssembler, FrameRead, FLAG_DEPTH,
+    FLAG_ONEWAY, FLAG_TRACE, HEADER_LEN, MAX_FRAME,
 };
 use parc::remoting::reactor::{ReactorClientChannel, ReactorServerChannel};
 use parc::remoting::tcp::{TcpClientChannel, TcpServerChannel};
@@ -115,6 +117,11 @@ fn for_each_server(check: impl Fn(&str, &Server, Transport)) {
     for transport in TRANSPORTS {
         check(&format!("{transport:?}"), &Server::bind(transport), transport);
     }
+}
+
+/// An object whose every method hands its first argument back.
+fn echo() -> Arc<dyn Invokable> {
+    Arc::new(FnInvokable(|_: &str, args: &[Value]| Ok(args.first().cloned().unwrap_or(Value::Null))))
 }
 
 /// An object that records every `note(i)` it executes, in execution
@@ -365,12 +372,7 @@ fn read_reply(stream: &mut TcpStream) -> (u64, ReturnMessage) {
 #[test]
 fn hostile_request_frames_fault_or_drop_and_keep_the_connection() {
     for_each_server(|combo, server, _| {
-        server.objects().register_singleton(
-            "Echo",
-            Arc::new(FnInvokable(|_: &str, args: &[Value]| {
-                Ok(args.first().cloned().unwrap_or(Value::Null))
-            })),
-        );
+        server.objects().register_singleton("Echo", echo());
         let mut stream = TcpStream::connect(server.addr()).expect("raw connect");
         stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         let formatter = BinaryFormatter::new();
@@ -410,6 +412,76 @@ fn hostile_request_frames_fault_or_drop_and_keep_the_connection() {
             );
         }
     });
+}
+
+// ---------------------------------------------------------------------------
+// Contract: depth-extended replies
+// ---------------------------------------------------------------------------
+
+/// Every reply of a real server carries the 8-byte depth extension ahead
+/// of its formatter bytes, and the client decodes from the offset behind
+/// it without moving the payload: the smallest reply (`Null`), a one-byte
+/// body and a 256 KiB body all come back intact, with the depth reported.
+#[test]
+fn depth_extended_replies_decode_at_every_body_size_on_every_combo() {
+    for_each_combo(|combo, server, chan| {
+        server.objects().register_singleton("Echo", echo());
+        let feedback = chan.feedback().expect("tcp transports report link feedback");
+        let proxy = RemoteObject::new(chan, "Echo");
+        let bulk: Vec<i32> = (0..65_536).map(|i: i32| i.wrapping_mul(-7919)).collect();
+        for (i, body) in [Value::Null, Value::Bytes(vec![7]), Value::I32Array(bulk)]
+            .into_iter()
+            .enumerate()
+        {
+            let got = proxy.call("echo", vec![body.clone()]).unwrap();
+            assert!(got == body, "[{combo}] {:?} body came back changed", body.kind());
+            assert_eq!(
+                feedback.depth_samples(),
+                i as u64 + 1,
+                "[{combo}] reply {i} carried no depth extension"
+            );
+        }
+    });
+}
+
+/// A `FLAG_DEPTH` reply shorter than the extension it announces is a
+/// lying frame: the stream cannot be trusted past it, so the pending
+/// call fails at once instead of decoding garbage or waiting out its
+/// deadline.
+#[test]
+fn reply_shorter_than_its_depth_extension_poisons_on_every_transport() {
+    for transport in TRANSPORTS {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("binding liar listener");
+        let addr = listener.local_addr().unwrap().to_string();
+        let liar = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accepting");
+            drop(listener);
+            let mut payload = Vec::new();
+            let Ok(FrameRead::Frame(header)) = read_frame_into(&mut stream, &mut payload) else {
+                panic!("expected one request frame");
+            };
+            write_frame(&mut stream, header.corr_id, FLAG_DEPTH, b"short").unwrap();
+            // Hold the socket open until the client lets go, so the
+            // failure below is the poison and not an EOF.
+            let _ = stream.read(&mut [0u8; 16]);
+        });
+        {
+            let proxy = RemoteObject::new(connect(transport, &addr), "Echo");
+            let started = Instant::now();
+            match proxy.call("echo", vec![Value::I32(1)]) {
+                Err(RemotingError::Transport { detail }) => assert!(
+                    detail.contains("depth extension"),
+                    "[{transport:?}] failed for another reason: {detail}"
+                ),
+                other => panic!("[{transport:?}] lying reply produced {other:?}"),
+            }
+            assert!(
+                started.elapsed() < Duration::from_secs(10),
+                "[{transport:?}] call waited out its deadline instead of being poisoned"
+            );
+        }
+        liar.join().expect("liar server thread");
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -682,4 +754,55 @@ fn oversize_frame_is_rejected_mid_reassembly() {
             assert_eq!(decoded, 1, "no frame may emit after the stream is poisoned");
         },
     );
+}
+
+// ---------------------------------------------------------------------------
+// read_frame_into: fills the caller's buffer without a zero-fill
+// ---------------------------------------------------------------------------
+
+/// Hands out one byte per `read`, the worst legal short-read pattern.
+struct OneByteReader<'a>(&'a [u8]);
+
+impl Read for OneByteReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = buf.len().min(self.0.len()).min(1);
+        buf[..n].copy_from_slice(&self.0[..n]);
+        self.0 = &self.0[n..];
+        Ok(n)
+    }
+}
+
+/// Mirror of the one-byte-writer test on the write side: however short
+/// the reads, the frame comes out whole, and the stream ends on a clean
+/// boundary.
+#[test]
+fn read_frame_into_survives_one_byte_reads() {
+    let body: Vec<u8> = (0..1000u32).map(|i| i as u8).collect();
+    let (wire, _) = wire_image(&[(9, false, body.clone()), (10, true, Vec::new())]);
+    let mut reader = OneByteReader(&wire);
+    let mut payload = vec![0xaa; 4]; // stale bytes from an earlier frame
+    let FrameRead::Frame(header) = read_frame_into(&mut reader, &mut payload).unwrap() else {
+        panic!("expected the first frame");
+    };
+    assert_eq!((header.corr_id, header.len), (9, body.len()));
+    assert_eq!(payload, body);
+    let FrameRead::Frame(header) = read_frame_into(&mut reader, &mut payload).unwrap() else {
+        panic!("expected the empty frame");
+    };
+    assert_eq!((header.corr_id, header.oneway(), payload.len()), (10, true, 0));
+    assert_eq!(read_frame_into(&mut reader, &mut payload).unwrap(), FrameRead::Eof);
+}
+
+/// A payload cut anywhere short of its declared length is
+/// `UnexpectedEof`, never a short frame.
+#[test]
+fn read_frame_into_reports_a_truncated_payload_as_unexpected_eof() {
+    let (wire, _) = wire_image(&[(1, false, vec![5u8; 300])]);
+    for cut in [HEADER_LEN, HEADER_LEN + 1, wire.len() - 1] {
+        let mut payload = Vec::new();
+        let err = read_frame_into(&mut OneByteReader(&wire[..cut]), &mut payload).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "cut at {cut}");
+        let err = read_frame_into(&mut &wire[..cut], &mut payload).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "cut at {cut}");
+    }
 }
