@@ -1,6 +1,6 @@
 //! Connection-count scaling of the TCP transports: the reactor (fixed
-//! thread pool, nonblocking sockets) against the thread-per-connection
-//! mux baseline, swept across 1 → 64 → 1024 concurrent sockets.
+//! thread pool, nonblocking sockets) against the mux client on the
+//! thread-per-connection server, swept across 1 → 64 → 1024 sockets.
 //!
 //! Two numbers per point, and they tell different stories:
 //!
@@ -9,14 +9,14 @@
 //!   must stay ≥ 0.9×): both transports are service-latency-bound here,
 //!   so the reactor's win cannot come at the cost of the common case.
 //! * **resident threads** (`Threads:` in `/proc/self/status`) — the
-//!   point of the reactor. The baseline burns a client reader thread
-//!   plus a server connection thread per socket (O(connections)); the
-//!   reactor holds a fixed pool regardless of socket count, so
-//!   `reactor_resident_threads_1024_conns` stays O(reactor pool +
-//!   dispatch workers) while the equivalent baseline number would be
-//!   2000+. The 1024-socket point only runs the reactor — opening it
-//!   with the baseline would measure thread-spawn throughput, which is
-//!   exactly the cost the reactor exists to delete.
+//!   point of the reactor. The baseline burns a server connection
+//!   thread per socket (O(connections); the mux client reads on its
+//!   callers' threads); the reactor holds a fixed pool regardless of
+//!   socket count, so `reactor_resident_threads_1024_conns` stays
+//!   O(reactor pool + dispatch workers) while the equivalent baseline
+//!   number would be 1000+. The 1024-socket point only runs the
+//!   reactor — opening it with the baseline would measure thread-spawn
+//!   throughput, which is exactly the cost the reactor exists to delete.
 //!
 //! The server method sleeps [`SERVICE_LATENCY`] per call (service time,
 //! not CPU): on the single-core bench host the measurable win is calls
@@ -114,8 +114,8 @@ fn best_of(rounds: usize, mut f: impl FnMut() -> f64) -> f64 {
 fn open_mux(addr: &str, conns: usize) -> Vec<Arc<dyn ClientChannel>> {
     (0..conns)
         .map(|_| {
-            // Pool of 1: each channel is exactly one socket (plus its
-            // dedicated reader thread — the cost under test).
+            // Pool of 1: each channel is exactly one socket (and one
+            // server connection thread — the cost under test).
             Arc::new(TcpClientChannel::connect_pooled(addr, 1).expect("mux connect"))
                 as Arc<dyn ClientChannel>
         })

@@ -32,6 +32,15 @@ pub const INFLIGHT: &str = "channel.inflight";
 pub const BUFPOOL_HIT: &str = "bufpool.hit";
 /// Counter: buffer-pool checkouts that had to allocate.
 pub const BUFPOOL_MISS: &str = "bufpool.miss";
+/// Counter/event: a mux caller reading its own reply found the socket
+/// readable while it polled, before parking in `read` (`polls=..`).
+pub const SPIN_HIT: &str = "channel.spin_hit";
+/// Counter/event: the polling window ran out and the caller parked in
+/// `read` (`polls=..`).
+pub const SPIN_MISS: &str = "channel.spin_miss";
+/// Counter/event: a mux caller done with the connection's read half
+/// handed it to another caller still waiting for a reply.
+pub const LEADER_HANDOFF: &str = "channel.leader_handoff";
 
 // ---- server-side dispatch path ----
 
@@ -222,6 +231,9 @@ mod tests {
             super::INFLIGHT,
             super::BUFPOOL_HIT,
             super::BUFPOOL_MISS,
+            super::SPIN_HIT,
+            super::SPIN_MISS,
+            super::LEADER_HANDOFF,
             super::DISPATCH,
             super::REPLY,
             super::QUEUE_WAIT,

@@ -21,7 +21,7 @@ use crate::uri::ObjectUri;
 /// TCP has two implementations with identical observable semantics
 /// (pinned by `tests/transport_conformance.rs`): the multiplexed
 /// [`TcpClientChannel`](crate::tcp::TcpClientChannel) (default;
-/// dedicated reader thread per socket) and the readiness-driven
+/// callers read their own replies) and the readiness-driven
 /// [`ReactorClientChannel`](crate::reactor::ReactorClientChannel),
 /// whose nonblocking sockets are swept by a fixed reactor pool
 /// (`PARC_TRANSPORT=reactor` selects it through the providers).

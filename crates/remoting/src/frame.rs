@@ -4,7 +4,7 @@
 //! The original frame was a bare 4-byte length, which forced the client
 //! to hold its stream for the entire request/response round trip — replies
 //! were correlated purely by arrival order. The v2 header carries a
-//! transport-level correlation ID so a dedicated reader thread can demux
+//! transport-level correlation ID so whichever thread reads can demux
 //! replies that arrive in any order, plus a flags byte whose
 //! [`FLAG_ONEWAY`] bit tells the server (before deserializing anything)
 //! that no reply must be produced for this frame.
@@ -410,6 +410,8 @@ pub fn write_frame_depth(
 
 /// Drives `write_vectored` to completion over `head` then `tail`,
 /// falling back transparently when the writer consumes partial slices.
+/// `WouldBlock` waits for room rather than abandon a half-written frame:
+/// a mux client's leader polls for replies on a non-blocking socket.
 fn write_all_vectored(
     stream: &mut impl Write,
     head: &[u8],
@@ -428,6 +430,10 @@ fn write_all_vectored(
             }
             Ok(n) => n,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                std::thread::yield_now();
+                continue;
+            }
             Err(e) => return Err(e),
         };
         let from_head = n.min(head.len() - head_done);
@@ -456,8 +462,8 @@ pub enum FrameRead {
 ///
 /// Socket errors; `InvalidData` for oversized lengths; `UnexpectedEof` for
 /// truncation mid-frame. A timeout with zero bytes consumed is reported as
-/// [`FrameRead::Idle`] rather than an error so multiplexed reader threads
-/// can keep a quiet connection open.
+/// [`FrameRead::Idle`] rather than an error so a server's connection
+/// thread can keep a quiet connection open.
 pub fn read_frame_into(
     stream: &mut impl Read,
     payload: &mut Vec<u8>,

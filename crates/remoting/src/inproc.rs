@@ -169,9 +169,9 @@ impl InprocNetwork {
     /// unregistered (new opens fail with `EndpointNotFound`) **and** its
     /// pump thread is told to exit, so channels already held by clients
     /// start failing with a transport error instead of silently continuing
-    /// to serve. Queued-but-undispatched envelopes are dropped, exactly as
-    /// a crash would drop them. Returns `false` when no such endpoint
-    /// exists.
+    /// to serve. Queued-but-undispatched envelopes are dropped as a crash
+    /// would drop them, failing their callers at once. Returns `false`
+    /// when no such endpoint exists.
     pub fn stop_endpoint(&self, name: &str) -> bool {
         let Some(shared) = self.endpoints.write().remove(name) else {
             return false;
@@ -361,9 +361,12 @@ impl ClientChannel for InprocClient {
         self.send(msg, Some(reply_tx))?;
         let reply = {
             let _span = parc_obs::Span::enter(parc_obs::kinds::CHANNEL_RECV);
-            reply_rx
-                .recv_timeout(self.timeout)
-                .map_err(|_| RemotingError::timed_out(started.elapsed(), self.timeout))?
+            use parc_sync::channel::RecvTimeoutError::{Disconnected, Timeout};
+            reply_rx.recv_timeout(self.timeout).map_err(|e| match e {
+                Timeout => RemotingError::timed_out(started.elapsed(), self.timeout),
+                // The endpoint stopped with this call still queued.
+                Disconnected => RemotingError::Transport { detail: "endpoint stopped".into() },
+            })?
         };
         self.feedback.record_rtt(started.elapsed());
         let (pending, busiest) = reply.depth;
@@ -538,8 +541,8 @@ mod tests {
         let uri: ObjectUri = "inproc://node0/Adder".parse().unwrap();
         assert!(matches!(net.open(&uri), Err(RemotingError::EndpointNotFound { .. })));
         // ...and channels opened before the crash start failing once the
-        // pump exits (a reply in flight may be dropped, surfacing as a
-        // timeout; later sends fail at the transport).
+        // pump exits (a call still queued for it fails at once with a
+        // transport error; later sends fail at the transport).
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         loop {
             match adder.call("add", vec![Value::I32(1), Value::I32(1)]) {

@@ -3,13 +3,13 @@
 //!
 //! Frames are the v2 format of [`crate::frame`]: a 13-byte header
 //! (length, correlation ID, flags) followed by the formatter payload.
-//! Each client connection owns a dedicated reader thread that demuxes
-//! reply frames by correlation ID into per-call completion slots, so N
-//! callers can have calls in flight on one socket simultaneously — the
-//! stream mutex covers only the `write`, never the round trip. On top of
-//! the multiplexing sits a small per-authority socket pool (default
-//! [`DEFAULT_POOL_SIZE`], override with the `PARC_TCP_POOL` environment
-//! variable) for bandwidth-bound payloads.
+//! A client connection has no thread of its own: one waiting caller at a
+//! time, the *leader*, reads reply frames and demuxes them by correlation
+//! ID into per-call completion slots until its own arrives, then hands
+//! the read half on. So N callers can have calls in flight on one socket
+//! (the stream mutex covers only the `write`, never the round trip), and
+//! a lone caller reads its own reply. A per-authority socket pool (default
+//! [`DEFAULT_POOL_SIZE`], `PARC_TCP_POOL` overrides) adds bandwidth.
 //!
 //! The server accepts connections on a loopback-or-LAN socket and serves
 //! each connection from its own reader thread. That thread only reads
@@ -24,8 +24,8 @@
 //! out-of-order replies safe.
 //!
 //! `PARC_TRANSPORT=reactor` swaps the client for
-//! [`crate::reactor::ReactorClientChannel`] (no per-connection threads);
-//! see [`Transport`].
+//! [`crate::reactor::ReactorClientChannel`] (connections served by a
+//! shared pool of reactor threads); see [`Transport`].
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -64,15 +64,18 @@ pub const POOL_SIZE_ENV: &str = "PARC_TCP_POOL";
 /// [`TcpChannelProvider`] opens for `tcp://` URIs: `reactor` multiplexes
 /// onto the shared readiness-driven reactor pool
 /// ([`crate::reactor::ReactorClientChannel`]), anything else (or unset)
-/// means the thread-per-connection multiplexed client
-/// ([`TcpClientChannel`]).
+/// means the multiplexed client ([`TcpClientChannel`]).
 pub const TRANSPORT_ENV: &str = "PARC_TRANSPORT";
+
+/// A leader polls its socket this long before parking in `read`, so a
+/// prompt reply finds its CPU running; links slower (RTT EWMA) never poll.
+const SPIN: Duration = Duration::from_micros(30);
 
 /// Which client transport serves `tcp://` URIs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Transport {
-    /// Multiplexed pipelined connections, one reader thread per socket
-    /// (the default): lowest single-caller latency.
+    /// Multiplexed pipelined connections whose callers read their own
+    /// replies (the default): lowest single-caller latency.
     Mux,
     /// Nonblocking sockets multiplexed onto the shared reactor pool: no
     /// per-connection threads at all, for wide fan-in.
@@ -288,7 +291,16 @@ pub(crate) type SlotOutcome = Result<(Vec<u8>, usize), RemotingError>;
 
 enum SlotState {
     Waiting,
+    /// Handed the mux connection's read half (the reactor never is).
+    Lead,
     Done(SlotOutcome),
+}
+
+/// Why [`Slot::park`] returned.
+enum Wake {
+    Done(SlotOutcome),
+    Lead,
+    Timeout,
 }
 
 impl Slot {
@@ -303,26 +315,47 @@ impl Slot {
 
     pub(crate) fn wait(&self, timeout: Duration) -> SlotOutcome {
         let start = Instant::now();
-        let deadline = start + timeout;
+        match self.park(start + timeout) {
+            Wake::Done(outcome) => outcome,
+            Wake::Lead | Wake::Timeout => Err(RemotingError::timed_out(start.elapsed(), timeout)),
+        }
+    }
+
+    /// Parks until the slot completes, is handed the read half, or
+    /// `deadline` passes; a past `deadline` polls without parking.
+    fn park(&self, deadline: Instant) -> Wake {
         let mut state = self.state.lock();
         loop {
-            if let SlotState::Done(outcome) = std::mem::replace(&mut *state, SlotState::Waiting) {
-                return outcome;
+            match std::mem::replace(&mut *state, SlotState::Waiting) {
+                SlotState::Done(outcome) => return Wake::Done(outcome),
+                SlotState::Lead => return Wake::Lead,
+                SlotState::Waiting => {}
             }
             let now = Instant::now();
             if now >= deadline {
-                return Err(RemotingError::timed_out(now - start, timeout));
+                return Wake::Timeout;
             }
             self.cv.wait_for(&mut state, deadline - now);
         }
     }
+
+    /// Hands the read half to this slot's owner, unless it is done.
+    fn promote(&self) -> bool {
+        let mut state = self.state.lock();
+        let waiting = matches!(*state, SlotState::Waiting);
+        if waiting {
+            *state = SlotState::Lead;
+            self.cv.notify_all();
+        }
+        waiting
+    }
 }
 
 /// State shared between callers and whichever thread demuxes replies —
-/// a dedicated reader thread (mux) or a reactor thread (reactor).
+/// the leading caller (mux) or a reactor thread (reactor).
 pub(crate) struct MuxShared {
     pub(crate) pending: Mutex<HashMap<u64, Arc<Slot>>>,
-    /// Set once the reader dies; later calls fail fast with this detail.
+    /// Set once the connection breaks; later calls fail fast with this detail.
     pub(crate) dead: Mutex<Option<String>>,
 }
 
@@ -346,9 +379,13 @@ impl MuxShared {
 }
 
 /// One multiplexed connection: writers interleave frames under a short
-/// write lock; a dedicated reader thread routes replies to their slots.
+/// write lock; the leading caller routes replies to their slots.
 struct MuxConnection {
     writer: Mutex<TcpStream>,
+    /// Read half; only the leader reads it.
+    reader: TcpStream,
+    /// Whether a caller holds the read half; see [`MuxConnection::release`].
+    leading: AtomicBool,
     shared: Arc<MuxShared>,
     next_corr: AtomicU64,
     formatter: BinaryFormatter,
@@ -358,7 +395,6 @@ struct MuxConnection {
     /// by every pooled connection and surviving revives, so the
     /// aggregation controller's view is per-authority, not per-socket.
     feedback: Arc<LinkFeedback>,
-    reader: Option<std::thread::JoinHandle<()>>,
 }
 
 impl MuxConnection {
@@ -369,26 +405,18 @@ impl MuxConnection {
     ) -> Result<MuxConnection, RemotingError> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        // The reader thread treats a timeout at a frame boundary as "idle"
-        // (see `frame::FrameRead::Idle`), so this timeout only bounds how
-        // long a *partial* frame may stall.
+        // Bounds how long a frame the leader has begun may stall; waiting
+        // *for* a frame is bounded by the leader's own deadline instead.
         stream.set_read_timeout(Some(timeout))?;
-        let reader_stream = stream.try_clone()?;
-        let shared = MuxShared::new();
-        let reader_shared = Arc::clone(&shared);
-        let reader_feedback = Arc::clone(&feedback);
-        let reader = std::thread::Builder::new()
-            .name("tcp-mux-reader".into())
-            .spawn(move || reader_loop(reader_stream, &reader_shared, &reader_feedback))
-            .expect("spawning tcp mux reader");
         Ok(MuxConnection {
+            reader: stream.try_clone()?,
             writer: Mutex::new(stream),
-            shared,
+            leading: AtomicBool::new(false),
+            shared: MuxShared::new(),
             next_corr: AtomicU64::new(1),
             formatter: BinaryFormatter::new(),
             timeout,
             feedback,
-            reader: Some(reader),
         })
     }
 
@@ -399,14 +427,14 @@ impl MuxConnection {
         Ok(())
     }
 
-    /// Whether the reader thread has poisoned this connection.
+    /// Whether this connection has been poisoned.
     fn is_dead(&self) -> bool {
         self.shared.dead.lock().is_some()
     }
 
-    /// Forcibly breaks the socket (test hook): the reader observes the
-    /// shutdown and poisons the connection exactly as a real network
-    /// failure would.
+    /// Forcibly breaks the socket (test hook): the next read or write
+    /// observes the shutdown and poisons the connection exactly as a real
+    /// network failure would.
     fn sever(&self) {
         let _ = self.writer.lock().shutdown(std::net::Shutdown::Both);
     }
@@ -437,10 +465,9 @@ impl MuxConnection {
         pool.checkin(buf);
         if let Err(e) = &written {
             // A failed write is definitive: the socket is broken. Poison
-            // now instead of waiting for the reader thread to notice, so
-            // an immediate (zero-backoff) retry already sees a dead
-            // connection and revives the pool slot rather than racing the
-            // reader and burning its attempts on the same corpse.
+            // now, so an immediate (zero-backoff) retry already sees a
+            // dead connection and revives the pool slot rather than
+            // burning its attempts on the same corpse.
             self.shared.poison(&format!("send failed: {e}"));
         }
         written.map_err(RemotingError::from).map(|()| sent)
@@ -456,9 +483,6 @@ impl MuxConnection {
             parc_obs::gauge(parc_obs::kinds::INFLIGHT).adjust(1);
         }
         let outcome = self.call_inner(msg, corr_id, &slot);
-        // Success paths had their slot removed by the reader; make sure
-        // error paths (send failure, timeout) do not leak the entry.
-        self.shared.pending.lock().remove(&corr_id);
         if parc_obs::is_enabled() {
             parc_obs::gauge(parc_obs::kinds::INFLIGHT).adjust(-1);
         }
@@ -469,19 +493,139 @@ impl MuxConnection {
         &self,
         msg: &CallMessage,
         corr_id: u64,
-        slot: &Arc<Slot>,
+        slot: &Slot,
     ) -> Result<ReturnMessage, RemotingError> {
         let started = Instant::now();
-        self.send_frame(msg, corr_id, 0)?;
+        self.send_frame(msg, corr_id, 0).inspect_err(|_| self.release(corr_id, slot, false))?;
         let (payload, body) = {
             let _span = parc_obs::Span::enter(parc_obs::kinds::CHANNEL_RECV);
-            slot.wait(self.timeout)?
+            self.await_reply(corr_id, slot, started)?
         };
         self.feedback.record_rtt(started.elapsed());
         let _span = parc_obs::Span::enter(parc_obs::kinds::DESERIALIZE);
         let reply = ReturnMessage::decode(&self.formatter, &payload[body..]);
         bufpool::global().checkin(payload);
         Ok(reply?)
+    }
+
+    /// Waits out `slot`'s reply until `started + timeout`: as the leader,
+    /// reading and routing frames itself, whenever no other caller is;
+    /// otherwise parked until a leader completes the slot or hands it the
+    /// read half. A frame once begun is read to its end, deadline or not:
+    /// the stream would otherwise lose its framing.
+    fn await_reply(&self, corr_id: u64, slot: &Slot, started: Instant) -> SlotOutcome {
+        let deadline = started + self.timeout;
+        let timed_out = || Err(RemotingError::timed_out(started.elapsed(), self.timeout));
+        let mut leading = !self.leading.swap(true, Ordering::Acquire);
+        let outcome = loop {
+            // Only the leader completes slots, so it merely polls its own.
+            match slot.park(if leading { Instant::now() } else { deadline }) {
+                Wake::Done(outcome) => break outcome,
+                Wake::Lead => leading = true,
+                Wake::Timeout if leading => match self.readable(deadline) {
+                    Ok(true) => self.route_frame(),
+                    Ok(false) => break timed_out(),
+                    Err(e) => self.shared.poison(&format!("tcp read failed: {e}")),
+                },
+                Wake::Timeout => break timed_out(),
+            }
+        };
+        self.release(corr_id, slot, leading);
+        outcome
+    }
+
+    /// Unregisters `corr_id` and, when this caller holds the read half —
+    /// it led, or was handed it while giving up — passes it to a waiting
+    /// caller or frees it; under the `pending` lock, like every hand-off.
+    fn release(&self, corr_id: u64, slot: &Slot, leading: bool) {
+        let mut pending = self.shared.pending.lock();
+        pending.remove(&corr_id);
+        if leading || matches!(slot.park(Instant::now()), Wake::Lead) {
+            if pending.values().any(|s| s.promote()) {
+                parc_obs::event(parc_obs::kinds::LEADER_HANDOFF, String::new);
+            } else {
+                self.leading.store(false, Ordering::Release);
+            }
+        }
+    }
+
+    /// Waits at a frame boundary until the socket has a byte, EOF or an
+    /// error to report (`Ok(true)`) or `deadline` passes (`Ok(false)`).
+    /// On a link faster than [`SPIN`] it first polls without blocking for
+    /// up to [`SPIN`], yielding every 8th poll to a server on this CPU.
+    fn readable(&self, deadline: Instant) -> std::io::Result<bool> {
+        use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
+        let idle = |e: &std::io::Error| matches!(e.kind(), WouldBlock | TimedOut | Interrupted);
+        let mut probe = [0u8; 1];
+        if self.feedback.rtt().is_none_or(|rtt| rtt < SPIN) {
+            let until = deadline.min(Instant::now() + SPIN);
+            self.reader.set_nonblocking(true)?;
+            let mut polls = 0u32;
+            let ready = loop {
+                polls += 1;
+                match self.reader.peek(&mut probe) {
+                    Err(e) if idle(&e) && Instant::now() < until => {}
+                    ready => break ready,
+                }
+                std::hint::spin_loop();
+                if polls.is_multiple_of(8) {
+                    std::thread::yield_now();
+                }
+            };
+            self.reader.set_nonblocking(false)?;
+            let hit = !matches!(&ready, Err(e) if idle(e));
+            let kind = if hit { parc_obs::kinds::SPIN_HIT } else { parc_obs::kinds::SPIN_MISS };
+            parc_obs::event(kind, || format!("polls={polls}"));
+            if hit {
+                return ready.map(|_| true);
+            }
+        }
+        loop {
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            if remaining.is_zero() {
+                return Ok(false);
+            }
+            self.reader.set_read_timeout(Some(remaining))?;
+            let ready = self.reader.peek(&mut probe);
+            self.reader.set_read_timeout(Some(self.timeout))?;
+            match ready {
+                Err(e) if idle(&e) => {}
+                ready => return ready.map(|_| true),
+            }
+        }
+    }
+
+    /// Reads one frame and completes the slot it answers; EOF, a read
+    /// error or a malformed reply poisons the connection.
+    fn route_frame(&self) {
+        let pool = bufpool::global();
+        let mut payload = pool.checkout();
+        // The server's backlog report (if any) is peeled off by handing
+        // the caller the offset its body starts at.
+        let routed = match frame::read_frame_into(&mut &self.reader, &mut payload) {
+            Ok(FrameRead::Frame(header)) => frame::split_depth_ext(&header, &payload)
+                .map(|(ext, body)| (header.corr_id, ext, payload.len() - body.len()))
+                .map_err(|e| format!("malformed depth extension: {e}")),
+            Ok(FrameRead::Idle) => return pool.checkin(payload),
+            Ok(FrameRead::Eof) => Err("server closed connection".to_string()),
+            Err(e) => Err(format!("tcp read failed: {e}")),
+        };
+        let (corr_id, ext, body) = match routed {
+            Ok(routed) => routed,
+            Err(detail) => {
+                pool.checkin(payload);
+                return self.shared.poison(&detail);
+            }
+        };
+        if let Some(ext) = ext {
+            self.feedback.record_depth(ext.pending as usize, ext.busiest as usize);
+        }
+        match self.shared.pending.lock().remove(&corr_id) {
+            Some(slot) => slot.complete(Ok((payload, body))),
+            // Unknown id: a reply that raced a caller's timeout (its slot
+            // is gone) — drop it and keep the stream healthy.
+            None => pool.checkin(payload),
+        }
     }
 
     fn post(&self, msg: &CallMessage) -> Result<usize, RemotingError> {
@@ -494,65 +638,10 @@ impl MuxConnection {
     }
 }
 
-impl Drop for MuxConnection {
-    fn drop(&mut self) {
-        // Unblock the reader (it is parked in `read`) and reap it.
-        let _ = self.writer.lock().shutdown(std::net::Shutdown::Both);
-        if let Some(reader) = self.reader.take() {
-            let _ = reader.join();
-        }
-    }
-}
-
-fn reader_loop(mut stream: TcpStream, shared: &Arc<MuxShared>, feedback: &LinkFeedback) {
-    let pool = bufpool::global();
-    loop {
-        let mut payload = pool.checkout();
-        let header = match frame::read_frame_into(&mut stream, &mut payload) {
-            Ok(FrameRead::Frame(h)) => h,
-            Ok(FrameRead::Idle) => {
-                pool.checkin(payload);
-                continue;
-            }
-            Ok(FrameRead::Eof) => {
-                pool.checkin(payload);
-                shared.poison("server closed connection");
-                return;
-            }
-            Err(e) => {
-                pool.checkin(payload);
-                shared.poison(&format!("tcp read failed: {e}"));
-                return;
-            }
-        };
-        // Peel the server's backlog report (if any) off the reply; the
-        // caller decodes from the offset its body starts at.
-        let body = match frame::split_depth_ext(&header, &payload) {
-            Ok((ext, body)) => {
-                if let Some(ext) = ext {
-                    feedback.record_depth(ext.pending as usize, ext.busiest as usize);
-                }
-                payload.len() - body.len()
-            }
-            Err(e) => {
-                pool.checkin(payload);
-                shared.poison(&format!("malformed depth extension: {e}"));
-                return;
-            }
-        };
-        match shared.pending.lock().remove(&header.corr_id) {
-            Some(slot) => slot.complete(Ok((payload, body))),
-            // Unknown id: a reply that raced a caller's timeout (its slot
-            // is gone) — drop it and keep the stream healthy.
-            None => pool.checkin(payload),
-        }
-    }
-}
-
 /// Client half of the TCP channel: a small pool of multiplexed
 /// connections; calls from any number of threads pipeline freely.
 ///
-/// A connection whose reader dies (server restart, network blip) used to
+/// A connection that breaks (server restart, network blip) used to
 /// poison its pool slot forever. Now each slot is swappable: the first
 /// caller to hit the poisoned connection reconnects it, installing a
 /// fresh socket with a fresh (empty) correlation slot table, and retries
@@ -629,9 +718,9 @@ impl TcpClientChannel {
         self.timeout
     }
 
-    /// Severs every pooled socket (test hook): readers observe the
-    /// shutdown and poison their connections exactly like a real network
-    /// failure, so reconnect paths can be exercised deterministically
+    /// Severs every pooled socket (test hook): the next call on each
+    /// observes the shutdown and poisons its connection exactly like a
+    /// real network failure, so reconnect paths can be exercised deterministically
     /// against a still-live server.
     pub fn break_connections(&self) {
         for slot in &self.connections {
@@ -732,8 +821,8 @@ impl std::fmt::Debug for TcpClientChannel {
 
 /// Channel provider resolving `tcp://host:port/Object` URIs, with one
 /// cached channel per authority. The channel's shape follows
-/// [`Transport::from_env`]: multiplexed thread-per-connection by default,
-/// the shared reactor pool under `PARC_TRANSPORT=reactor`.
+/// [`Transport::from_env`]: multiplexed connections by default, the
+/// shared reactor pool under `PARC_TRANSPORT=reactor`.
 pub struct TcpChannelProvider {
     cache: Mutex<std::collections::HashMap<String, Arc<dyn ClientChannel>>>,
     transport: Transport,
@@ -1165,7 +1254,7 @@ mod tests {
         );
         assert!(proxy.call("echo", vec![Value::I32(1)]).is_ok());
         drop(server);
-        // Once the reader observes the close, calls must fail quickly with
+        // Once a read observes the close, calls must fail quickly with
         // a transport error rather than waiting out the 30 s timeout.
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {

@@ -6,7 +6,8 @@
 //! shares one receiver among its workers), unbounded and bounded
 //! variants, blocking `recv`, and `recv_timeout`. Disconnection follows
 //! the usual contract: `recv` fails once every sender is gone and the
-//! queue is drained; `send` fails once every receiver is gone.
+//! queue is drained; `send` fails once every receiver is gone, and the
+//! last receiver's drop drops whatever was still queued.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -232,6 +233,13 @@ impl<T> Drop for Receiver<T> {
         if state.receivers == 0 {
             // Senders blocked on a full bounded channel must observe it.
             self.0.not_full.notify_all();
+            // Nobody can receive what is queued: drop it now, not with the
+            // last sender, so whatever the messages own (reply senders,
+            // buffers) is released — outside the lock, since dropping a
+            // message may drop a handle to this very channel.
+            let orphans = std::mem::take(&mut state.queue);
+            drop(state);
+            drop(orphans);
         }
     }
 }

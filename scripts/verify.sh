@@ -41,11 +41,23 @@ cargo run --release --offline -q -p parc-obs --bin parc-trace-check -- \
 echo "ok: obs smoke test passed (${batch_flushed} batch_flushed events, trace valid)"
 
 # Gate 4: failure injection against the multiplexed TCP channel. Dead
-# servers must surface as transport/timeout errors promptly — the mux
-# reader thread has to fail pending and future calls when its connection
-# breaks, not leave callers parked until the 30 s reply deadline.
+# servers must surface as transport/timeout errors promptly — a broken
+# connection has to fail pending and future calls, not leave callers
+# parked until the 30 s reply deadline — and a stopped inproc endpoint
+# must fail the calls still queued for it at once. The run is timed
+# (built first, so compiling is not counted): over 10 s means some call
+# waited out its deadline. Then the suite runs again under --release,
+# the profile in which a farm map used to finish before its mid-run kill.
+cargo test -q --offline --test failure_injection --no-run
+started_ns=$(date +%s%N)
 cargo test -q --offline --test failure_injection
-echo "ok: failure injection passes against the multiplexed channel"
+elapsed_ms=$(( ($(date +%s%N) - started_ns) / 1000000 ))
+if [ "${elapsed_ms}" -gt 10000 ]; then
+    echo "FAIL: failure injection took ${elapsed_ms} ms (limit 10000): a call waited out its deadline" >&2
+    exit 1
+fi
+cargo test -q --release --offline --test failure_injection
+echo "ok: failure injection passes against the multiplexed channel (${elapsed_ms} ms debug, and under --release)"
 
 # Gate 5: mailbox dispatch. The suite proves per-object FIFO under
 # concurrent clients, cross-object overlap, stalled-object isolation, and
@@ -80,14 +92,15 @@ for seed in 11 12; do
 done
 
 # Gate 7: reactor transport. The conformance suite proves the
-# readiness-driven transport is semantically identical to the
-# thread-per-connection mux transport (FIFO ordering, one-way/two-way
-# interleaving, reply-by-correlation-ID, poison-on-death, unknown-frame
-# tolerance, hostile request frames) by running every invariant over
-# both. Then a traced sieve run hosted entirely over reactor sockets
-# must actually push frames through the reactor (reactor.frames > 0 in
-# the metrics summary), compute the correct primes (the example asserts
-# them), and emit a structurally valid Chrome trace.
+# readiness-driven transport is semantically identical to the mux
+# transport (FIFO ordering, one-way/two-way interleaving,
+# reply-by-correlation-ID, poison-on-death, unknown-frame tolerance,
+# hostile request frames) by running every invariant over both, and pins
+# the mux client's leader/follower reads. Then a traced sieve run hosted
+# entirely over reactor sockets must actually push frames through the
+# reactor (reactor.frames > 0 in the metrics summary), compute the
+# correct primes (the example asserts them), and emit a structurally
+# valid Chrome trace.
 cargo test -q --offline --test transport_conformance
 reactor_out=$(PARC_OBS=1 cargo run --release --offline -q --example reactor_sieve 2>&1)
 reactor_frames=$(printf '%s\n' "$reactor_out" | awk '$1 == "reactor.frames" { print $2 }')

@@ -563,14 +563,29 @@ fn sieve_keeps_producing_correct_primes_after_killing_a_node() {
 #[test]
 fn farm_map_completes_while_a_node_is_killed_mid_run() {
     // Stateless workers + transparent failover: killing one of three
-    // nodes *while* the map runs must not lose or corrupt any result.
+    // nodes *while* the map runs must not lose or corrupt any result. The
+    // kill lands mid-run by construction, not by a sleep: the first item
+    // from GATE on sets the killer off, and no such item completes until
+    // node 1's endpoint is gone, so 500 - GATE items are left to fail over.
+    const GATE: i64 = 100;
     let mut b = ParcRuntime::builder();
     b.nodes(3);
     let rt = Arc::new(b.build().unwrap());
-    rt.register_class("Squarer", || {
-        Arc::new(FnInvokable(|method: &str, args: &[Value]| match method {
+    let (arrived, gate) = parc_sync::channel::unbounded::<()>();
+    let net = rt.network().clone();
+    rt.register_class("Squarer", move || {
+        let (arrived, net) = (arrived.clone(), net.clone());
+        Arc::new(FnInvokable(move |method: &str, args: &[Value]| match method {
             "square" => {
                 let x = args[0].as_i64().unwrap_or(0);
+                if x >= GATE {
+                    let _ = arrived.send(());
+                    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+                    while net.endpoint_names().iter().any(|n| n == "node1") {
+                        assert!(std::time::Instant::now() < deadline, "node 1 was never killed");
+                        std::thread::yield_now();
+                    }
+                }
                 Ok(Value::I64(x * x))
             }
             _ => Err(RemotingError::MethodNotFound {
@@ -583,7 +598,7 @@ fn farm_map_completes_while_a_node_is_killed_mid_run() {
     let killer = {
         let rt = Arc::clone(&rt);
         std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(5));
+            gate.recv().expect("an item reaches the gate");
             rt.kill_node(1)
         })
     };
@@ -592,6 +607,10 @@ fn farm_map_completes_while_a_node_is_killed_mid_run() {
     assert!(killer.join().unwrap(), "the killer thread took node 1 down");
     let squares: Vec<i64> = out.iter().map(|v| v.as_i64().unwrap()).collect();
     assert_eq!(squares, (0..500).map(|i| i * i).collect::<Vec<i64>>());
+    // A worker only fails over on its next call, and a fast sibling may
+    // have drained the map queue first; touch every worker before
+    // checking that none of them is left on the dead node.
+    farm.gather("square", vec![Value::I64(0)]).unwrap();
     assert!(
         farm.workers().iter().all(|w| w.node() != Some(1)),
         "no worker may still claim the dead node"

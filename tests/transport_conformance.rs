@@ -17,6 +17,12 @@
 //! * depth-extended replies decode from the body's offset at every body
 //!   size, and a reply too short for its depth extension poisons.
 //!
+//! Then the mux client's own contract — its callers read their replies
+//! themselves, one leader at a time: a slow leader routes the fast replies
+//! behind it, a timed-out leader hands the read half to a follower, peer
+//! death fails every parked follower fast, no reader thread exists, and a
+//! slow link stops polling before its blocking reads.
+//!
 //! Also here: parc-testkit property tapes for [`FrameAssembler`] — the
 //! reactor's incremental reassembly must decode a frame stream
 //! identically for *any* chunking of the bytes, reject oversize frames
@@ -27,6 +33,7 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use parc_sync::channel::{unbounded, Receiver, Sender};
 use parc_testkit::Config;
 
 use parc::remoting::dispatcher::FnInvokable;
@@ -482,6 +489,198 @@ fn reply_shorter_than_its_depth_extension_poisons_on_every_transport() {
         }
         liar.join().expect("liar server thread");
     }
+}
+
+// ---------------------------------------------------------------------------
+// Mux client: callers read their own replies (leader/follower)
+// ---------------------------------------------------------------------------
+
+/// A mux channel over exactly one socket, so every caller shares one read
+/// half.
+fn mux_single(addr: &str, timeout: Duration) -> Arc<dyn ClientChannel> {
+    Arc::new(TcpClientChannel::connect_pooled_with_timeout(addr, 1, timeout).expect("mux connect"))
+}
+
+/// An object whose every call announces that it started, then holds until
+/// the test releases it (bounded, so a broken client cannot hang the
+/// suite). Returns the object, the start signal and the release handle.
+fn gated() -> (Arc<dyn Invokable>, Receiver<()>, Sender<()>) {
+    let (started_tx, started_rx) = unbounded();
+    let (release_tx, release_rx) = unbounded::<()>();
+    let object = Arc::new(FnInvokable(move |_: &str, _: &[Value]| {
+        let _ = started_tx.send(());
+        release_rx
+            .recv_timeout(Duration::from_secs(10))
+            .map(|()| Value::Null)
+            .map_err(|_| RemotingError::ServerFault { detail: "never released".into() })
+    }));
+    (object, started_rx, release_tx)
+}
+
+/// A slow call holds the read half while fast calls pipelined behind it on
+/// the same socket come and go: the leader routes their replies as they
+/// land instead of sitting on them until its own arrives.
+#[test]
+fn mux_slow_leader_routes_fast_replies_pipelined_behind_it() {
+    let server = Server::bind(Transport::Mux);
+    let (slow, slow_started, release) = gated();
+    server.objects().register_singleton("Slow", slow);
+    server.objects().register_singleton("Echo", echo());
+    let chan = mux_single(&server.addr(), Duration::from_secs(30));
+    std::thread::scope(|scope| {
+        let leader =
+            scope.spawn(|| RemoteObject::new(Arc::clone(&chan), "Slow").call("hold", vec![]));
+        slow_started.recv_timeout(Duration::from_secs(10)).expect("slow call reached the server");
+        let fast = RemoteObject::new(Arc::clone(&chan), "Echo");
+        for i in 0..20 {
+            assert_eq!(fast.call("echo", vec![Value::I32(i)]).unwrap(), Value::I32(i));
+        }
+        assert!(!leader.is_finished(), "fast replies waited for the slow one");
+        release.send(()).unwrap();
+        assert_eq!(leader.join().unwrap().unwrap(), Value::Null);
+    });
+}
+
+/// A leader whose 50 ms deadline passes hands the read half on: the
+/// follower parked behind it still gets its reply, which the server only
+/// sends once the leader has given up.
+#[test]
+fn mux_timed_out_leader_hands_the_read_half_to_a_follower() {
+    let server = Server::bind(Transport::Mux);
+    let (stuck, stuck_started, stuck_release) = gated();
+    let (late, late_started, late_release) = gated();
+    server.objects().register_singleton("Stuck", stuck);
+    server.objects().register_singleton("Late", late);
+    let chan = mux_single(&server.addr(), Duration::from_millis(50));
+    std::thread::scope(|scope| {
+        let leader =
+            scope.spawn(|| RemoteObject::new(Arc::clone(&chan), "Stuck").call("hold", vec![]));
+        stuck_started.recv_timeout(Duration::from_secs(10)).expect("leader's call reached server");
+        // Half-way into the leader's deadline: the follower parks behind
+        // it, and its own deadline outlives the leader's by 25 ms.
+        std::thread::sleep(Duration::from_millis(25));
+        let follower =
+            scope.spawn(|| RemoteObject::new(Arc::clone(&chan), "Late").call("hold", vec![]));
+        late_started.recv_timeout(Duration::from_secs(10)).expect("follower's call reached server");
+        match leader.join().unwrap() {
+            Err(RemotingError::Timeout { deadline, .. }) => {
+                assert_eq!(deadline, Duration::from_millis(50));
+            }
+            other => panic!("leader should have timed out, got {other:?}"),
+        }
+        late_release.send(()).unwrap();
+        assert_eq!(
+            follower.join().unwrap().expect("follower's reply arrived after the leader left"),
+            Value::Null
+        );
+        stuck_release.send(()).unwrap();
+    });
+}
+
+/// Peer death with several callers waiting on one socket — one leading,
+/// the others parked as followers — fails every one of them at once with
+/// a transport error, not at its 30 s deadline.
+#[test]
+fn mux_peer_death_fails_every_parked_follower_fast() {
+    const CALLERS: i32 = 4;
+    let listener = TcpListener::bind("127.0.0.1:0").expect("binding assassin listener");
+    let addr = listener.local_addr().unwrap().to_string();
+    let assassin = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accepting victim");
+        drop(listener);
+        let mut payload = Vec::new();
+        for _ in 0..CALLERS {
+            let frame = read_frame_into(&mut stream, &mut payload).expect("reading a request");
+            assert!(matches!(frame, FrameRead::Frame(_)), "expected {CALLERS} requests");
+        }
+        // Every caller has sent: close on all of them.
+    });
+    let chan = mux_single(&addr, Duration::from_secs(30));
+    let started = Instant::now();
+    std::thread::scope(|scope| {
+        let callers: Vec<_> = (0..CALLERS)
+            .map(|i| {
+                let chan = Arc::clone(&chan);
+                scope.spawn(move || {
+                    RemoteObject::new(chan, "Ghost").call("anything", vec![Value::I32(i)])
+                })
+            })
+            .collect();
+        for (i, caller) in callers.into_iter().enumerate() {
+            match caller.join().unwrap() {
+                Err(RemotingError::Transport { .. }) => {}
+                other => panic!("caller {i} on a dead peer got {other:?}"),
+            }
+        }
+    });
+    assert!(
+        started.elapsed() < Duration::from_secs(10),
+        "parked callers waited for their deadline"
+    );
+    assassin.join().expect("assassin thread");
+}
+
+/// The mux client runs on its callers' threads: a pooled channel — four
+/// sockets, each used — leaves no reader thread behind.
+#[cfg(target_os = "linux")]
+#[test]
+fn mux_pool_spawns_no_reader_threads() {
+    let server = Server::bind(Transport::Mux);
+    server.objects().register_singleton("Echo", echo());
+    let chan = TcpClientChannel::connect_pooled(&server.addr(), 4).expect("mux connect");
+    assert_eq!(chan.pool_size(), 4);
+    let proxy = RemoteObject::new(Arc::new(chan), "Echo");
+    for i in 0..8 {
+        assert_eq!(proxy.call("echo", vec![Value::I32(i)]).unwrap(), Value::I32(i));
+    }
+    let readers = std::fs::read_dir("/proc/self/task")
+        .expect("listing this process's threads")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .filter(|comm| comm.trim_end() == "tcp-mux-reader")
+        .count();
+    assert_eq!(readers, 0, "a mux connection spawned a reader thread");
+}
+
+/// The poll before a blocking read is only for links that answer inside
+/// it: once a link's RTT shows a method that sleeps 5 ms, its caller parks
+/// in `read` at once. Spin outcomes are obs events; this thread's own are
+/// told apart by thread id.
+#[test]
+fn mux_slow_link_stops_spinning_after_its_first_call() {
+    use parc::obs::{kinds, Record};
+    let server = Server::bind(Transport::Mux);
+    server.objects().register_singleton(
+        "Sleepy",
+        Arc::new(FnInvokable(|_: &str, _: &[Value]| {
+            std::thread::sleep(Duration::from_millis(5));
+            Ok(Value::Null)
+        })),
+    );
+    let proxy = RemoteObject::new(mux_single(&server.addr(), Duration::from_secs(30)), "Sleepy");
+    let me = parc::obs::thread_id();
+    let spins_since = |after_ns: u64| {
+        parc::obs::recorder()
+            .snapshot()
+            .iter()
+            .filter(|r| {
+                matches!(r, Record::Event(e) if e.tid == me && e.at_ns > after_ns
+                    && (e.kind == kinds::SPIN_HIT || e.kind == kinds::SPIN_MISS))
+            })
+            .count()
+    };
+    let _obs = parc::obs::test_lock();
+    parc::obs::set_enabled(true);
+    let before = parc::obs::now_ns();
+    proxy.call("nap", vec![]).unwrap();
+    let first = spins_since(before);
+    let after_first = parc::obs::now_ns();
+    for _ in 0..4 {
+        proxy.call("nap", vec![]).unwrap();
+    }
+    let later = spins_since(after_first);
+    parc::obs::set_enabled(false);
+    assert_eq!(first, 1, "the first call, with no RTT yet, polls once and misses");
+    assert_eq!(later, 0, "a 5 ms link kept polling before its reads");
 }
 
 // ---------------------------------------------------------------------------
