@@ -10,8 +10,8 @@
 //! configuration so feedback traffic is identical whether or not the
 //! policy consumes it.
 //!
-//! Two workloads per transport (mux, reactor) and per policy
-//! (fixed 1/8/64, closed-loop controller):
+//! Two workloads per policy (fixed 1/8/64, closed-loop controller),
+//! over the TCP transport:
 //!
 //! * **uniform** — a flood of cheap one-way calls, makespan through a
 //!   drain barrier. Big fixed batches win here; the controller must stay
@@ -48,10 +48,7 @@ use parc_core::{BatchConfig, BatchController};
 use parc_remoting::channel::LinkFeedback;
 use parc_remoting::dispatcher::FnInvokable;
 use parc_remoting::tcp::{TcpClientChannel, TcpServerChannel};
-use parc_remoting::{
-    ClientChannel, Invokable, ObjectTable, ReactorClientChannel, ReactorServerChannel,
-    RemoteObject, RemotingError,
-};
+use parc_remoting::{ClientChannel, Invokable, ObjectTable, RemoteObject, RemotingError};
 use parc_serial::{BinaryFormatter, Value};
 
 /// Fixed dispatch cost charged per wire message by the "bulk" object.
@@ -151,49 +148,23 @@ fn register_objects(objects: &ObjectTable, state: &ServerState) {
     );
 }
 
-/// Keeps whichever server variant alive for the config's lifetime (the
-/// fields are never read — dropping them closes the listener).
-#[allow(dead_code)]
-enum Server {
-    Mux(TcpServerChannel),
-    Reactor(ReactorServerChannel),
-}
-
-fn start_server(transport: &str, state: &ServerState) -> (Server, String) {
+/// Binds the server; the caller keeps it alive for the config's lifetime.
+fn start_server(state: &ServerState) -> (TcpServerChannel, String) {
     // One worker pins the drain rate: backlog is real, not absorbed by
-    // spare cores, and both transports dispatch identically.
-    let workers = 1;
-    match transport {
-        "mux" => {
-            let server =
-                TcpServerChannel::bind_with_workers("127.0.0.1:0", workers).expect("bind mux server");
-            register_objects(server.objects(), state);
-            let addr = server.local_addr().to_string();
-            (Server::Mux(server), addr)
-        }
-        _ => {
-            let server = ReactorServerChannel::bind_with_workers("127.0.0.1:0", workers)
-                .expect("bind reactor server");
-            register_objects(server.objects(), state);
-            let addr = server.local_addr().to_string();
-            (Server::Reactor(server), addr)
-        }
-    }
+    // spare cores.
+    let server = TcpServerChannel::bind_with_workers("127.0.0.1:0", 1).expect("bind server");
+    register_objects(server.objects(), state);
+    let addr = server.local_addr().to_string();
+    (server, addr)
 }
 
-fn connect(transport: &str, addr: &str) -> Arc<dyn ClientChannel> {
-    match transport {
-        // Pool of one socket: batches must not round-robin across
-        // connections or the FIFO the phases assert on would be lost.
-        "mux" => Arc::new(
-            TcpClientChannel::connect_pooled_with_timeout(addr, 1, CALL_TIMEOUT)
-                .expect("connect mux client"),
-        ),
-        _ => Arc::new(
-            ReactorClientChannel::connect_with_timeout(addr, CALL_TIMEOUT)
-                .expect("connect reactor client"),
-        ),
-    }
+fn connect(addr: &str) -> Arc<dyn ClientChannel> {
+    // Pool of one socket: batches must not round-robin across
+    // connections or the FIFO the phases assert on would be lost.
+    Arc::new(
+        TcpClientChannel::connect_pooled_with_timeout(addr, 1, CALL_TIMEOUT)
+            .expect("connect client"),
+    )
 }
 
 enum Policy {
@@ -279,12 +250,12 @@ fn barrier(bulk: &RemoteObject) -> i64 {
     bulk.call("count", vec![]).expect("drain barrier").as_i64().expect("count is numeric")
 }
 
-/// Runs one (transport, policy) configuration end to end; returns
+/// Runs one policy configuration end to end; returns
 /// (uniform calls/s, bursty goodput/s).
-fn run_config(transport: &str, fixed: Option<usize>) -> (f64, f64) {
+fn run_config(fixed: Option<usize>) -> (f64, f64) {
     let state = ServerState::new();
-    let (server, addr) = start_server(transport, &state);
-    let chan = connect(transport, &addr);
+    let (server, addr) = start_server(&state);
+    let chan = connect(&addr);
     let feedback = chan.feedback().expect("transport must expose link feedback");
 
     let stop = Arc::new(AtomicBool::new(false));
@@ -367,13 +338,13 @@ fn run_config(transport: &str, fixed: Option<usize>) -> (f64, f64) {
     let before = state.executed.load(Ordering::SeqCst);
     let mut post_ns = vec![0u64; TRICKLE_TICKS];
     let start = Instant::now();
-    for tick in 0..TRICKLE_TICKS {
-        if tick >= BURST_FIRST && (tick - BURST_FIRST) % BURST_EVERY == 0 {
+    for (tick, posted) in post_ns.iter_mut().enumerate() {
+        if tick >= BURST_FIRST && (tick - BURST_FIRST).is_multiple_of(BURST_EVERY) {
             for _ in 0..BURST_CALLS {
                 batcher.push("cheap", &[]);
             }
         }
-        post_ns[tick] = state.epoch.elapsed().as_nanos() as u64;
+        *posted = state.epoch.elapsed().as_nanos() as u64;
         batcher.push("timed", &[Value::I64(tick as i64)]);
         std::thread::sleep(TICK);
     }
@@ -397,36 +368,25 @@ fn run_config(transport: &str, fixed: Option<usize>) -> (f64, f64) {
 }
 
 fn bench_adaptive_batching(_c: &mut Criterion) {
-    let mut worst_uniform = f64::INFINITY;
-    let mut worst_bursty = f64::INFINITY;
-    for transport in ["mux", "reactor"] {
-        let mut best_fixed_uniform: f64 = 0.0;
-        let mut best_fixed_bursty: f64 = 0.0;
-        let mut adaptive_uniform = 0.0;
-        let mut adaptive_bursty = 0.0;
-        for fixed in [Some(1), Some(8), Some(64), None] {
-            let label = fixed.map_or("adaptive".to_string(), |s| format!("fixed{s}"));
-            let (uniform, goodput) = run_config(transport, fixed);
-            metric(&format!("uniform_{transport}_{label}_calls_per_s"), uniform);
-            metric(&format!("bursty_{transport}_{label}_goodput_per_s"), goodput);
-            if fixed.is_some() {
-                best_fixed_uniform = best_fixed_uniform.max(uniform);
-                best_fixed_bursty = best_fixed_bursty.max(goodput);
-            } else {
-                adaptive_uniform = uniform;
-                adaptive_bursty = goodput;
-            }
+    let mut best_fixed_uniform: f64 = 0.0;
+    let mut best_fixed_bursty: f64 = 0.0;
+    let mut adaptive_uniform = 0.0;
+    let mut adaptive_bursty = 0.0;
+    for fixed in [Some(1), Some(8), Some(64), None] {
+        let label = fixed.map_or("adaptive".to_string(), |s| format!("fixed{s}"));
+        let (uniform, goodput) = run_config(fixed);
+        metric(&format!("uniform_{label}_calls_per_s"), uniform);
+        metric(&format!("bursty_{label}_goodput_per_s"), goodput);
+        if fixed.is_some() {
+            best_fixed_uniform = best_fixed_uniform.max(uniform);
+            best_fixed_bursty = best_fixed_bursty.max(goodput);
+        } else {
+            adaptive_uniform = uniform;
+            adaptive_bursty = goodput;
         }
-        let uniform_ratio = adaptive_uniform / best_fixed_uniform;
-        let bursty_ratio = adaptive_bursty / best_fixed_bursty;
-        metric(&format!("uniform_controller_vs_best_fixed_{transport}"), uniform_ratio);
-        metric(&format!("bursty_controller_vs_best_fixed_{transport}"), bursty_ratio);
-        worst_uniform = worst_uniform.min(uniform_ratio);
-        worst_bursty = worst_bursty.min(bursty_ratio);
     }
-    // The acceptance ratios report the controller's *worst* transport.
-    metric("uniform_controller_vs_best_fixed", worst_uniform);
-    metric("bursty_controller_vs_best_fixed", worst_bursty);
+    metric("uniform_controller_vs_best_fixed", adaptive_uniform / best_fixed_uniform);
+    metric("bursty_controller_vs_best_fixed", adaptive_bursty / best_fixed_bursty);
 }
 
 criterion_group!(benches, bench_adaptive_batching);

@@ -42,6 +42,7 @@ use parc_sync::{Mutex, RwLock};
 
 use crate::adapt::{BatchConfig, BatchController, GrainAdapter};
 use crate::batch::{encode_flat_call, BatchDispatcher, FLAT_BATCH_METHOD};
+use crate::config::GrainConfig;
 use crate::error::ParcError;
 use crate::runtime::FailoverState;
 use crate::stats::RuntimeStats;
@@ -102,8 +103,7 @@ impl Po {
         id: u64,
         class: String,
         target: Target,
-        aggregation_factor: usize,
-        adaptive: bool,
+        grain: &GrainConfig,
         adapter: Arc<GrainAdapter>,
         stats: RuntimeStats,
         failover: Option<Arc<FailoverState>>,
@@ -113,8 +113,8 @@ impl Po {
             class,
             target: RwLock::new(target),
             buffer: Mutex::new(AggBuffer::default()),
-            aggregation_factor,
-            adaptive,
+            aggregation_factor: grain.aggregation_factor,
+            adaptive: grain.adaptive,
             adapter,
             controller: BatchController::new(BatchConfig::from_env()),
             feedback_seen: AtomicU64::new(0),
@@ -536,10 +536,7 @@ mod tests {
     use parc_remoting::dispatcher::FnInvokable;
     use parc_remoting::inproc::InprocNetwork;
     use parc_remoting::tcp::{TcpClientChannel, TcpServerChannel};
-    use parc_remoting::{
-        ChaosChannel, FaultPlan, FaultSpec, ObjectUri, ReactorClientChannel,
-        ReactorServerChannel,
-    };
+    use parc_remoting::{ChaosChannel, FaultPlan, FaultSpec, ObjectUri};
 
     fn local_po(factor: usize) -> (Po, Arc<Mutex<Vec<i32>>>) {
         let log = Arc::new(Mutex::new(Vec::new()));
@@ -552,8 +549,7 @@ mod tests {
             1,
             "Test".into(),
             Target::Local(io),
-            factor,
-            false,
+            &GrainConfig { aggregation_factor: factor, ..GrainConfig::default() },
             Arc::new(GrainAdapter::mono_default()),
             RuntimeStats::new(),
             None,
@@ -637,8 +633,7 @@ mod tests {
                 node: 0,
                 io_name: "obj".into(),
             },
-            factor,
-            adaptive,
+            &GrainConfig { aggregation_factor: factor, adaptive, ..GrainConfig::default() },
             adapter,
             stats,
             None,
@@ -754,18 +749,6 @@ mod tests {
         let client =
             TcpClientChannel::connect_pooled_with_timeout(&addr, 1, Duration::from_secs(5))
                 .unwrap();
-        ordering_survives_chaos(chaos(Arc::new(client)), log);
-    }
-
-    #[test]
-    fn chaos_delays_never_reorder_reactor_batches() {
-        let server =
-            ReactorServerChannel::bind_with_workers("127.0.0.1:0", 2).unwrap();
-        let (io, log) = recorder();
-        server.objects().register_singleton("obj", io);
-        let addr = server.local_addr().to_string();
-        let client =
-            ReactorClientChannel::connect_with_timeout(&addr, Duration::from_secs(5)).unwrap();
         ordering_survives_chaos(chaos(Arc::new(client)), log);
     }
 }

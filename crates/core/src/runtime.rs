@@ -754,8 +754,7 @@ impl ParcRuntime {
             id,
             class.to_string(),
             Target::Local(io),
-            self.grain.aggregation_factor,
-            self.grain.adaptive,
+            &self.grain,
             Arc::clone(&self.adapter),
             self.stats.clone(),
             None,
@@ -811,8 +810,7 @@ impl ParcRuntime {
             id,
             class.to_string(),
             target,
-            self.grain.aggregation_factor,
-            self.grain.adaptive,
+            &self.grain,
             Arc::clone(&self.adapter),
             self.stats.clone(),
             Some(Arc::clone(&self.failover)),
@@ -841,8 +839,7 @@ impl ParcRuntime {
             id,
             "(proxy)".to_string(),
             Target::Remote { remote, node, io_name: parsed.object().to_string() },
-            self.grain.aggregation_factor,
-            self.grain.adaptive,
+            &self.grain,
             Arc::clone(&self.adapter),
             self.stats.clone(),
             Some(Arc::clone(&self.failover)),

@@ -321,7 +321,7 @@ mod tests {
         let (ua, ub) = (a.uri().unwrap(), b.uri().unwrap());
         // Pass the URIs in reverse: reserve must canonicalize.
         let res = rt.reserve(&[&ub, &ua, &ub]).unwrap();
-        let mut sorted = vec![ua.clone(), ub.clone()];
+        let mut sorted = [ua.clone(), ub.clone()];
         sorted.sort();
         assert_eq!(res.uris(), sorted.iter().map(String::as_str).collect::<Vec<_>>());
         assert_eq!(res.call(&ua, "add", vec![Value::I64(5)]).unwrap(), Value::I64(5));

@@ -177,15 +177,6 @@ pub const TELEMETRY_DISPATCH: &str = "telemetry.dispatch";
 /// One cluster-wide poll by a `ClusterTelemetry` aggregator.
 pub const TELEMETRY_POLL: &str = "telemetry.poll";
 
-// ---- reactor transport ----
-
-/// Counter: complete frames reassembled and dispatched by the reactor.
-pub const REACTOR_FRAMES: &str = "reactor.frames";
-/// Gauge: connections currently registered with the reactor pool.
-pub const REACTOR_CONNS: &str = "reactor.conns";
-/// Counter: idle parks taken by reactor threads (adaptive backoff).
-pub const REACTOR_PARKS: &str = "reactor.parks";
-
 // ---- baseline stacks ----
 
 /// One RMI stub call (marshal → dispatch → unmarshal).
@@ -278,9 +269,6 @@ mod tests {
             super::FLIGHT_DUMP,
             super::TELEMETRY_DISPATCH,
             super::TELEMETRY_POLL,
-            super::REACTOR_FRAMES,
-            super::REACTOR_CONNS,
-            super::REACTOR_PARKS,
             super::RMI_CALL,
             super::MPI_SEND,
             super::MPI_RECV,

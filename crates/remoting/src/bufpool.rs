@@ -69,8 +69,8 @@ impl BufferPool {
     }
 
     /// Checks out an empty buffer guaranteed to hold `capacity` bytes
-    /// without reallocating — the reactor's reply-copy path, where the
-    /// final size is known before the first byte is written.
+    /// without reallocating, for writers that know a lower bound on the
+    /// final size before the first byte is written.
     pub fn checkout_with_capacity(&self, capacity: usize) -> Vec<u8> {
         let mut buf = self.checkout();
         buf.reserve(capacity);

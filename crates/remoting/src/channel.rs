@@ -18,13 +18,10 @@ use crate::uri::ObjectUri;
 
 /// A client-side transport to one endpoint.
 ///
-/// TCP has two implementations with identical observable semantics
-/// (pinned by `tests/transport_conformance.rs`): the multiplexed
-/// [`TcpClientChannel`](crate::tcp::TcpClientChannel) (default;
-/// callers read their own replies) and the readiness-driven
-/// [`ReactorClientChannel`](crate::reactor::ReactorClientChannel),
-/// whose nonblocking sockets are swept by a fixed reactor pool
-/// (`PARC_TRANSPORT=reactor` selects it through the providers).
+/// TCP has one implementation, the multiplexed
+/// [`TcpClientChannel`](crate::tcp::TcpClientChannel), whose callers
+/// read their own replies; `tests/transport_conformance.rs` pins its
+/// semantics.
 pub trait ClientChannel: Send + Sync {
     /// Performs a synchronous two-way call.
     ///

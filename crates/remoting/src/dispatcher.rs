@@ -94,8 +94,7 @@ fn dispatch_call(objects: &ObjectTable, call: &CallMessage) -> ReturnMessage {
         .unwrap_or_else(|| ReturnMessage::fault(call.call_id, "call produced no reply"))
 }
 
-/// The one server-side path from a received frame to an invocation,
-/// shared by the threaded TCP server and the reactor server: peel the
+/// The TCP server's path from a received frame to an invocation: peel the
 /// optional trace-context extension, decode the [`CallMessage`], enqueue
 /// it on the target object's mailbox and return — the transport thread
 /// never runs a method body. One-way posts, batches and two-way calls

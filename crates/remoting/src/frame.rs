@@ -20,8 +20,8 @@
 //! are a trace-context extension (trace id, parent span id and a
 //! sampling word, each u64 big-endian) and the formatter bytes start
 //! after it. The extension is *counted inside the length field*, so
-//! framing-level readers ([`read_frame_into`], [`FrameAssembler`]) need
-//! no changes at all — dispatchers peel it off with [`split_trace_ext`].
+//! framing-level readers ([`read_frame_into`]) need no changes at all —
+//! dispatchers peel it off with [`split_trace_ext`].
 //! A receiver that ignores the flag still sees a well-formed frame; it
 //! just fails to decode the payload, exactly as for any version skew.
 //!
@@ -296,15 +296,13 @@ pub fn write_frame(
 }
 
 /// Maximum head size: fixed header plus the trace extension.
-pub const TRACED_HEAD_MAX: usize = HEADER_LEN + TRACE_EXT_LEN;
+const TRACED_HEAD_MAX: usize = HEADER_LEN + TRACE_EXT_LEN;
 
 /// Builds the wire head (header, plus extension when `trace` is present)
 /// for a frame with `payload_len` formatter bytes. Returns the buffer
 /// and the number of valid bytes in it — [`HEADER_LEN`] untraced,
-/// [`TRACED_HEAD_MAX`] traced. Transports that hand-roll their writes
-/// (the reactor's non-blocking path) use this instead of
-/// [`write_frame_traced`].
-pub fn traced_head(
+/// [`TRACED_HEAD_MAX`] traced.
+fn traced_head(
     corr_id: u64,
     flags: u8,
     trace: Option<TraceExt>,
@@ -353,14 +351,14 @@ pub fn write_frame_traced(
 }
 
 /// Maximum reply-head size: fixed header plus the depth extension.
-pub const DEPTH_HEAD_MAX: usize = HEADER_LEN + DEPTH_EXT_LEN;
+const DEPTH_HEAD_MAX: usize = HEADER_LEN + DEPTH_EXT_LEN;
 
 /// Builds the wire head (header, plus extension when `depth` is present)
 /// for a reply frame with `payload_len` formatter bytes. Returns the
 /// buffer and the number of valid bytes in it — [`HEADER_LEN`] plain,
 /// [`DEPTH_HEAD_MAX`] with backlog feedback. The reply analogue of
 /// [`traced_head`].
-pub fn depth_head(
+fn depth_head(
     corr_id: u64,
     flags: u8,
     depth: Option<DepthExt>,
@@ -501,20 +499,10 @@ fn truncated(what: &'static str) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::UnexpectedEof, what)
 }
 
-/// Incremental v2 frame reassembly for readiness-driven transports.
-///
-/// A blocking reader can call [`read_frame_into`] and park until a whole
-/// frame arrives; a reactor cannot — it gets whatever bytes the socket
-/// had ready, at arbitrary boundaries (mid-header, mid-payload, three
-/// frames and a half in one chunk). The assembler is the state machine
-/// between those chunks and complete frames: feed it every chunk in
-/// arrival order and it emits each completed frame exactly once, reusing
-/// one internal payload allocation across the connection's lifetime.
-///
-/// Oversized declared lengths are rejected the moment the header is
-/// complete — before any payload byte is buffered — exactly like
-/// [`read_frame_into`]; the connection owning a poisoned assembler must
-/// be torn down (the stream can no longer be resynced).
+/// Incremental v2 frame reassembly from chunks at arbitrary boundaries.
+/// No transport uses it: every reader calls [`read_frame_into`]. It is
+/// kept only for the `callpath` benchmark, whose `frame.reassemble_ns`
+/// row times it.
 #[derive(Debug, Default)]
 pub struct FrameAssembler {
     header: [u8; HEADER_LEN],
@@ -530,23 +518,13 @@ impl FrameAssembler {
         FrameAssembler::default()
     }
 
-    /// True when bytes of a partially-received frame are buffered — i.e.
-    /// the stream is *not* at a frame boundary. EOF while `mid_frame()`
-    /// is truncation; EOF at a boundary is a clean close.
-    pub fn mid_frame(&self) -> bool {
-        self.have_header > 0 || self.pending.is_some()
-    }
-
     /// Consumes one chunk, invoking `sink` once per frame completed by
-    /// it (possibly zero, possibly several). The payload slice handed to
-    /// `sink` is only valid for the duration of the callback — copy it
-    /// out if it must outlive the call.
+    /// it (possibly zero, possibly several).
     ///
     /// # Errors
     ///
     /// `InvalidData` when a completed header declares more than
-    /// [`MAX_FRAME`] payload bytes. The assembler is then poisoned
-    /// mid-frame; feeding further chunks keeps erroring.
+    /// [`MAX_FRAME`] payload bytes.
     pub fn feed(
         &mut self,
         mut chunk: &[u8],
@@ -562,10 +540,6 @@ impl FrameAssembler {
                     self.have_header += take;
                     chunk = &chunk[take..];
                     if self.have_header == HEADER_LEN {
-                        // Oversize is rejected here, mid-reassembly, with
-                        // no payload allocation — and the header bytes are
-                        // deliberately NOT consumed back to zero, so the
-                        // assembler stays visibly mid-frame (poisoned).
                         let header = FrameHeader::from_bytes(&self.header)?;
                         self.payload.clear();
                         if header.len == 0 {
@@ -679,15 +653,6 @@ mod tests {
         }
     }
 
-    fn collect_frames(
-        assembler: &mut FrameAssembler,
-        chunk: &[u8],
-    ) -> std::io::Result<Vec<(FrameHeader, Vec<u8>)>> {
-        let mut out = Vec::new();
-        assembler.feed(chunk, &mut |h, p| out.push((h, p.to_vec())))?;
-        Ok(out)
-    }
-
     #[test]
     fn assembler_handles_byte_at_a_time_delivery() {
         let mut wire = Vec::new();
@@ -697,9 +662,8 @@ mod tests {
         let mut asm = FrameAssembler::new();
         let mut got = Vec::new();
         for b in &wire {
-            got.extend(collect_frames(&mut asm, std::slice::from_ref(b)).unwrap());
+            asm.feed(std::slice::from_ref(b), &mut |h, p| got.push((h, p.to_vec()))).unwrap();
         }
-        assert!(!asm.mid_frame());
         let want = [
             (3u64, true, b"ab".to_vec()),
             (4, false, Vec::new()),
@@ -709,44 +673,6 @@ mod tests {
         for ((h, p), (corr, oneway, payload)) in got.iter().zip(&want) {
             assert_eq!((h.corr_id, h.oneway(), p), (*corr, *oneway, payload));
         }
-    }
-
-    #[test]
-    fn assembler_emits_multiple_frames_from_one_chunk() {
-        let mut wire = Vec::new();
-        for i in 0..5u64 {
-            write_frame(&mut wire, i, 0, &vec![i as u8; i as usize]).unwrap();
-        }
-        let mut asm = FrameAssembler::new();
-        let got = collect_frames(&mut asm, &wire).unwrap();
-        assert_eq!(got.len(), 5);
-        assert!(!asm.mid_frame());
-    }
-
-    #[test]
-    fn assembler_reports_mid_frame_after_truncation() {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, 9, 0, b"abcdef").unwrap();
-        for cut in [1, HEADER_LEN - 1, HEADER_LEN, HEADER_LEN + 2] {
-            let mut asm = FrameAssembler::new();
-            let got = collect_frames(&mut asm, &wire[..cut]).unwrap();
-            assert!(got.is_empty(), "cut at {cut} emitted a frame");
-            assert!(asm.mid_frame(), "cut at {cut} not reported mid-frame");
-        }
-    }
-
-    #[test]
-    fn assembler_rejects_oversize_mid_reassembly() {
-        let mut raw = FrameHeader { corr_id: 1, flags: 0, len: 0 }.to_bytes().to_vec();
-        raw[0..4].copy_from_slice(&u32::MAX.to_be_bytes());
-        let mut asm = FrameAssembler::new();
-        // Split the poisoned header across two chunks: the error must fire
-        // exactly when the header completes, and the assembler stays
-        // poisoned for later chunks.
-        assert!(collect_frames(&mut asm, &raw[..7]).is_ok());
-        let err = collect_frames(&mut asm, &raw[7..]).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(asm.mid_frame());
     }
 
     #[test]
@@ -780,23 +706,6 @@ mod tests {
         let (ext, rest) = split_trace_ext(&h, b"abc").unwrap();
         assert_eq!(ext, None);
         assert_eq!(rest, b"abc");
-    }
-
-    #[test]
-    fn traced_frames_reassemble_through_the_assembler() {
-        let ext = TraceExt { trace_id: 3, parent_span_id: 4, sampling: 1 };
-        let mut wire = Vec::new();
-        write_frame_traced(&mut wire, 11, 0, Some(ext), b"xy").unwrap();
-        let mut asm = FrameAssembler::new();
-        let mut got = Vec::new();
-        for b in &wire {
-            got.extend(collect_frames(&mut asm, std::slice::from_ref(b)).unwrap());
-        }
-        assert_eq!(got.len(), 1);
-        let (h, p) = &got[0];
-        let (stripped, rest) = split_trace_ext(h, p).unwrap();
-        assert_eq!(stripped, Some(ext));
-        assert_eq!(rest, b"xy");
     }
 
     #[test]
@@ -851,23 +760,6 @@ mod tests {
         let (ext, rest) = split_depth_ext(&h, b"abc").unwrap();
         assert_eq!(ext, None);
         assert_eq!(rest, b"abc");
-    }
-
-    #[test]
-    fn depth_frames_reassemble_through_the_assembler() {
-        let ext = DepthExt { pending: 9, busiest: 3 };
-        let mut wire = Vec::new();
-        write_frame_depth(&mut wire, 21, 0, Some(ext), b"xy").unwrap();
-        let mut asm = FrameAssembler::new();
-        let mut got = Vec::new();
-        for b in &wire {
-            got.extend(collect_frames(&mut asm, std::slice::from_ref(b)).unwrap());
-        }
-        assert_eq!(got.len(), 1);
-        let (h, p) = &got[0];
-        let (stripped, rest) = split_depth_ext(h, p).unwrap();
-        assert_eq!(stripped, Some(ext));
-        assert_eq!(rest, b"xy");
     }
 
     #[test]

@@ -73,7 +73,6 @@ pub mod lease;
 pub mod macros;
 pub mod mailbox;
 pub mod message;
-pub mod reactor;
 pub mod reserve;
 pub mod retry;
 pub mod tcp;
@@ -91,7 +90,6 @@ pub use forward::Forwarder;
 pub use lease::LeaseManager;
 pub use mailbox::{DispatchDepth, DispatchStats, MailboxScheduler};
 pub use message::{CallMessage, ReturnMessage};
-pub use reactor::{ReactorClientChannel, ReactorServerChannel};
 pub use reserve::{
     claim_alias, is_claim_plane, register_claimable, ClaimGate, ClaimStats, ClaimTable,
     CLAIM_METHOD, RELEASE_METHOD,

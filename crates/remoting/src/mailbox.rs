@@ -450,14 +450,6 @@ impl DispatchDepth {
             .map_or(0, |mb| mb.queue.lock().jobs.len())
     }
 
-    /// True when the total backlog exceeds `limit` — the reactor's
-    /// read-throttle predicate: past the high-water mark it stops
-    /// *reading* server sockets (one cheap atomic load per sweep) and
-    /// lets TCP flow control push back on the clients.
-    pub fn saturated(&self, limit: usize) -> bool {
-        self.pending() > limit
-    }
-
     /// Counter snapshot through the live handle — what the telemetry
     /// plane reads without holding the scheduler itself.
     pub fn stats(&self) -> DispatchStats {

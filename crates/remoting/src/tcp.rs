@@ -23,9 +23,9 @@
 //! written back in completion order; the correlation ID is what makes
 //! out-of-order replies safe.
 //!
-//! `PARC_TRANSPORT=reactor` swaps the client for
-//! [`crate::reactor::ReactorClientChannel`] (connections served by a
-//! shared pool of reactor threads); see [`Transport`].
+//! This is the only TCP transport, like Mono's one `TcpChannel`: a
+//! blocking reader per server connection serves 1 024 sockets at the
+//! same call rate as one (DESIGN §11).
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -60,36 +60,18 @@ pub const DEFAULT_POOL_SIZE: usize = 2;
 /// Environment variable overriding the per-authority socket-pool size.
 pub const POOL_SIZE_ENV: &str = "PARC_TCP_POOL";
 
-/// Environment variable selecting the client transport the
-/// [`TcpChannelProvider`] opens for `tcp://` URIs: `reactor` multiplexes
-/// onto the shared readiness-driven reactor pool
-/// ([`crate::reactor::ReactorClientChannel`]), anything else (or unset)
-/// means the multiplexed client ([`TcpClientChannel`]).
-pub const TRANSPORT_ENV: &str = "PARC_TRANSPORT";
-
 /// A leader polls its socket this long before parking in `read`, so a
 /// prompt reply finds its CPU running; links slower (RTT EWMA) never poll.
 const SPIN: Duration = Duration::from_micros(30);
 
-/// Which client transport serves `tcp://` URIs.
+/// The client transport serving `tcp://` URIs. There is one; the type
+/// is kept only because the `callpath` benchmark records
+/// [`TcpChannelProvider::transport`] in its environment block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Transport {
     /// Multiplexed pipelined connections whose callers read their own
-    /// replies (the default): lowest single-caller latency.
+    /// replies.
     Mux,
-    /// Nonblocking sockets multiplexed onto the shared reactor pool: no
-    /// per-connection threads at all, for wide fan-in.
-    Reactor,
-}
-
-impl Transport {
-    /// The configured transport ([`TRANSPORT_ENV`]).
-    pub fn from_env() -> Transport {
-        match std::env::var(TRANSPORT_ENV).as_deref() {
-            Ok("reactor") => Transport::Reactor,
-            _ => Transport::Mux,
-        }
-    }
 }
 
 /// The configured pool size: `PARC_TCP_POOL` when set and positive,
@@ -279,19 +261,17 @@ fn serve_connection(
 }
 
 /// One completion slot a caller parks on while its call is in flight.
-/// Shared with the reactor client, whose callers park exactly the same
-/// way — only the thread that *completes* the slot differs.
-pub(crate) struct Slot {
+struct Slot {
     state: Mutex<SlotState>,
     cv: Condvar,
 }
 
 /// The pooled reply payload and the offset its formatter bytes start at.
-pub(crate) type SlotOutcome = Result<(Vec<u8>, usize), RemotingError>;
+type SlotOutcome = Result<(Vec<u8>, usize), RemotingError>;
 
 enum SlotState {
     Waiting,
-    /// Handed the mux connection's read half (the reactor never is).
+    /// Handed the connection's read half.
     Lead,
     Done(SlotOutcome),
 }
@@ -304,21 +284,13 @@ enum Wake {
 }
 
 impl Slot {
-    pub(crate) fn new() -> Arc<Slot> {
+    fn new() -> Arc<Slot> {
         Arc::new(Slot { state: Mutex::new(SlotState::Waiting), cv: Condvar::new() })
     }
 
-    pub(crate) fn complete(&self, outcome: SlotOutcome) {
+    fn complete(&self, outcome: SlotOutcome) {
         *self.state.lock() = SlotState::Done(outcome);
         self.cv.notify_all();
-    }
-
-    pub(crate) fn wait(&self, timeout: Duration) -> SlotOutcome {
-        let start = Instant::now();
-        match self.park(start + timeout) {
-            Wake::Done(outcome) => outcome,
-            Wake::Lead | Wake::Timeout => Err(RemotingError::timed_out(start.elapsed(), timeout)),
-        }
     }
 
     /// Parks until the slot completes, is handed the read half, or
@@ -351,28 +323,27 @@ impl Slot {
     }
 }
 
-/// State shared between callers and whichever thread demuxes replies —
-/// the leading caller (mux) or a reactor thread (reactor).
-pub(crate) struct MuxShared {
-    pub(crate) pending: Mutex<HashMap<u64, Arc<Slot>>>,
+/// State shared between a connection's callers and its leading caller,
+/// which demuxes replies.
+struct MuxShared {
+    pending: Mutex<HashMap<u64, Arc<Slot>>>,
     /// Set once the connection breaks; later calls fail fast with this detail.
-    pub(crate) dead: Mutex<Option<String>>,
+    dead: Mutex<Option<String>>,
 }
 
 impl MuxShared {
-    pub(crate) fn new() -> Arc<MuxShared> {
+    fn new() -> Arc<MuxShared> {
         Arc::new(MuxShared { pending: Mutex::new(HashMap::new()), dead: Mutex::new(None) })
     }
 
     /// Fails every parked caller and remembers why, so calls issued after
-    /// the connection broke do not block until their timeout.
-    pub(crate) fn poison(&self, detail: &str) {
+    /// the connection broke do not block until their timeout. The
+    /// `channel.inflight` gauge is left to [`MuxConnection::call`], which
+    /// still decrements once for each of these calls as it returns.
+    fn poison(&self, detail: &str) {
         *self.dead.lock() = Some(detail.to_string());
         let drained: Vec<Arc<Slot>> = self.pending.lock().drain().map(|(_, s)| s).collect();
         for slot in drained {
-            if parc_obs::is_enabled() {
-                parc_obs::gauge(parc_obs::kinds::INFLIGHT).adjust(-1);
-            }
             slot.complete(Err(RemotingError::Transport { detail: detail.to_string() }));
         }
     }
@@ -820,12 +791,9 @@ impl std::fmt::Debug for TcpClientChannel {
 }
 
 /// Channel provider resolving `tcp://host:port/Object` URIs, with one
-/// cached channel per authority. The channel's shape follows
-/// [`Transport::from_env`]: multiplexed connections by default, the
-/// shared reactor pool under `PARC_TRANSPORT=reactor`.
+/// cached [`TcpClientChannel`] per authority.
 pub struct TcpChannelProvider {
     cache: Mutex<std::collections::HashMap<String, Arc<dyn ClientChannel>>>,
-    transport: Transport,
 }
 
 impl Default for TcpChannelProvider {
@@ -835,21 +803,14 @@ impl Default for TcpChannelProvider {
 }
 
 impl TcpChannelProvider {
-    /// Creates a provider with an empty connection cache and the
-    /// environment-configured transport.
+    /// Creates a provider with an empty connection cache.
     pub fn new() -> TcpChannelProvider {
-        TcpChannelProvider::with_transport(Transport::from_env())
+        TcpChannelProvider { cache: Mutex::new(std::collections::HashMap::new()) }
     }
 
-    /// Creates a provider pinned to an explicit transport (tests and
-    /// benches select shapes without touching the process environment).
-    pub fn with_transport(transport: Transport) -> TcpChannelProvider {
-        TcpChannelProvider { cache: Mutex::new(std::collections::HashMap::new()), transport }
-    }
-
-    /// The transport this provider opens.
+    /// The transport this provider opens: always [`Transport::Mux`].
     pub fn transport(&self) -> Transport {
-        self.transport
+        Transport::Mux
     }
 }
 
@@ -865,12 +826,7 @@ impl ChannelProvider for TcpChannelProvider {
         if let Some(chan) = cache.get(uri.authority()) {
             return Ok(crate::fault::wrap_if_chaotic(Arc::clone(chan)));
         }
-        let chan: Arc<dyn ClientChannel> = match self.transport {
-            Transport::Mux => Arc::new(TcpClientChannel::connect(uri.authority())?),
-            Transport::Reactor => {
-                Arc::new(crate::reactor::ReactorClientChannel::connect(uri.authority())?)
-            }
-        };
+        let chan: Arc<dyn ClientChannel> = Arc::new(TcpClientChannel::connect(uri.authority())?);
         cache.insert(uri.authority().to_string(), Arc::clone(&chan));
         Ok(crate::fault::wrap_if_chaotic(chan))
     }
@@ -1267,5 +1223,52 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A peer that dies with three calls parked must leave
+    /// `channel.inflight` where it started: each failed call is counted
+    /// out once, not once by the poison and again by the caller.
+    #[test]
+    fn poisoned_calls_leave_the_inflight_gauge_balanced() {
+        let _guard = parc_obs::test_lock();
+        parc_obs::set_enabled(true);
+        let gauge = parc_obs::gauge(parc_obs::kinds::INFLIGHT);
+        let start = gauge.get();
+        // A bare socket that reads three calls and dies without replying.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut payload = Vec::new();
+            for _ in 0..3 {
+                let read = frame::read_frame_into(&mut stream, &mut payload).unwrap();
+                assert!(matches!(read, FrameRead::Frame(_)));
+            }
+        });
+        let chan = Arc::new(TcpClientChannel::connect_pooled(&addr, 1).unwrap());
+        std::thread::scope(|scope| {
+            for i in 0..3 {
+                let chan = Arc::clone(&chan);
+                scope.spawn(move || {
+                    let proxy =
+                        crate::channel::RemoteObject::new(chan as Arc<dyn ClientChannel>, "Echo");
+                    let outcome = proxy.call("echo", vec![Value::I32(i)]);
+                    assert!(
+                        matches!(outcome, Err(RemotingError::Transport { .. })),
+                        "{outcome:?}"
+                    );
+                });
+            }
+        });
+        server.join().unwrap();
+        // Calls other tests have in flight while recording is on move the
+        // gauge too, but only for as long as they are in flight.
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while gauge.get() != start && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let settled = gauge.get();
+        parc_obs::set_enabled(false);
+        assert_eq!(settled, start, "channel.inflight drifted by {}", settled - start);
     }
 }

@@ -1,21 +1,19 @@
-//! The paper's prime sieve rebuilt on the reactor transport: a chain of
-//! filter objects hosted on one [`ReactorServerChannel`], each stage
-//! forwarding surviving candidates to the next over its own
-//! [`ReactorClientChannel`] — so every hop crosses a real nonblocking
-//! loopback socket swept by the fixed reactor pool, with zero
-//! per-connection threads anywhere in the process.
+//! The paper's prime sieve over real TCP: a chain of filter objects
+//! hosted on one [`TcpServerChannel`], each stage forwarding surviving
+//! candidates to the next over its own single-socket
+//! [`TcpClientChannel`] — so every hop crosses a real loopback socket
+//! and the server's per-connection reader.
 //!
-//! Run with: `cargo run --example reactor_sieve [limit]`
+//! Run with: `cargo run --example tcp_sieve [limit]`
 //!
 //! Set `PARC_OBS=1` to record spans/events; the run then prints the
-//! metrics summary (including the reactor's own `reactor.frames` /
-//! `reactor.conns` signals) and writes a Chrome/Perfetto trace to
-//! `target/reactor_sieve_trace.json`.
+//! metrics summary and writes a Chrome/Perfetto trace to
+//! `target/tcp_sieve_trace.json`.
 
 use std::sync::{Arc, Mutex};
 
 use parc::remoting::dispatcher::FnInvokable;
-use parc::remoting::reactor::{self, ReactorClientChannel, ReactorServerChannel};
+use parc::remoting::tcp::{TcpClientChannel, TcpServerChannel};
 use parc::remoting::{ClientChannel, RemoteObject, RemotingError};
 use parc::serial::Value;
 
@@ -39,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "fixed filters {FILTER_PRIMES:?} only sieve correctly below 121"
     );
 
-    let server = ReactorServerChannel::bind("127.0.0.1:0")?;
+    let server = TcpServerChannel::bind("127.0.0.1:0")?;
     let addr = server.local_addr().to_string();
     let found: Arc<Mutex<Vec<i64>>> = Arc::new(Mutex::new(Vec::new()));
 
@@ -76,7 +74,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 }),
             })),
         );
-        let chan = Arc::new(ReactorClientChannel::connect(&addr)?) as Arc<dyn ClientChannel>;
+        // One socket per stage: the drain barrier below relies on posts
+        // and the call sharing one connection's arrival order.
+        let chan = Arc::new(TcpClientChannel::connect_pooled(&addr, 1)?) as Arc<dyn ClientChannel>;
         let proxy = RemoteObject::new(chan, name);
         stages.insert(0, proxy.clone());
         next = Some(proxy);
@@ -84,10 +84,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let head = next.expect("at least one filter stage");
 
     println!(
-        "sieving 2..={limit} through {} reactor-hosted stages ({} reactor threads, {} sockets)",
+        "sieving 2..={limit} through {} TCP-hosted stages ({} sockets)",
         FILTER_PRIMES.len(),
-        reactor::global().threads(),
-        reactor::global().connections(),
+        stages.len(),
     );
 
     for n in 2..=limit {
@@ -108,10 +107,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &primes[..primes.len().min(12)],
         if primes.len() > 12 { " ..." } else { "" }
     );
-    assert_eq!(primes, reference_primes(limit), "reactor sieve must agree with trial division");
+    assert_eq!(primes, reference_primes(limit), "tcp sieve must agree with trial division");
 
     if parc::obs::is_enabled() {
-        let trace = "target/reactor_sieve_trace.json";
+        let trace = "target/tcp_sieve_trace.json";
         parc::obs::export::write_chrome_trace(trace)?;
         println!("\n{}", parc::obs::export::text_summary());
         println!("chrome trace written to {trace} (load in ui.perfetto.dev)");

@@ -5,20 +5,14 @@
 #
 #   scripts/bench.sh                   # everything
 #   scripts/bench.sh obs_overhead      # just the observability costs
-#   scripts/bench.sh tcp_scaling       # reactor vs mux at 1/64/1024 sockets
 #
 # The full run includes fault_recovery, whose BENCH_fault_recovery.json
 # records farm call throughput before/during/after killing one of three
 # runtime nodes mid-run plus the p99 recovery latency from the runtime's
 # own recovery.latency histogram (recovery_throughput_ratio is the
 # acceptance ratio: post-recovery throughput must stay >= 0.8x
-# pre-fault), and tcp_scaling, whose BENCH_tcp_scaling.json sweeps the
-# reactor transport against the thread-per-connection mux client at
-# 1/64/1024 sockets — reactor_vs_mux_64_conns is the acceptance ratio
-# (must stay >= 0.9x) and reactor_resident_threads_1024_conns shows the
-# fixed-pool thread count while 1024 sockets are live, and
-# obs_propagation, whose BENCH_obs_propagation.json prices cross-node
-# trace-context injection on the mux call path
+# pre-fault), and obs_propagation, whose BENCH_obs_propagation.json
+# prices cross-node trace-context injection on the mux call path
 # (propagation_vs_recording_calls_ratio is the acceptance ratio: must
 # stay >= 0.95, i.e. injection costs <= 5% on top of span recording),
 # and rebalance, whose BENCH_rebalance.json compares O(1) ring
@@ -30,7 +24,7 @@
 # baseline, with at least one migration observed), and
 # adaptive_batching, whose BENCH_adaptive_batching.json races the
 # closed-loop batch controller against fixed batch sizes {1, 8, 64}
-# over mux and reactor (uniform_controller_vs_best_fixed must stay
+# over TCP (uniform_controller_vs_best_fixed must stay
 # >= 0.9; bursty_controller_vs_best_fixed, deadline goodput under
 # periodic floods, must stay >= 1.5), and reservations, whose
 # BENCH_reservations.json prices multi-object claims against a coarse
@@ -38,7 +32,8 @@
 # at 2x under full contention; reservation_ratio_8obj >= 2.0: disjoint
 # compound ops must overlap where the global lock serializes them).
 # The last numbers of the retired tcp_concurrency / mailbox_scaling /
-# flat-vs-list ratios are in EXPERIMENTS.md ("Retired baselines").
+# flat-vs-list / tcp_scaling benches are in EXPERIMENTS.md ("Retired
+# baselines").
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

@@ -91,27 +91,17 @@ for seed in 11 12; do
     echo "ok: chaos sieve run (seed ${seed}) injected ${injected} faults, output correct, trace valid"
 done
 
-# Gate 7: reactor transport. The conformance suite proves the
-# readiness-driven transport is semantically identical to the mux
-# transport (FIFO ordering, one-way/two-way interleaving,
-# reply-by-correlation-ID, poison-on-death, unknown-frame tolerance,
-# hostile request frames) by running every invariant over both, and pins
-# the mux client's leader/follower reads. Then a traced sieve run hosted
-# entirely over reactor sockets must actually push frames through the
-# reactor (reactor.frames > 0 in the metrics summary), compute the
-# correct primes (the example asserts them), and emit a structurally
-# valid Chrome trace.
+# Gate 7: the TCP transport. The conformance suite pins its semantics
+# (FIFO ordering, one-way/two-way interleaving, reply-by-correlation-ID,
+# poison-on-death, unknown-frame tolerance, hostile request frames, the
+# mux client's leader/follower reads). Then a traced sieve hosted over
+# real TCP sockets must compute the correct primes (the example asserts
+# them) and emit a structurally valid Chrome trace.
 cargo test -q --offline --test transport_conformance
-reactor_out=$(PARC_OBS=1 cargo run --release --offline -q --example reactor_sieve 2>&1)
-reactor_frames=$(printf '%s\n' "$reactor_out" | awk '$1 == "reactor.frames" { print $2 }')
-if [ -z "${reactor_frames}" ] || [ "${reactor_frames}" -eq 0 ]; then
-    printf '%s\n' "$reactor_out" >&2
-    echo "FAIL: traced reactor sieve run pushed no frames through the reactor" >&2
-    exit 1
-fi
+PARC_OBS=1 cargo run --release --offline -q --example tcp_sieve >/dev/null
 cargo run --release --offline -q -p parc-obs --bin parc-trace-check -- \
-    target/reactor_sieve_trace.json --min-events 10
-echo "ok: reactor transport passes (conformance suite, ${reactor_frames} reactor frames, trace valid)"
+    target/tcp_sieve_trace.json --min-events 10
+echo "ok: tcp transport passes (conformance suite, sieve over sockets, trace valid)"
 
 # Gate 8: cross-node distributed tracing. A traced 3-node sieve writes
 # one JSONL trace file per node; parc-trace-merge must join them into a
@@ -252,3 +242,8 @@ for pin in serial.encoded_bytes=262153 message.call_wire_bytes=262217 message.re
     wire_counts="${wire_counts} ${pin%%=*}=${got}"
 done
 echo "ok: wire format pinned (${wire_counts# })"
+
+# Gate 14: lints. Clippy over every target of every workspace crate,
+# warnings denied, so a lint cannot accumulate unnoticed.
+cargo clippy --offline --workspace --all-targets -- -D warnings
+echo "ok: clippy clean (workspace, all targets, -D warnings)"

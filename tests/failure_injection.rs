@@ -13,9 +13,7 @@ use std::time::Duration;
 use parc::remoting::channel::RemoteObject;
 use parc::remoting::dispatcher::FnInvokable;
 use parc::remoting::inproc::InprocNetwork;
-use parc::remoting::reactor::{ReactorClientChannel, ReactorServerChannel};
 use parc::remoting::tcp::{TcpChannelProvider, TcpClientChannel, TcpServerChannel};
-use parc::remoting::wellknown::ObjectTable;
 use parc::remoting::{
     Activator, ChaosChannel, FaultPlan, FaultSpec, LeaseManager, RemotingError, RetryPolicy,
 };
@@ -330,130 +328,75 @@ fn tcp_reconnect_recovers_idempotent_calls_under_mailbox_dispatch() {
 }
 
 // ---------------------------------------------------------------------------
-// Chaos suite: reactor transport parity
+// Chaos suite: seeded schedules over real TCP
 // ---------------------------------------------------------------------------
 //
-// The reactor transport must be *chaos-indistinguishable* from the mux
-// baseline: the same seeded plan over the same call sequence injects the
-// same schedule, produces the same outcomes, and leaves the same
-// server-side execution counts. Any divergence means the reactor changed
-// observable semantics, not just mechanics.
+// The same seeded plan over the same call sequence must inject the same
+// schedule, produce the same outcomes and leave the same server-side
+// execution counts, run after run, over real sockets.
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum WireTransport {
-    Mux,
-    Reactor,
+fn tcp_server() -> TcpServerChannel {
+    TcpServerChannel::bind("127.0.0.1:0").unwrap()
 }
 
-enum WireServer {
-    Threaded(TcpServerChannel),
-    Reactor(ReactorServerChannel),
-}
-
-impl WireServer {
-    fn bind(transport: WireTransport) -> WireServer {
-        match transport {
-            WireTransport::Mux => {
-                WireServer::Threaded(TcpServerChannel::bind("127.0.0.1:0").unwrap())
-            }
-            WireTransport::Reactor => {
-                WireServer::Reactor(ReactorServerChannel::bind("127.0.0.1:0").unwrap())
-            }
-        }
-    }
-
-    fn objects(&self) -> &ObjectTable {
-        match self {
-            WireServer::Threaded(s) => s.objects(),
-            WireServer::Reactor(s) => s.objects(),
-        }
-    }
-
-    fn addr(&self) -> String {
-        match self {
-            WireServer::Threaded(s) => s.local_addr().to_string(),
-            WireServer::Reactor(s) => s.local_addr().to_string(),
-        }
-    }
-}
-
-fn wire_client(transport: WireTransport, addr: &str) -> Arc<dyn parc::remoting::ClientChannel> {
-    match transport {
-        WireTransport::Mux => Arc::new(
-            TcpClientChannel::connect_pooled_with_timeout(addr, 1, Duration::from_secs(5))
-                .unwrap(),
-        ),
-        WireTransport::Reactor => Arc::new(
-            ReactorClientChannel::connect_with_timeout(addr, Duration::from_secs(5)).unwrap(),
-        ),
-    }
+fn tcp_client(server: &TcpServerChannel) -> Arc<dyn parc::remoting::ClientChannel> {
+    let addr = server.local_addr().to_string();
+    let chan = TcpClientChannel::connect_pooled_with_timeout(&addr, 1, Duration::from_secs(5));
+    Arc::new(chan.unwrap())
 }
 
 #[test]
-fn same_seed_chaos_schedules_match_between_mux_and_reactor_tcp() {
+fn same_seed_chaos_schedules_repeat_over_tcp() {
     // Sequential calls through one seeded drop/delay/kill plan: the
-    // injected schedule is a pure function of the seed, so mux and
-    // reactor must agree message for message — including everything
-    // after the kill permanently poisons the wrapper.
-    let run = |transport: WireTransport, seed: u64| -> (String, Vec<bool>) {
-        let server = WireServer::bind(transport);
+    // injected schedule is a pure function of the seed, so two runs must
+    // agree message for message — including everything after the kill
+    // permanently poisons the wrapper.
+    let run = |seed: u64| -> (String, Vec<bool>) {
+        let server = tcp_server();
         server.objects().register_singleton("Echo", echo());
         let plan =
             Arc::new(FaultPlan::new(seed, FaultSpec::parse("drop=0.25,delay=0.05:1,kill@40")));
         let chan: Arc<dyn parc::remoting::ClientChannel> =
-            Arc::new(ChaosChannel::new(wire_client(transport, &server.addr()), Arc::clone(&plan)));
+            Arc::new(ChaosChannel::new(tcp_client(&server), Arc::clone(&plan)));
         let proxy = RemoteObject::new(chan, "Echo");
         let outcomes: Vec<bool> =
             (0..50).map(|i| proxy.call("echo", vec![Value::I32(i)]).is_ok()).collect();
         (plan.trace_string(), outcomes)
     };
-    let (trace_mux, outcomes_mux) = run(WireTransport::Mux, 7);
-    let (trace_reactor, outcomes_reactor) = run(WireTransport::Reactor, 7);
-    assert!(!trace_mux.is_empty(), "this spec always injects something in 50 messages");
-    assert_eq!(trace_mux, trace_reactor, "same seed must inject the same schedule");
-    assert_eq!(
-        outcomes_mux, outcomes_reactor,
-        "same schedule must produce the same outcomes on both transports"
-    );
-    let (trace_again, outcomes_again) = run(WireTransport::Reactor, 7);
-    assert_eq!(trace_reactor, trace_again, "reactor chaos runs must be reproducible");
-    assert_eq!(outcomes_reactor, outcomes_again);
-    let (trace_other, _) = run(WireTransport::Reactor, 8);
-    assert_ne!(trace_reactor, trace_other, "different seeds should diverge");
+    let (trace, outcomes) = run(7);
+    assert!(!trace.is_empty(), "this spec always injects something in 50 messages");
+    let (trace_again, outcomes_again) = run(7);
+    assert_eq!(trace, trace_again, "same seed must inject the same schedule");
+    assert_eq!(outcomes, outcomes_again, "same schedule must produce the same outcomes");
+    let (trace_other, _) = run(8);
+    assert_ne!(trace, trace_other, "different seeds should diverge");
 }
 
 #[test]
-fn chaos_drop_effects_are_identical_across_mux_and_reactor_tcp() {
+fn chaos_drop_effects_are_exactly_once_over_tcp() {
     // Idempotent retries under a 20% drop plan: drops suppress the send
     // entirely, so the set of attempts that reach the server is a pure
-    // function of the seed. Exactly-once effects AND identical per-key
-    // execution counts on both transports.
-    let run = |transport: WireTransport| -> Vec<i64> {
-        let server = WireServer::bind(transport);
+    // function of the seed. Every put lands, and a second run leaves the
+    // same per-key execution counts.
+    let run = || -> Vec<i64> {
+        let server = tcp_server();
         server.objects().register_singleton("Reg", registry_object());
         let plan = Arc::new(FaultPlan::new(0xBEEF, FaultSpec::parse("drop=0.2")));
         let chan: Arc<dyn parc::remoting::ClientChannel> =
-            Arc::new(ChaosChannel::new(wire_client(transport, &server.addr()), Arc::clone(&plan)));
+            Arc::new(ChaosChannel::new(tcp_client(&server), Arc::clone(&plan)));
         let proxy = RemoteObject::new(chan, "Reg")
             .with_retry(RetryPolicy::new(20, Duration::ZERO, Duration::ZERO));
         for i in 0..40i64 {
             proxy.call_idempotent("put", vec![Value::I64(i)]).unwrap();
         }
-        let clean = RemoteObject::new(wire_client(transport, &server.addr()), "Reg");
+        let clean = RemoteObject::new(tcp_client(&server), "Reg");
         (0..40i64)
             .map(|i| clean.call("count", vec![Value::I64(i)]).unwrap().as_i64().unwrap())
             .collect()
     };
-    let counts_mux = run(WireTransport::Mux);
-    let counts_reactor = run(WireTransport::Reactor);
-    assert!(
-        counts_mux.iter().all(|&c| c >= 1),
-        "every put must land as an effect despite drops"
-    );
-    assert_eq!(
-        counts_mux, counts_reactor,
-        "same seed must leave identical execution counts on both transports"
-    );
+    let counts = run();
+    assert!(counts.iter().all(|&c| c >= 1), "every put must land as an effect despite drops");
+    assert_eq!(counts, run(), "same seed must leave identical execution counts");
 }
 
 // ---------------------------------------------------------------------------

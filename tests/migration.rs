@@ -2,7 +2,7 @@
 //! per-object FIFO preserved for concurrent clients, stale proxies
 //! repointed by the `Moved` reply marker, clean aborts, the rebalancer's
 //! migration rounds — plus remoting-level forwarder conformance over the
-//! inproc and reactor transports.
+//! inproc and TCP transports.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 use parc::remoting::channel::RemoteObject;
 use parc::remoting::dispatcher::FnInvokable;
 use parc::remoting::inproc::InprocNetwork;
-use parc::remoting::reactor::{ReactorClientChannel, ReactorServerChannel};
+use parc::remoting::tcp::{TcpClientChannel, TcpServerChannel};
 use parc::remoting::{ChannelProvider, Forwarder, Invokable, RemotingError};
 use parc::scoopp::{ParcRuntime, Placement, RebalanceConfig};
 use parc::serial::Value;
@@ -242,7 +242,7 @@ fn ring_placement_with_rebalancer_thread_end_to_end() {
 }
 
 // ---------------------------------------------------------------------------
-// Remoting-level forwarder conformance: inproc and reactor transports
+// Remoting-level forwarder conformance: inproc and TCP transports
 // ---------------------------------------------------------------------------
 
 /// A recorder object for the transport-level checks.
@@ -310,20 +310,22 @@ fn forwarder_conformance_over_inproc() {
 }
 
 #[test]
-fn forwarder_conformance_over_reactor() {
-    // Old home and new home are two reactor servers; the forwarder at the
+fn forwarder_conformance_over_tcp() {
+    // Old home and new home are two TCP servers; the forwarder at the
     // old home relays over a real socket.
-    let new_home = ReactorServerChannel::bind_with_workers("127.0.0.1:0", 2).unwrap();
+    let new_home = TcpServerChannel::bind_with_workers("127.0.0.1:0", 2).unwrap();
     let (object, log) = recorder();
     new_home.objects().register_singleton("real", object);
     let new_uri = format!("tcp://{}/real", new_home.local_addr());
-    let relay = Arc::new(ReactorClientChannel::connect(&new_home.local_addr().to_string()).unwrap());
-    let old_home = ReactorServerChannel::bind_with_workers("127.0.0.1:0", 2).unwrap();
+    let relay =
+        Arc::new(TcpClientChannel::connect_pooled(&new_home.local_addr().to_string(), 1).unwrap());
+    let old_home = TcpServerChannel::bind_with_workers("127.0.0.1:0", 2).unwrap();
     old_home.objects().register_singleton(
         "old",
         Arc::new(Forwarder::new(RemoteObject::new(relay, "real"), new_uri.clone())),
     );
-    let chan = Arc::new(ReactorClientChannel::connect(&old_home.local_addr().to_string()).unwrap());
+    let chan =
+        Arc::new(TcpClientChannel::connect_pooled(&old_home.local_addr().to_string(), 1).unwrap());
     let client = RemoteObject::new(chan, "old");
-    check_forwarder_contract("reactor", &client, &log, &new_uri);
+    check_forwarder_contract("tcp", &client, &log, &new_uri);
 }

@@ -237,19 +237,13 @@ fn chaos_transfer_scenario(seeds: &[u64]) -> (Vec<String>, Vec<i64>) {
                                     "apply",
                                     vec![Value::Str(op.clone()), Value::I64(delta)],
                                 )
-                                .map_err(|e| {
-                                    chan = open();
-                                    e
-                                })
+                                .inspect_err(|_| chan = open())
                         });
                     }
                     for alias in aliases.iter().rev() {
                         chaos_retry("release", || {
                             let holder = RemoteObject::new(chan.clone(), alias.clone());
-                            holder.call(RELEASE_METHOD, vec![]).map_err(|e| {
-                                chan = open();
-                                e
-                            })
+                            holder.call(RELEASE_METHOD, vec![]).inspect_err(|_| chan = open())
                         });
                     }
                 }

@@ -1,7 +1,7 @@
 //! Cross-node trace propagation: the wire-level trace extension must turn
 //! per-node span soups into one causally linked tree — server dispatch
 //! spans are children of the originating client's send, across multiple
-//! hops, on every transport, and the links must survive chaos (dropped,
+//! hops, and the links must survive chaos (dropped,
 //! duplicated and delayed frames).
 //!
 //! The global recorder is process-wide state, so every test holds
@@ -16,7 +16,6 @@ use parc::obs::kinds;
 use parc::obs::ring::{Record, SpanRecord};
 use parc::obs::trace::NODE_UNSET;
 use parc::remoting::dispatcher::FnInvokable;
-use parc::remoting::reactor::{ReactorClientChannel, ReactorServerChannel};
 use parc::remoting::tcp::{TcpClientChannel, TcpServerChannel};
 use parc::remoting::{
     ChaosChannel, ClientChannel, FaultPlan, FaultSpec, Invokable, RemoteObject, RetryPolicy,
@@ -207,23 +206,6 @@ fn chaos_drop_dup_delay_keeps_traces_causal_over_mux() {
         Arc::new(TcpClientChannel::connect_pooled(&server.local_addr().to_string(), 1).unwrap());
     let plan =
         Arc::new(FaultPlan::new(0x7AC3, FaultSpec::parse("drop=0.15,delay=0.1:1,dup=0.15")));
-    chaos_run(chan, &plan);
-    parc::obs::set_enabled(false);
-}
-
-#[test]
-fn chaos_drop_dup_delay_keeps_traces_causal_over_reactor() {
-    let _guard = parc::obs::test_lock();
-    parc::obs::set_enabled(true);
-    parc::obs::reset();
-
-    let server =
-        ReactorServerChannel::bind_with_workers("127.0.0.1:0", 2).unwrap();
-    server.objects().register_singleton("Echo", echo_object());
-    let chan: Arc<dyn ClientChannel> =
-        Arc::new(ReactorClientChannel::connect(&server.local_addr().to_string()).unwrap());
-    let plan =
-        Arc::new(FaultPlan::new(0x7AC4, FaultSpec::parse("drop=0.15,delay=0.1:1,dup=0.15")));
     chaos_run(chan, &plan);
     parc::obs::set_enabled(false);
 }

@@ -1,7 +1,6 @@
-//! Cross-transport conformance suite: one set of contract checks run
-//! against both TCP transports (mux client → threaded server, reactor
-//! client → reactor server), so every future transport inherits the same
-//! behavioral bar instead of re-deriving it test by test.
+//! Conformance suite for the TCP transport (multiplexed client →
+//! threaded server): one set of contract checks any transport change
+//! must keep passing.
 //!
 //! The contract, in order of appearance:
 //! * per-object FIFO ordering — frames sent by one caller to one object
@@ -23,10 +22,9 @@
 //! death fails every parked follower fast, no reader thread exists, and a
 //! slow link stops polling before its blocking reads.
 //!
-//! Also here: parc-testkit property tapes for [`FrameAssembler`] — the
-//! reactor's incremental reassembly must decode a frame stream
-//! identically for *any* chunking of the bytes, reject oversize frames
-//! mid-reassembly, and report truncation honestly.
+//! Also here: parc-testkit property tapes for [`read_frame_into`] — it
+//! must decode a frame stream identically however the bytes arrive,
+//! reject oversize frames, and report truncation honestly.
 
 use std::io::Read;
 use std::net::{TcpListener, TcpStream};
@@ -38,92 +36,28 @@ use parc_testkit::Config;
 
 use parc::remoting::dispatcher::FnInvokable;
 use parc::remoting::frame::{
-    read_frame_into, split_depth_ext, write_frame, FrameAssembler, FrameRead, FLAG_DEPTH,
-    FLAG_ONEWAY, FLAG_TRACE, HEADER_LEN, MAX_FRAME,
+    read_frame_into, split_depth_ext, write_frame, FrameRead, FLAG_DEPTH, FLAG_ONEWAY,
+    FLAG_TRACE, HEADER_LEN, MAX_FRAME,
 };
-use parc::remoting::reactor::{ReactorClientChannel, ReactorServerChannel};
 use parc::remoting::tcp::{TcpClientChannel, TcpServerChannel};
-use parc::remoting::wellknown::ObjectTable;
 use parc::remoting::{
     CallMessage, ClientChannel, Invokable, RemoteObject, RemotingError, ReturnMessage,
 };
 use parc::serial::{BinaryFormatter, Value};
 
 // ---------------------------------------------------------------------------
-// The transports under test
+// The transport under test
 // ---------------------------------------------------------------------------
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Transport {
-    Mux,
-    Reactor,
+/// The threaded server with four mailbox workers.
+fn bind_server() -> TcpServerChannel {
+    TcpServerChannel::bind_with_workers("127.0.0.1:0", 4).expect("binding server")
 }
 
-const TRANSPORTS: [Transport; 2] = [Transport::Mux, Transport::Reactor];
-
-/// A bound server of whichever shape the transport needs: the mux client
-/// speaks to the thread-per-connection server, the reactor client to the
-/// reactor server, so each stack is exercised end to end.
-enum Server {
-    Threaded(TcpServerChannel),
-    Reactor(ReactorServerChannel),
-}
-
-impl Server {
-    fn bind(transport: Transport) -> Server {
-        match transport {
-            Transport::Reactor => Server::Reactor(
-                ReactorServerChannel::bind_with_workers("127.0.0.1:0", 4)
-                    .expect("binding reactor server"),
-            ),
-            Transport::Mux => Server::Threaded(
-                TcpServerChannel::bind_with_workers("127.0.0.1:0", 4)
-                    .expect("binding threaded server"),
-            ),
-        }
-    }
-
-    fn objects(&self) -> &ObjectTable {
-        match self {
-            Server::Threaded(s) => s.objects(),
-            Server::Reactor(s) => s.objects(),
-        }
-    }
-
-    fn addr(&self) -> String {
-        match self {
-            Server::Threaded(s) => s.local_addr().to_string(),
-            Server::Reactor(s) => s.local_addr().to_string(),
-        }
-    }
-}
-
-fn connect(transport: Transport, addr: &str) -> Arc<dyn ClientChannel> {
-    match transport {
-        // Pool of exactly one so hand-rolled single-socket servers see a
-        // deterministic connection count.
-        Transport::Mux => Arc::new(TcpClientChannel::connect_pooled(addr, 1).expect("mux connect")),
-        Transport::Reactor => {
-            Arc::new(ReactorClientChannel::connect(addr).expect("reactor connect"))
-        }
-    }
-}
-
-/// Runs `check` once per transport against a freshly bound server and a
-/// connected channel; the label names the transport in failures.
-fn for_each_combo(check: impl Fn(&str, &Server, Arc<dyn ClientChannel>)) {
-    for_each_server(|label, server, transport| {
-        check(label, server, connect(transport, &server.addr()));
-    });
-}
-
-/// Runs `check` once per transport against a freshly bound server. The
-/// transport is passed through so a check can open as many connections
-/// as it needs.
-fn for_each_server(check: impl Fn(&str, &Server, Transport)) {
-    for transport in TRANSPORTS {
-        check(&format!("{transport:?}"), &Server::bind(transport), transport);
-    }
+/// A client over exactly one socket, so hand-rolled single-socket servers
+/// see a deterministic connection count.
+fn connect(addr: &str) -> Arc<dyn ClientChannel> {
+    Arc::new(TcpClientChannel::connect_pooled(addr, 1).expect("mux connect"))
 }
 
 /// An object whose every method hands its first argument back.
@@ -159,26 +93,26 @@ fn recorder() -> (Arc<dyn Invokable>, Arc<Mutex<Vec<i32>>>) {
 /// a trailing two-way call is the barrier proving they all landed.
 #[test]
 fn per_object_fifo_ordering_holds_on_every_combo() {
-    for_each_combo(|combo, server, chan| {
-        let (object, log) = recorder();
-        server.objects().register_singleton("Recorder", object);
-        let proxy = RemoteObject::new(chan, "Recorder");
-        for i in 0..32 {
-            proxy.post("note", vec![Value::I32(i)]).unwrap_or_else(|e| {
-                panic!("[{combo}] post {i} failed: {e}");
-            });
-        }
-        let drained = proxy.call("drain", vec![]).unwrap_or_else(|e| {
-            panic!("[{combo}] drain barrier failed: {e}");
+    let server = bind_server();
+    let chan = connect(&server.local_addr().to_string());
+    let (object, log) = recorder();
+    server.objects().register_singleton("Recorder", object);
+    let proxy = RemoteObject::new(chan, "Recorder");
+    for i in 0..32 {
+        proxy.post("note", vec![Value::I32(i)]).unwrap_or_else(|e| {
+            panic!("post {i} failed: {e}");
         });
-        assert_eq!(drained, Value::I32(32), "[{combo}] posts lost before barrier");
-        let seen = log.lock().unwrap().clone();
-        assert_eq!(
-            seen,
-            (0..32).collect::<Vec<i32>>(),
-            "[{combo}] one-way posts executed out of order"
-        );
+    }
+    let drained = proxy.call("drain", vec![]).unwrap_or_else(|e| {
+        panic!("drain barrier failed: {e}");
     });
+    assert_eq!(drained, Value::I32(32), "posts lost before barrier");
+    let seen = log.lock().unwrap().clone();
+    assert_eq!(
+        seen,
+        (0..32).collect::<Vec<i32>>(),
+        "one-way posts executed out of order"
+    );
 }
 
 /// Alternating posts and calls from one caller hit the object in exactly
@@ -186,27 +120,27 @@ fn per_object_fifo_ordering_holds_on_every_combo() {
 /// vice versa.
 #[test]
 fn oneway_twoway_interleaving_preserves_order_on_every_combo() {
-    for_each_combo(|combo, server, chan| {
-        let (object, log) = recorder();
-        server.objects().register_singleton("Recorder", object);
-        let proxy = RemoteObject::new(chan, "Recorder");
-        for i in 0..24 {
-            if i % 2 == 0 {
-                proxy.post("note", vec![Value::I32(i)]).unwrap();
-            } else {
-                proxy.call("note", vec![Value::I32(i)]).unwrap_or_else(|e| {
-                    panic!("[{combo}] two-way note {i} failed: {e}");
-                });
-            }
+    let server = bind_server();
+    let chan = connect(&server.local_addr().to_string());
+    let (object, log) = recorder();
+    server.objects().register_singleton("Recorder", object);
+    let proxy = RemoteObject::new(chan, "Recorder");
+    for i in 0..24 {
+        if i % 2 == 0 {
+            proxy.post("note", vec![Value::I32(i)]).unwrap();
+        } else {
+            proxy.call("note", vec![Value::I32(i)]).unwrap_or_else(|e| {
+                panic!("two-way note {i} failed: {e}");
+            });
         }
-        proxy.call("drain", vec![]).unwrap();
-        let seen = log.lock().unwrap().clone();
-        assert_eq!(
-            seen,
-            (0..24).collect::<Vec<i32>>(),
-            "[{combo}] one-way/two-way interleaving broke per-object order"
-        );
-    });
+    }
+    proxy.call("drain", vec![]).unwrap();
+    let seen = log.lock().unwrap().clone();
+    assert_eq!(
+        seen,
+        (0..24).collect::<Vec<i32>>(),
+        "one-way/two-way interleaving broke per-object order"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -217,37 +151,36 @@ fn oneway_twoway_interleaving_preserves_order_on_every_combo() {
 /// replies route by correlation ID, not arrival order.
 #[test]
 fn replies_route_by_correlation_id_on_every_combo() {
-    for_each_combo(|combo, server, chan| {
-        server.objects().register_singleton(
-            "Echo",
-            Arc::new(FnInvokable(|method: &str, args: &[Value]| match method {
-                "echo" => Ok(args.first().cloned().unwrap_or(Value::Null)),
-                _ => Err(RemotingError::MethodNotFound {
-                    object: "Echo".into(),
-                    method: method.into(),
-                }),
-            })),
-        );
-        std::thread::scope(|scope| {
-            for t in 0..4i32 {
-                let chan = Arc::clone(&chan);
-                let combo = combo.to_string();
-                scope.spawn(move || {
-                    let proxy = RemoteObject::new(chan, "Echo");
-                    for i in 0..25 {
-                        let sent = t * 1000 + i;
-                        let got = proxy.call("echo", vec![Value::I32(sent)]).unwrap_or_else(|e| {
-                            panic!("[{combo}] caller {t} call {i} failed: {e}");
-                        });
-                        assert_eq!(
-                            got,
-                            Value::I32(sent),
-                            "[{combo}] caller {t} received another caller's reply"
-                        );
-                    }
-                });
-            }
-        });
+    let server = bind_server();
+    let chan = connect(&server.local_addr().to_string());
+    server.objects().register_singleton(
+        "Echo",
+        Arc::new(FnInvokable(|method: &str, args: &[Value]| match method {
+            "echo" => Ok(args.first().cloned().unwrap_or(Value::Null)),
+            _ => Err(RemotingError::MethodNotFound {
+                object: "Echo".into(),
+                method: method.into(),
+            }),
+        })),
+    );
+    std::thread::scope(|scope| {
+        for t in 0..4i32 {
+            let chan = Arc::clone(&chan);
+            scope.spawn(move || {
+                let proxy = RemoteObject::new(chan, "Echo");
+                for i in 0..25 {
+                    let sent = t * 1000 + i;
+                    let got = proxy.call("echo", vec![Value::I32(sent)]).unwrap_or_else(|e| {
+                        panic!("caller {t} call {i} failed: {e}");
+                    });
+                    assert_eq!(
+                        got,
+                        Value::I32(sent),
+                        "caller {t} received another caller's reply"
+                    );
+                }
+            });
+        }
     });
 }
 
@@ -261,41 +194,30 @@ fn replies_route_by_correlation_id_on_every_combo() {
 /// listening, reads the first request, and slams the socket shut.
 #[test]
 fn dead_connection_poisons_pending_and_future_calls_on_every_transport() {
-    for transport in TRANSPORTS {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("binding assassin listener");
-        let addr = listener.local_addr().unwrap().to_string();
-        let assassin = std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().expect("accepting victim");
-            // Refuse reconnects *before* killing the connection, so a
-            // fast revive cannot sneak into the accept backlog.
-            drop(listener);
-            let mut sink = [0u8; 256];
-            let _ = stream.read(&mut sink);
-            drop(stream);
-        });
-        let chan = connect(transport, &addr);
-        let proxy = RemoteObject::new(chan, "Ghost");
+    let listener = TcpListener::bind("127.0.0.1:0").expect("binding assassin listener");
+    let addr = listener.local_addr().unwrap().to_string();
+    let assassin = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accepting victim");
+        // Refuse reconnects *before* killing the connection, so a
+        // fast revive cannot sneak into the accept backlog.
+        drop(listener);
+        let mut sink = [0u8; 256];
+        let _ = stream.read(&mut sink);
+        drop(stream);
+    });
+    let chan = connect(&addr);
+    let proxy = RemoteObject::new(chan, "Ghost");
 
-        let started = Instant::now();
-        let pending = proxy.call("anything", vec![]);
-        assert!(
-            pending.is_err(),
-            "[{transport:?}] call on a killed connection returned {pending:?}"
-        );
-        assert!(
-            started.elapsed() < Duration::from_secs(10),
-            "[{transport:?}] pending call hung instead of failing fast"
-        );
+    let started = Instant::now();
+    let pending = proxy.call("anything", vec![]);
+    assert!(pending.is_err(), "call on a killed connection returned {pending:?}");
+    assert!(started.elapsed() < Duration::from_secs(10), "pending call hung, not failed fast");
 
-        for attempt in 0..3 {
-            let later = proxy.call("anything", vec![]);
-            assert!(
-                later.is_err(),
-                "[{transport:?}] call {attempt} after death returned {later:?}"
-            );
-        }
-        assassin.join().expect("assassin thread");
+    for attempt in 0..3 {
+        let later = proxy.call("anything", vec![]);
+        assert!(later.is_err(), "call {attempt} after death returned {later:?}");
     }
+    assassin.join().expect("assassin thread");
 }
 
 // ---------------------------------------------------------------------------
@@ -307,47 +229,45 @@ fn dead_connection_poisons_pending_and_future_calls_on_every_transport() {
 /// skipped, real replies still land.
 #[test]
 fn unknown_corr_id_frames_are_skipped_on_every_transport() {
-    for transport in TRANSPORTS {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("binding noisy listener");
-        let addr = listener.local_addr().unwrap().to_string();
-        let noisy = std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().expect("accepting");
-            let formatter = BinaryFormatter::new();
-            let mut payload = Vec::new();
-            let mut round = 0u64;
-            loop {
-                match read_frame_into(&mut stream, &mut payload) {
-                    Ok(FrameRead::Frame(header)) => {
-                        let call = CallMessage::decode(&formatter, &payload)
-                            .expect("decoding request");
-                        // Noise first: an ID no caller owns, with a
-                        // payload that is not even a ReturnMessage.
-                        write_frame(&mut stream, u64::MAX - round, 0, b"line noise").unwrap();
-                        round += 1;
-                        let reply = ReturnMessage::ok(
-                            call.call_id,
-                            call.args.first().cloned().unwrap_or(Value::Null),
-                        );
-                        let bytes = reply.encode(&formatter).unwrap();
-                        write_frame(&mut stream, header.corr_id, 0, &bytes).unwrap();
-                    }
-                    Ok(FrameRead::Idle) => continue,
-                    Ok(FrameRead::Eof) | Err(_) => break,
+    let listener = TcpListener::bind("127.0.0.1:0").expect("binding noisy listener");
+    let addr = listener.local_addr().unwrap().to_string();
+    let noisy = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accepting");
+        let formatter = BinaryFormatter::new();
+        let mut payload = Vec::new();
+        let mut round = 0u64;
+        loop {
+            match read_frame_into(&mut stream, &mut payload) {
+                Ok(FrameRead::Frame(header)) => {
+                    let call = CallMessage::decode(&formatter, &payload)
+                        .expect("decoding request");
+                    // Noise first: an ID no caller owns, with a
+                    // payload that is not even a ReturnMessage.
+                    write_frame(&mut stream, u64::MAX - round, 0, b"line noise").unwrap();
+                    round += 1;
+                    let reply = ReturnMessage::ok(
+                        call.call_id,
+                        call.args.first().cloned().unwrap_or(Value::Null),
+                    );
+                    let bytes = reply.encode(&formatter).unwrap();
+                    write_frame(&mut stream, header.corr_id, 0, &bytes).unwrap();
                 }
+                Ok(FrameRead::Idle) => continue,
+                Ok(FrameRead::Eof) | Err(_) => break,
             }
-        });
-        {
-            let chan = connect(transport, &addr);
-            let proxy = RemoteObject::new(chan, "Echo");
-            for i in 0..5 {
-                let got = proxy.call("echo", vec![Value::I32(i)]).unwrap_or_else(|e| {
-                    panic!("[{transport:?}] call {i} failed amid noise frames: {e}");
-                });
-                assert_eq!(got, Value::I32(i), "[{transport:?}] echo corrupted by noise");
-            }
-        } // channel drop -> EOF -> noisy server exits
-        noisy.join().expect("noisy server thread");
-    }
+        }
+    });
+    {
+        let chan = connect(&addr);
+        let proxy = RemoteObject::new(chan, "Echo");
+        for i in 0..5 {
+            let got = proxy.call("echo", vec![Value::I32(i)]).unwrap_or_else(|e| {
+                panic!("call {i} failed amid noise frames: {e}");
+            });
+            assert_eq!(got, Value::I32(i), "echo corrupted by noise");
+        }
+    } // channel drop -> EOF -> noisy server exits
+    noisy.join().expect("noisy server thread");
 }
 
 // ---------------------------------------------------------------------------
@@ -378,47 +298,46 @@ fn read_reply(stream: &mut TcpStream) -> (u64, ReturnMessage) {
 /// succeeds.
 #[test]
 fn hostile_request_frames_fault_or_drop_and_keep_the_connection() {
-    for_each_server(|combo, server, _| {
-        server.objects().register_singleton("Echo", echo());
-        let mut stream = TcpStream::connect(server.addr()).expect("raw connect");
-        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        let formatter = BinaryFormatter::new();
+    let server = bind_server();
+    server.objects().register_singleton("Echo", echo());
+    let mut stream = TcpStream::connect(server.local_addr()).expect("raw connect");
+    stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let formatter = BinaryFormatter::new();
 
-        let cases: [(&str, u8, bool); 4] = [
-            ("garbage body, two-way", 0, false),
-            ("garbage body, one-way", 0, true),
-            ("truncated trace ext, two-way", FLAG_TRACE, false),
-            ("truncated trace ext, one-way", FLAG_TRACE, true),
-        ];
-        for (i, (case, extra_flags, oneway)) in cases.into_iter().enumerate() {
-            let hostile_id = 100 + 2 * i as u64;
-            let good_id = hostile_id + 1;
-            let good = CallMessage::new("Echo", "echo", vec![Value::I32(i as i32)])
-                .encode(&formatter)
-                .unwrap();
-            let (mut wire, _) = wire_image(&[
-                (hostile_id, oneway, b"line noise".to_vec()),
-                (good_id, false, good),
-            ]);
-            wire[HEADER_LEN - 1] |= extra_flags; // the hostile frame's flag byte
-            std::io::Write::write_all(&mut stream, &wire).unwrap();
+    let cases: [(&str, u8, bool); 4] = [
+        ("garbage body, two-way", 0, false),
+        ("garbage body, one-way", 0, true),
+        ("truncated trace ext, two-way", FLAG_TRACE, false),
+        ("truncated trace ext, one-way", FLAG_TRACE, true),
+    ];
+    for (i, (case, extra_flags, oneway)) in cases.into_iter().enumerate() {
+        let hostile_id = 100 + 2 * i as u64;
+        let good_id = hostile_id + 1;
+        let good = CallMessage::new("Echo", "echo", vec![Value::I32(i as i32)])
+            .encode(&formatter)
+            .unwrap();
+        let (mut wire, _) = wire_image(&[
+            (hostile_id, oneway, b"line noise".to_vec()),
+            (good_id, false, good),
+        ]);
+        wire[HEADER_LEN - 1] |= extra_flags; // the hostile frame's flag byte
+        std::io::Write::write_all(&mut stream, &wire).unwrap();
 
-            if !oneway {
-                let (corr_id, reply) = read_reply(&mut stream);
-                assert_eq!(corr_id, hostile_id, "[{combo}] {case}: fault under the wrong id");
-                assert!(reply.result.is_err(), "[{combo}] {case}: expected a fault, got {reply:?}");
-            }
-            // One-way: the very next frame is already the good call's
-            // reply, so the hostile frame produced nothing.
+        if !oneway {
             let (corr_id, reply) = read_reply(&mut stream);
-            assert_eq!(corr_id, good_id, "[{combo}] {case}: unexpected reply frame");
-            assert_eq!(
-                reply.result,
-                Ok(Value::I32(i as i32)),
-                "[{combo}] {case}: well-formed call behind it failed"
-            );
+            assert_eq!(corr_id, hostile_id, "{case}: fault under the wrong id");
+            assert!(reply.result.is_err(), "{case}: expected a fault, got {reply:?}");
         }
-    });
+        // One-way: the very next frame is already the good call's
+        // reply, so the hostile frame produced nothing.
+        let (corr_id, reply) = read_reply(&mut stream);
+        assert_eq!(corr_id, good_id, "{case}: unexpected reply frame");
+        assert_eq!(
+            reply.result,
+            Ok(Value::I32(i as i32)),
+            "{case}: well-formed call behind it failed"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -431,24 +350,24 @@ fn hostile_request_frames_fault_or_drop_and_keep_the_connection() {
 /// body and a 256 KiB body all come back intact, with the depth reported.
 #[test]
 fn depth_extended_replies_decode_at_every_body_size_on_every_combo() {
-    for_each_combo(|combo, server, chan| {
-        server.objects().register_singleton("Echo", echo());
-        let feedback = chan.feedback().expect("tcp transports report link feedback");
-        let proxy = RemoteObject::new(chan, "Echo");
-        let bulk: Vec<i32> = (0..65_536).map(|i: i32| i.wrapping_mul(-7919)).collect();
-        for (i, body) in [Value::Null, Value::Bytes(vec![7]), Value::I32Array(bulk)]
-            .into_iter()
-            .enumerate()
-        {
-            let got = proxy.call("echo", vec![body.clone()]).unwrap();
-            assert!(got == body, "[{combo}] {:?} body came back changed", body.kind());
-            assert_eq!(
-                feedback.depth_samples(),
-                i as u64 + 1,
-                "[{combo}] reply {i} carried no depth extension"
-            );
-        }
-    });
+    let server = bind_server();
+    let chan = connect(&server.local_addr().to_string());
+    server.objects().register_singleton("Echo", echo());
+    let feedback = chan.feedback().expect("tcp transports report link feedback");
+    let proxy = RemoteObject::new(chan, "Echo");
+    let bulk: Vec<i32> = (0..65_536).map(|i: i32| i.wrapping_mul(-7919)).collect();
+    for (i, body) in [Value::Null, Value::Bytes(vec![7]), Value::I32Array(bulk)]
+        .into_iter()
+        .enumerate()
+    {
+        let got = proxy.call("echo", vec![body.clone()]).unwrap();
+        assert!(got == body, "{:?} body came back changed", body.kind());
+        assert_eq!(
+            feedback.depth_samples(),
+            i as u64 + 1,
+            "reply {i} carried no depth extension"
+        );
+    }
 }
 
 /// A `FLAG_DEPTH` reply shorter than the extension it announces is a
@@ -457,38 +376,36 @@ fn depth_extended_replies_decode_at_every_body_size_on_every_combo() {
 /// deadline.
 #[test]
 fn reply_shorter_than_its_depth_extension_poisons_on_every_transport() {
-    for transport in TRANSPORTS {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("binding liar listener");
-        let addr = listener.local_addr().unwrap().to_string();
-        let liar = std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().expect("accepting");
-            drop(listener);
-            let mut payload = Vec::new();
-            let Ok(FrameRead::Frame(header)) = read_frame_into(&mut stream, &mut payload) else {
-                panic!("expected one request frame");
-            };
-            write_frame(&mut stream, header.corr_id, FLAG_DEPTH, b"short").unwrap();
-            // Hold the socket open until the client lets go, so the
-            // failure below is the poison and not an EOF.
-            let _ = stream.read(&mut [0u8; 16]);
-        });
-        {
-            let proxy = RemoteObject::new(connect(transport, &addr), "Echo");
-            let started = Instant::now();
-            match proxy.call("echo", vec![Value::I32(1)]) {
-                Err(RemotingError::Transport { detail }) => assert!(
-                    detail.contains("depth extension"),
-                    "[{transport:?}] failed for another reason: {detail}"
-                ),
-                other => panic!("[{transport:?}] lying reply produced {other:?}"),
-            }
-            assert!(
-                started.elapsed() < Duration::from_secs(10),
-                "[{transport:?}] call waited out its deadline instead of being poisoned"
-            );
+    let listener = TcpListener::bind("127.0.0.1:0").expect("binding liar listener");
+    let addr = listener.local_addr().unwrap().to_string();
+    let liar = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accepting");
+        drop(listener);
+        let mut payload = Vec::new();
+        let Ok(FrameRead::Frame(header)) = read_frame_into(&mut stream, &mut payload) else {
+            panic!("expected one request frame");
+        };
+        write_frame(&mut stream, header.corr_id, FLAG_DEPTH, b"short").unwrap();
+        // Hold the socket open until the client lets go, so the
+        // failure below is the poison and not an EOF.
+        let _ = stream.read(&mut [0u8; 16]);
+    });
+    {
+        let proxy = RemoteObject::new(connect(&addr), "Echo");
+        let started = Instant::now();
+        match proxy.call("echo", vec![Value::I32(1)]) {
+            Err(RemotingError::Transport { detail }) => assert!(
+                detail.contains("depth extension"),
+                "failed for another reason: {detail}"
+            ),
+            other => panic!("lying reply produced {other:?}"),
         }
-        liar.join().expect("liar server thread");
+        assert!(
+            started.elapsed() < Duration::from_secs(10),
+            "call waited out its deadline instead of being poisoned"
+        );
     }
+    liar.join().expect("liar server thread");
 }
 
 // ---------------------------------------------------------------------------
@@ -522,11 +439,11 @@ fn gated() -> (Arc<dyn Invokable>, Receiver<()>, Sender<()>) {
 /// land instead of sitting on them until its own arrives.
 #[test]
 fn mux_slow_leader_routes_fast_replies_pipelined_behind_it() {
-    let server = Server::bind(Transport::Mux);
+    let server = bind_server();
     let (slow, slow_started, release) = gated();
     server.objects().register_singleton("Slow", slow);
     server.objects().register_singleton("Echo", echo());
-    let chan = mux_single(&server.addr(), Duration::from_secs(30));
+    let chan = mux_single(&server.local_addr().to_string(), Duration::from_secs(30));
     std::thread::scope(|scope| {
         let leader =
             scope.spawn(|| RemoteObject::new(Arc::clone(&chan), "Slow").call("hold", vec![]));
@@ -546,12 +463,12 @@ fn mux_slow_leader_routes_fast_replies_pipelined_behind_it() {
 /// sends once the leader has given up.
 #[test]
 fn mux_timed_out_leader_hands_the_read_half_to_a_follower() {
-    let server = Server::bind(Transport::Mux);
+    let server = bind_server();
     let (stuck, stuck_started, stuck_release) = gated();
     let (late, late_started, late_release) = gated();
     server.objects().register_singleton("Stuck", stuck);
     server.objects().register_singleton("Late", late);
-    let chan = mux_single(&server.addr(), Duration::from_millis(50));
+    let chan = mux_single(&server.local_addr().to_string(), Duration::from_millis(50));
     std::thread::scope(|scope| {
         let leader =
             scope.spawn(|| RemoteObject::new(Arc::clone(&chan), "Stuck").call("hold", vec![]));
@@ -625,9 +542,10 @@ fn mux_peer_death_fails_every_parked_follower_fast() {
 #[cfg(target_os = "linux")]
 #[test]
 fn mux_pool_spawns_no_reader_threads() {
-    let server = Server::bind(Transport::Mux);
+    let server = bind_server();
     server.objects().register_singleton("Echo", echo());
-    let chan = TcpClientChannel::connect_pooled(&server.addr(), 4).expect("mux connect");
+    let chan = TcpClientChannel::connect_pooled(&server.local_addr().to_string(), 4)
+        .expect("mux connect");
     assert_eq!(chan.pool_size(), 4);
     let proxy = RemoteObject::new(Arc::new(chan), "Echo");
     for i in 0..8 {
@@ -648,7 +566,7 @@ fn mux_pool_spawns_no_reader_threads() {
 #[test]
 fn mux_slow_link_stops_spinning_after_its_first_call() {
     use parc::obs::{kinds, Record};
-    let server = Server::bind(Transport::Mux);
+    let server = bind_server();
     server.objects().register_singleton(
         "Sleepy",
         Arc::new(FnInvokable(|_: &str, _: &[Value]| {
@@ -656,7 +574,8 @@ fn mux_slow_link_stops_spinning_after_its_first_call() {
             Ok(Value::Null)
         })),
     );
-    let proxy = RemoteObject::new(mux_single(&server.addr(), Duration::from_secs(30)), "Sleepy");
+    let chan = mux_single(&server.local_addr().to_string(), Duration::from_secs(30));
+    let proxy = RemoteObject::new(chan, "Sleepy");
     let me = parc::obs::thread_id();
     let spins_since = |after_ns: u64| {
         parc::obs::recorder()
@@ -688,141 +607,140 @@ fn mux_slow_link_stops_spinning_after_its_first_call() {
 // ---------------------------------------------------------------------------
 
 /// `__claim` grants a private alias, the holder's calls flow through it,
-/// releasing through the alias reopens the object — identically on every
-/// transport.
+/// releasing through the alias reopens the object.
 #[test]
 fn claim_grants_alias_and_release_reopens_on_every_transport() {
-    for_each_server(|combo, server, transport| {
-        let (object, log) = recorder();
-        let claims = Arc::new(parc::remoting::ClaimTable::new());
-        parc::remoting::register_claimable(server.objects(), "Recorder", object, &claims);
+    let server = bind_server();
+    let (object, log) = recorder();
+    let claims = Arc::new(parc::remoting::ClaimTable::new());
+    parc::remoting::register_claimable(server.objects(), "Recorder", object, &claims);
 
-        let chan = connect(transport, &server.addr());
-        let gate = RemoteObject::new(Arc::clone(&chan), "Recorder");
-        let alias = gate
-            .call(parc::remoting::CLAIM_METHOD, vec![Value::Str("c1".into())])
-            .unwrap_or_else(|e| panic!("[{combo}] claim failed: {e}"));
-        let alias = alias.as_str().expect("alias name").to_string();
-        assert!(
-            parc::remoting::is_claim_plane(&alias),
-            "[{combo}] grant returned a non-claim-plane alias {alias:?}"
-        );
+    let chan = connect(&server.local_addr().to_string());
+    let gate = RemoteObject::new(Arc::clone(&chan), "Recorder");
+    let alias = gate
+        .call(parc::remoting::CLAIM_METHOD, vec![Value::Str("c1".into())])
+        .unwrap_or_else(|e| panic!("claim failed: {e}"));
+    let alias = alias.as_str().expect("alias name").to_string();
+    assert!(
+        parc::remoting::is_claim_plane(&alias),
+        "grant returned a non-claim-plane alias {alias:?}"
+    );
 
-        let holder = RemoteObject::new(Arc::clone(&chan), alias.clone());
-        for i in 0..4 {
-            holder
-                .call("note", vec![Value::I32(i)])
-                .unwrap_or_else(|e| panic!("[{combo}] holder call {i} failed: {e}"));
-        }
-        assert_eq!(log.lock().unwrap().clone(), vec![0, 1, 2, 3], "[{combo}] holder calls lost");
+    let holder = RemoteObject::new(Arc::clone(&chan), alias.clone());
+    for i in 0..4 {
+        holder
+            .call("note", vec![Value::I32(i)])
+            .unwrap_or_else(|e| panic!("holder call {i} failed: {e}"));
+    }
+    assert_eq!(log.lock().unwrap().clone(), vec![0, 1, 2, 3], "holder calls lost");
 
-        let released = holder
-            .call(parc::remoting::RELEASE_METHOD, vec![])
-            .unwrap_or_else(|e| panic!("[{combo}] release failed: {e}"));
-        assert_eq!(released, Value::Bool(true), "[{combo}] release reported no claim");
-        // Object is open again: a plain (foreign) call completes.
-        assert_eq!(
-            gate.call("drain", vec![]).unwrap_or_else(|e| {
-                panic!("[{combo}] post-release foreign call failed: {e}")
-            }),
-            Value::I32(4),
-            "[{combo}] foreign call after release saw the wrong state"
-        );
-        assert_eq!(claims.stats().active, 0, "[{combo}] claim table still holds the claim");
-    });
+    let released = holder
+        .call(parc::remoting::RELEASE_METHOD, vec![])
+        .unwrap_or_else(|e| panic!("release failed: {e}"));
+    assert_eq!(released, Value::Bool(true), "release reported no claim");
+    // Object is open again: a plain (foreign) call completes.
+    assert_eq!(
+        gate.call("drain", vec![]).unwrap_or_else(|e| {
+            panic!("post-release foreign call failed: {e}")
+        }),
+        Value::I32(4),
+        "foreign call after release saw the wrong state"
+    );
+    assert_eq!(claims.stats().active, 0, "claim table still holds the claim");
 }
 
 /// While claimed, a foreign call parks in the object's mailbox slot and
-/// only runs after the holder releases — on every transport.
+/// only runs after the holder releases.
 #[test]
 fn foreign_calls_park_until_release_on_every_transport() {
-    for_each_server(|combo, server, transport| {
-        let (object, log) = recorder();
-        let claims = Arc::new(parc::remoting::ClaimTable::new());
-        parc::remoting::register_claimable(server.objects(), "Recorder", object, &claims);
+    let server = bind_server();
+    let (object, log) = recorder();
+    let claims = Arc::new(parc::remoting::ClaimTable::new());
+    parc::remoting::register_claimable(server.objects(), "Recorder", object, &claims);
 
-        let chan = connect(transport, &server.addr());
-        let gate = RemoteObject::new(Arc::clone(&chan), "Recorder");
-        let alias = gate
-            .call(parc::remoting::CLAIM_METHOD, vec![Value::Str("c2".into())])
-            .unwrap()
-            .as_str()
-            .unwrap()
-            .to_string();
-        let holder = RemoteObject::new(Arc::clone(&chan), alias);
+    let chan = connect(&server.local_addr().to_string());
+    let gate = RemoteObject::new(Arc::clone(&chan), "Recorder");
+    let alias = gate
+        .call(parc::remoting::CLAIM_METHOD, vec![Value::Str("c2".into())])
+        .unwrap()
+        .as_str()
+        .unwrap()
+        .to_string();
+    let holder = RemoteObject::new(Arc::clone(&chan), alias);
 
-        // The foreign caller gets its own connection.
-        let foreign_chan = connect(transport, &server.addr());
-        let foreign_done = Arc::new(Mutex::new(false));
-        let observer = std::thread::spawn({
-            let foreign_done = Arc::clone(&foreign_done);
-            let combo = combo.to_string();
-            move || {
-                let foreign = RemoteObject::new(foreign_chan, "Recorder");
-                foreign
-                    .call("note", vec![Value::I32(99)])
-                    .unwrap_or_else(|e| panic!("[{combo}] parked foreign call failed: {e}"));
-                *foreign_done.lock().unwrap() = true;
-            }
-        });
-        // Give the foreign call ample time to park, then prove it has
-        // not run: the holder still owns the object.
-        std::thread::sleep(Duration::from_millis(60));
-        holder.call("note", vec![Value::I32(1)]).unwrap();
-        assert!(
-            !*foreign_done.lock().unwrap(),
-            "[{combo}] foreign call ran while the object was claimed"
-        );
-        assert_eq!(
-            log.lock().unwrap().clone(),
-            vec![1],
-            "[{combo}] foreign note executed under the claim"
-        );
-        holder.call(parc::remoting::RELEASE_METHOD, vec![]).unwrap();
-        observer.join().expect("observer thread");
-        assert_eq!(
-            log.lock().unwrap().clone(),
-            vec![1, 99],
-            "[{combo}] parked call did not run after release"
-        );
+    // The foreign caller gets its own connection.
+    let foreign_chan = connect(&server.local_addr().to_string());
+    let foreign_done = Arc::new(Mutex::new(false));
+    let observer = std::thread::spawn({
+        let foreign_done = Arc::clone(&foreign_done);
+        move || {
+            let foreign = RemoteObject::new(foreign_chan, "Recorder");
+            foreign
+                .call("note", vec![Value::I32(99)])
+                .unwrap_or_else(|e| panic!("parked foreign call failed: {e}"));
+            *foreign_done.lock().unwrap() = true;
+        }
     });
+    // Give the foreign call ample time to park, then prove it has
+    // not run: the holder still owns the object.
+    std::thread::sleep(Duration::from_millis(60));
+    holder.call("note", vec![Value::I32(1)]).unwrap();
+    assert!(
+        !*foreign_done.lock().unwrap(),
+        "foreign call ran while the object was claimed"
+    );
+    assert_eq!(
+        log.lock().unwrap().clone(),
+        vec![1],
+        "foreign note executed under the claim"
+    );
+    holder.call(parc::remoting::RELEASE_METHOD, vec![]).unwrap();
+    observer.join().expect("observer thread");
+    assert_eq!(
+        log.lock().unwrap().clone(),
+        vec![1, 99],
+        "parked call did not run after release"
+    );
 }
 
 /// `__claim` is idempotent per claim id: a retry (reply lost) re-grants
 /// the same alias; a different claim id must wait its turn.
 #[test]
 fn claim_is_idempotent_per_claim_id_on_every_transport() {
-    for_each_server(|combo, server, transport| {
-        let (object, _log) = recorder();
-        let claims = Arc::new(parc::remoting::ClaimTable::new());
-        parc::remoting::register_claimable(server.objects(), "Recorder", object, &claims);
+    let server = bind_server();
+    let (object, _log) = recorder();
+    let claims = Arc::new(parc::remoting::ClaimTable::new());
+    parc::remoting::register_claimable(server.objects(), "Recorder", object, &claims);
 
-        let chan = connect(transport, &server.addr());
-        let gate = RemoteObject::new(Arc::clone(&chan), "Recorder");
-        let first = gate
-            .call(parc::remoting::CLAIM_METHOD, vec![Value::Str("same".into())])
-            .unwrap();
-        let second = gate
-            .call(parc::remoting::CLAIM_METHOD, vec![Value::Str("same".into())])
-            .unwrap_or_else(|e| panic!("[{combo}] idempotent re-claim failed: {e}"));
-        assert_eq!(first, second, "[{combo}] re-claim granted a different alias");
-        assert_eq!(
-            claims.stats().acquired,
-            1,
-            "[{combo}] idempotent re-claim double-counted the grant"
-        );
-        let holder = RemoteObject::new(chan, first.as_str().unwrap().to_string());
-        holder.call(parc::remoting::RELEASE_METHOD, vec![]).unwrap();
-    });
+    let chan = connect(&server.local_addr().to_string());
+    let gate = RemoteObject::new(Arc::clone(&chan), "Recorder");
+    let first = gate
+        .call(parc::remoting::CLAIM_METHOD, vec![Value::Str("same".into())])
+        .unwrap();
+    let second = gate
+        .call(parc::remoting::CLAIM_METHOD, vec![Value::Str("same".into())])
+        .unwrap_or_else(|e| panic!("idempotent re-claim failed: {e}"));
+    assert_eq!(first, second, "re-claim granted a different alias");
+    assert_eq!(
+        claims.stats().acquired,
+        1,
+        "idempotent re-claim double-counted the grant"
+    );
+    let holder = RemoteObject::new(chan, first.as_str().unwrap().to_string());
+    holder.call(parc::remoting::RELEASE_METHOD, vec![]).unwrap();
 }
 
 // ---------------------------------------------------------------------------
-// Property tapes: incremental frame reassembly
+// Property tapes: read_frame_into under arbitrary read boundaries
 // ---------------------------------------------------------------------------
+
+/// One frame as the tapes describe it: correlation ID, one-way bit and
+/// payload.
+type Frame = (u64, bool, Vec<u8>);
 
 /// Encodes `frames` as one contiguous wire image, returning the byte
 /// offsets where each frame ends.
-fn wire_image(frames: &[(u64, bool, Vec<u8>)]) -> (Vec<u8>, Vec<usize>) {
+fn wire_image(frames: &[Frame]) -> (Vec<u8>, Vec<usize>) {
     let mut wire = Vec::new();
     let mut ends = Vec::new();
     for (corr_id, oneway, payload) in frames {
@@ -833,9 +751,49 @@ fn wire_image(frames: &[(u64, bool, Vec<u8>)]) -> (Vec<u8>, Vec<usize>) {
     (wire, ends)
 }
 
+/// Hands out `wire` in reads of the tape's chunk lengths, cycling through
+/// them — the short reads a socket may return at any boundary.
+struct ChunkedReader<'a> {
+    wire: &'a [u8],
+    chunks: &'a [usize],
+    turn: usize,
+}
+
+impl<'a> ChunkedReader<'a> {
+    fn new(wire: &'a [u8], chunks: &'a [usize]) -> ChunkedReader<'a> {
+        ChunkedReader { wire, chunks, turn: 0 }
+    }
+}
+
+impl Read for ChunkedReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let chunk = self.chunks[self.turn % self.chunks.len()];
+        self.turn += 1;
+        let n = buf.len().min(self.wire.len()).min(chunk);
+        buf[..n].copy_from_slice(&self.wire[..n]);
+        self.wire = &self.wire[n..];
+        Ok(n)
+    }
+}
+
+/// Reads frames off `reader` until it stops yielding them, returning the
+/// decoded frames and what ended the stream.
+fn read_all(reader: &mut impl Read) -> (Vec<Frame>, std::io::Result<FrameRead>) {
+    let mut decoded = Vec::new();
+    let mut payload = Vec::new();
+    loop {
+        match read_frame_into(reader, &mut payload) {
+            Ok(FrameRead::Frame(header)) => {
+                decoded.push((header.corr_id, header.oneway(), payload.clone()));
+            }
+            end => return (decoded, end),
+        }
+    }
+}
+
 /// Any chunking of a valid frame stream — byte-at-a-time, giant blocks,
 /// ragged boundaries straddling headers and payloads — decodes to the
-/// identical frame sequence.
+/// identical frame sequence and ends on a clean boundary.
 #[test]
 fn reassembly_is_invariant_under_arbitrary_chunk_boundaries() {
     Config::cases(96).check(
@@ -851,32 +809,16 @@ fn reassembly_is_invariant_under_arbitrary_chunk_boundaries() {
         },
         |(frames, chunk_lens)| {
             let (wire, _) = wire_image(frames);
-            let mut assembler = FrameAssembler::new();
-            let mut decoded: Vec<(u64, bool, Vec<u8>)> = Vec::new();
-            let mut pos = 0;
-            let mut turn = 0;
-            while pos < wire.len() {
-                let len = chunk_lens[turn % chunk_lens.len()];
-                turn += 1;
-                let end = (pos + len).min(wire.len());
-                assembler
-                    .feed(&wire[pos..end], &mut |header, payload| {
-                        decoded.push((header.corr_id, header.oneway(), payload.to_vec()));
-                    })
-                    .expect("valid stream never errors");
-                pos = end;
-            }
-            assert_eq!(decoded.len(), frames.len(), "frame count changed under chunking");
-            for (got, want) in decoded.iter().zip(frames.iter()) {
-                assert_eq!(got, want, "frame bytes changed under chunking");
-            }
-            assert!(!assembler.mid_frame(), "assembler left mid-frame after a whole stream");
+            let (decoded, end) = read_all(&mut ChunkedReader::new(&wire, chunk_lens));
+            assert_eq!(&decoded, frames, "frames changed under chunking");
+            assert_eq!(end.unwrap(), FrameRead::Eof, "stream did not end on a frame boundary");
         },
     );
 }
 
 /// A truncated stream yields exactly the frames that are complete in the
-/// prefix, and the assembler reports whether the cut fell mid-frame.
+/// prefix, then a clean EOF when the cut fell on a frame boundary and
+/// `UnexpectedEof` when it fell inside a frame.
 #[test]
 fn truncation_emits_only_complete_frames_and_is_reported() {
     Config::cases(96).check(
@@ -896,24 +838,20 @@ fn truncation_emits_only_complete_frames_and_is_reported() {
             // at least 1 byte withheld.
             let cut = 1 + ((wire.len() - 2) as f64 * cut_fraction) as usize;
             let complete = ends.iter().filter(|&&e| e <= cut).count();
-            let mut assembler = FrameAssembler::new();
-            let mut decoded = 0usize;
-            assembler
-                .feed(&wire[..cut], &mut |_, _| decoded += 1)
-                .expect("truncation is not an error, just an incomplete state");
-            assert_eq!(decoded, complete, "emitted a frame the prefix does not contain");
-            let at_boundary = ends.contains(&cut);
-            assert_eq!(
-                assembler.mid_frame(),
-                !at_boundary,
-                "mid_frame() must report exactly the cuts inside a frame"
-            );
+            let (decoded, end) = read_all(&mut &wire[..cut]);
+            assert_eq!(decoded.len(), complete, "emitted a frame the prefix does not contain");
+            if ends.contains(&cut) {
+                assert_eq!(end.unwrap(), FrameRead::Eof, "a cut at a boundary is a clean EOF");
+            } else {
+                let err = end.expect_err("a cut inside a frame must be reported");
+                assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+            }
         },
     );
 }
 
-/// An oversize length field is rejected the moment the header completes,
-/// whatever chunk boundary the header bytes straddle — and frames before
+/// An oversize length field is rejected as soon as the header is read,
+/// whatever read boundary the header bytes straddle — and frames before
 /// it still decode.
 #[test]
 fn oversize_frame_is_rejected_mid_reassembly() {
@@ -933,24 +871,13 @@ fn oversize_frame_is_rejected_mid_reassembly() {
             wire.extend_from_slice(&9u64.to_be_bytes());
             wire.push(0);
 
-            let mut assembler = FrameAssembler::new();
-            let mut decoded = 0usize;
-            // Deliver the good frame plus a partial bad header...
-            let first_cut = good_len + split;
-            assembler
-                .feed(&wire[..first_cut], &mut |_, payload| {
-                    assert_eq!(payload, good_payload.as_slice());
-                    decoded += 1;
-                })
-                .expect("header still incomplete: no error yet");
-            assert_eq!(decoded, 1, "the complete frame before the bad header must emit");
-            assert!(assembler.mid_frame());
-            // ...then the rest of the bad header: rejection, mid-stream.
-            let err = assembler
-                .feed(&wire[first_cut..], &mut |_, _| decoded += 1)
-                .expect_err("oversize length must be rejected when the header completes");
+            // The good frame plus a partial bad header, then the rest.
+            let chunks = [good_len + split, wire.len()];
+            let (decoded, end) = read_all(&mut ChunkedReader::new(&wire, &chunks));
+            assert_eq!(decoded.len(), 1, "the complete frame before the bad header must emit");
+            assert_eq!(&decoded[0].2, good_payload);
+            let err = end.expect_err("oversize length must be rejected");
             assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-            assert_eq!(decoded, 1, "no frame may emit after the stream is poisoned");
         },
     );
 }
@@ -959,18 +886,6 @@ fn oversize_frame_is_rejected_mid_reassembly() {
 // read_frame_into: fills the caller's buffer without a zero-fill
 // ---------------------------------------------------------------------------
 
-/// Hands out one byte per `read`, the worst legal short-read pattern.
-struct OneByteReader<'a>(&'a [u8]);
-
-impl Read for OneByteReader<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let n = buf.len().min(self.0.len()).min(1);
-        buf[..n].copy_from_slice(&self.0[..n]);
-        self.0 = &self.0[n..];
-        Ok(n)
-    }
-}
-
 /// Mirror of the one-byte-writer test on the write side: however short
 /// the reads, the frame comes out whole, and the stream ends on a clean
 /// boundary.
@@ -978,7 +893,7 @@ impl Read for OneByteReader<'_> {
 fn read_frame_into_survives_one_byte_reads() {
     let body: Vec<u8> = (0..1000u32).map(|i| i as u8).collect();
     let (wire, _) = wire_image(&[(9, false, body.clone()), (10, true, Vec::new())]);
-    let mut reader = OneByteReader(&wire);
+    let mut reader = ChunkedReader::new(&wire, &[1]);
     let mut payload = vec![0xaa; 4]; // stale bytes from an earlier frame
     let FrameRead::Frame(header) = read_frame_into(&mut reader, &mut payload).unwrap() else {
         panic!("expected the first frame");
@@ -999,7 +914,8 @@ fn read_frame_into_reports_a_truncated_payload_as_unexpected_eof() {
     let (wire, _) = wire_image(&[(1, false, vec![5u8; 300])]);
     for cut in [HEADER_LEN, HEADER_LEN + 1, wire.len() - 1] {
         let mut payload = Vec::new();
-        let err = read_frame_into(&mut OneByteReader(&wire[..cut]), &mut payload).unwrap_err();
+        let mut reader = ChunkedReader::new(&wire[..cut], &[1]);
+        let err = read_frame_into(&mut reader, &mut payload).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "cut at {cut}");
         let err = read_frame_into(&mut &wire[..cut], &mut payload).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "cut at {cut}");
