@@ -1101,10 +1101,11 @@ impl Drop for RebalancerHandle {
 impl Drop for ParcRuntime {
     /// Stops every endpoint the runtime still owns, exactly as
     /// [`ParcRuntime::kill_node`] stops one. Merely dropping an
-    /// [`InprocEndpoint`] leaves its pump waiting for the last sender to
-    /// go, and objects that hold channels to sibling nodes (pipeline
-    /// stages, farm workers) keep those senders alive in a cycle — the
-    /// pump and scheduler threads of every node would outlive the runtime.
+    /// [`InprocEndpoint`] keeps it serving the channels still open to it,
+    /// and objects that hold channels to sibling nodes (pipeline stages,
+    /// farm workers) keep those channels alive in a cycle — the scheduler
+    /// threads of every node would outlive the runtime. Stopping empties
+    /// each endpoint's serving state, which breaks the cycle.
     fn drop(&mut self) {
         for ep in self.endpoints.get_mut().iter().flatten() {
             self.net.stop_endpoint(ep.name());

@@ -2,15 +2,23 @@
 //! no sockets.
 //!
 //! An [`InprocNetwork`] is a registry of named endpoints inside one
-//! process. Each endpoint runs a router thread feeding a per-object
-//! [`MailboxScheduler`] (the same active-object discipline the TCP
-//! server uses: calls to one object serial and in order, distinct
-//! objects in parallel on work-stealing workers), so concurrency
-//! semantics match the socket channels: calls from many client threads
-//! interleave on the server exactly as they would across machines.
-//! Payloads still pass through the binary formatter, so marshalling
-//! costs and wire sizes are identical to the TCP channel — only the wire
-//! itself is a queue.
+//! process. Each endpoint owns a per-object [`MailboxScheduler`] (the same
+//! active-object discipline the TCP server uses: calls to one object
+//! serial and in order, distinct objects in parallel on work-stealing
+//! workers), so concurrency semantics match the socket channels: calls
+//! from many client threads interleave on the server exactly as they
+//! would across machines. The calling thread encodes its call, decodes it
+//! as a server would and enqueues it on the target object's mailbox
+//! itself; the worker that runs it completes the caller's reply slot. A
+//! call crosses two threads — caller and worker — and no router. Payloads
+//! still pass through the binary formatter, so marshalling costs and wire
+//! sizes are identical to the TCP channel — only the wire itself is a
+//! queue.
+//!
+//! [`InprocNetwork::stop_endpoint`] behaves like a crash with no timing
+//! window: a send either lands before it or fails with a transport error,
+//! jobs that have not started are discarded (their callers fail at once)
+//! and jobs already running finish.
 //!
 //! This is the channel the single-machine SCOOPP runtime and most tests
 //! use; URIs look like `inproc://node0/PrimeServer`.
@@ -18,9 +26,8 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use parc_sync::channel::{bounded, unbounded, Receiver, Sender};
 use parc_serial::BinaryFormatter;
 use parc_sync::RwLock;
 
@@ -28,7 +35,8 @@ use crate::channel::{ChannelProvider, ClientChannel, LinkFeedback};
 use crate::dispatcher::dispatch;
 use crate::error::RemotingError;
 use crate::mailbox::{DispatchDepth, MailboxScheduler};
-use crate::message::CallMessage;
+use crate::message::{CallMessage, ReturnMessage};
+use crate::slot::Slot;
 use crate::uri::{ObjectUri, Scheme};
 use crate::wellknown::ObjectTable;
 
@@ -38,35 +46,58 @@ use crate::wellknown::ObjectTable;
 /// [`crate::retry::call_timeout`].
 pub const DEFAULT_TIMEOUT: Duration = crate::retry::DEFAULT_CALL_TIMEOUT;
 
-/// One reply travelling back to a parked caller. The in-process
-/// analogue of a reply frame with a [`crate::frame::DepthExt`]: the
-/// endpoint stamps its live backlog (`pending`, `busiest`) on every
-/// reply so the caller's aggregation controller sees backpressure.
-struct InprocReply {
-    bytes: Vec<u8>,
-    depth: (usize, usize),
+/// A reply's bytes and the endpoint's backlog (`pending`, `busiest`) at
+/// reply time — the in-process analogue of a reply frame with a
+/// [`crate::frame::DepthExt`], so the caller's aggregation controller
+/// sees backpressure.
+type ReplyOutcome = Result<(Vec<u8>, (usize, usize)), RemotingError>;
+
+fn stopped() -> RemotingError {
+    RemotingError::Transport { detail: "endpoint stopped".into() }
 }
 
-struct Envelope {
-    bytes: Vec<u8>,
-    reply: Option<Sender<InprocReply>>,
-    // 0 unless obs recording was enabled at send time; lets the pump
-    // measure queue wait without paying for a clock read when disabled.
-    enqueued_ns: u64,
-    /// Caller's trace context at send time (`None` with obs disabled):
-    /// the in-process analogue of the TCP frame's trace extension, so
-    /// server-side dispatch spans parent onto the remote caller.
-    trace: Option<parc_obs::TraceContext>,
+/// The server's end of one caller's completion slot. Dropped unsent — its
+/// job discarded by a stop, or its reply unencodable — it fails the
+/// caller at once.
+struct Reply(Option<Arc<Slot<ReplyOutcome>>>);
+
+impl Reply {
+    /// Encodes `out` and completes the caller's slot, stamping the live
+    /// backlog sampled now (the write-time freshness TCP's `DepthExt` has).
+    fn send(mut self, out: &ReturnMessage, depth: &DispatchDepth) {
+        let Ok(bytes) = out.encode(&BinaryFormatter::new()) else { return };
+        if let Some(slot) = self.0.take() {
+            slot.complete(Ok((bytes, (depth.pending(), depth.max_object_depth()))));
+        }
+    }
+}
+
+impl Drop for Reply {
+    fn drop(&mut self) {
+        if let Some(slot) = self.0.take() {
+            slot.complete(Err(stopped()));
+        }
+    }
+}
+
+/// What a live endpoint serves calls with. [`InprocNetwork::stop_endpoint`]
+/// takes it, which also breaks the reference cycles that objects holding
+/// channels to sibling nodes form.
+struct Serving {
+    objects: ObjectTable,
+    scheduler: Arc<MailboxScheduler>,
+    depth: DispatchDepth,
+    /// Interned endpoint name: every span dispatched here is tagged with
+    /// it, so multi-node traces in one process stay attributable per node.
+    node: u32,
 }
 
 struct EndpointShared {
-    tx: Sender<Envelope>,
+    /// `None` once stopped. Senders hold the read lock across their
+    /// enqueue, so a stop (the write lock) never races one.
+    serving: RwLock<Option<Serving>>,
     bytes_received: AtomicU64,
     messages_received: AtomicU64,
-    // Set by `stop_endpoint`: the pump breaks out of its loop on the next
-    // envelope, dropping its receiver so every held client sender starts
-    // failing — the in-process analogue of a node crash.
-    stopped: std::sync::atomic::AtomicBool,
 }
 
 /// Registry of in-process endpoints.
@@ -104,42 +135,29 @@ impl InprocNetwork {
         workers: usize,
     ) -> Result<InprocEndpoint, RemotingError> {
         let name = name.into();
-        let (tx, rx) = unbounded::<Envelope>();
-        let shared = Arc::new(EndpointShared {
-            tx,
-            bytes_received: AtomicU64::new(0),
-            messages_received: AtomicU64::new(0),
-            stopped: std::sync::atomic::AtomicBool::new(false),
-        });
-        {
-            let mut endpoints = self.endpoints.write();
-            if endpoints.contains_key(&name) {
-                return Err(RemotingError::Transport {
-                    detail: format!("endpoint {name:?} already exists"),
-                });
-            }
-            endpoints.insert(name.clone(), Arc::clone(&shared));
+        let mut endpoints = self.endpoints.write();
+        if endpoints.contains_key(&name) {
+            return Err(RemotingError::Transport {
+                detail: format!("endpoint {name:?} already exists"),
+            });
         }
         let objects = ObjectTable::new();
-        let pump_objects = objects.clone();
-        let pump_shared = Arc::clone(&shared);
         let scheduler = Arc::new(MailboxScheduler::with_workers(workers));
-        let pump_scheduler = Arc::clone(&scheduler);
-        // Interned once: every span dispatched on this endpoint is tagged
-        // with its name, so multi-node traces in one process stay
-        // attributable per node.
-        let node = parc_obs::trace::node_id(&name);
-        let thread = std::thread::Builder::new()
-            .name(format!("inproc-{name}"))
-            .spawn(move || pump_mailbox(rx, pump_objects, pump_shared, pump_scheduler, node))
-            .expect("spawning inproc endpoint thread");
-        Ok(InprocEndpoint {
-            name,
-            objects,
-            network: self.clone(),
-            scheduler,
-            thread: Some(thread),
-        })
+        let serving = Serving {
+            objects: objects.clone(),
+            scheduler: Arc::clone(&scheduler),
+            depth: scheduler.depth_handle(),
+            node: parc_obs::trace::node_id(&name),
+        };
+        endpoints.insert(
+            name.clone(),
+            Arc::new(EndpointShared {
+                serving: RwLock::new(Some(serving)),
+                bytes_received: AtomicU64::new(0),
+                messages_received: AtomicU64::new(0),
+            }),
+        );
+        Ok(InprocEndpoint { name, objects, network: self.clone(), scheduler })
     }
 
     /// Names of live endpoints (sorted).
@@ -166,25 +184,44 @@ impl InprocNetwork {
     }
 
     /// Hard-stops an endpoint, simulating a node crash: the endpoint is
-    /// unregistered (new opens fail with `EndpointNotFound`) **and** its
-    /// pump thread is told to exit, so channels already held by clients
-    /// start failing with a transport error instead of silently continuing
-    /// to serve. Queued-but-undispatched envelopes are dropped as a crash
-    /// would drop them, failing their callers at once. Returns `false`
-    /// when no such endpoint exists.
+    /// unregistered (new opens fail with `EndpointNotFound`), channels
+    /// already held by clients fail every later send with a transport
+    /// error, and queued calls that have not started are discarded, so
+    /// their callers fail at once. Calls already running finish. Returns
+    /// `false` when no such endpoint exists.
     pub fn stop_endpoint(&self, name: &str) -> bool {
         let Some(shared) = self.endpoints.write().remove(name) else {
             return false;
         };
-        shared.stopped.store(true, Ordering::Relaxed);
-        // Wake the pump if it is blocked in recv; the envelope itself is
-        // never processed (the stop flag is checked first).
-        let _ = shared.tx.send(Envelope { bytes: Vec::new(), reply: None, enqueued_ns: 0, trace: None });
+        // Taken under the lock, halted and dropped outside it: discarded
+        // jobs and the published objects may own channels whose drop
+        // re-enters this network.
+        let serving = shared.serving.write().take();
+        if let Some(serving) = serving {
+            serving.scheduler.halt();
+        }
         true
     }
 
     fn remove(&self, name: &str) {
-        self.endpoints.write().remove(name);
+        // Dropped outside the registry lock: the last handle may take the
+        // endpoint's objects and scheduler with it.
+        let removed = self.endpoints.write().remove(name);
+        drop(removed);
+    }
+
+    /// Opens a client on `uri`'s endpoint with a per-call deadline.
+    fn client(&self, uri: &ObjectUri, timeout: Duration) -> Result<InprocClient, RemotingError> {
+        if uri.scheme() != Scheme::Inproc {
+            return Err(RemotingError::BadUri {
+                uri: uri.to_string(),
+                detail: "inproc network only serves inproc:// uris".into(),
+            });
+        }
+        let shared = self.endpoints.read().get(uri.authority()).cloned().ok_or_else(|| {
+            RemotingError::EndpointNotFound { endpoint: uri.authority().to_string() }
+        })?;
+        Ok(InprocClient { shared, timeout, feedback: Arc::new(LinkFeedback::new()) })
     }
 }
 
@@ -194,84 +231,15 @@ impl std::fmt::Debug for InprocNetwork {
     }
 }
 
-/// Router loop: decode on the pump thread — the decoded call is what
-/// routes to a mailbox — then enqueue; the scheduler's workers dispatch
-/// and reply. A slow method on one object only backs up that object's
-/// mailbox, never this router.
-///
-/// Kept apart from [`crate::dispatcher::serve_frame`]: an envelope has
-/// no frame header to peel (trace context and enqueue timestamp travel
-/// beside the bytes, the reply sender decides one-way), and the job tags
-/// its spans with this endpoint's node id and records queue wait —
-/// sharing would mean the socket servers' function branching on its
-/// caller.
-fn pump_mailbox(
-    rx: Receiver<Envelope>,
-    objects: ObjectTable,
-    shared: Arc<EndpointShared>,
-    sched: Arc<MailboxScheduler>,
-    node: u32,
-) {
-    let formatter = BinaryFormatter::new();
-    // Sampled at reply time by every dispatch closure — the same
-    // write-time freshness the TCP reply path's DepthExt gets.
-    let depth = sched.depth_handle();
-    while let Ok(envelope) = rx.recv() {
-        if shared.stopped.load(Ordering::Relaxed) {
-            break;
-        }
-        shared.bytes_received.fetch_add(envelope.bytes.len() as u64, Ordering::Relaxed);
-        shared.messages_received.fetch_add(1, Ordering::Relaxed);
-        let Envelope { bytes, reply, enqueued_ns, trace } = envelope;
-        let call = match CallMessage::decode(&formatter, &bytes) {
-            Ok(call) => call,
-            Err(e) => {
-                // Undecodable frame: fault with id 0 if a reply channel
-                // exists; otherwise drop.
-                if let Some(tx) = reply {
-                    let fault = crate::message::ReturnMessage::fault(0, e.to_string());
-                    if let Ok(bytes) = fault.encode(&formatter) {
-                        let _ = tx.send(InprocReply {
-                            bytes,
-                            depth: (depth.pending(), depth.max_object_depth()),
-                        });
-                    }
-                }
-                continue;
-            }
-        };
-        let objects = objects.clone();
-        let object = call.object.clone();
-        let depth = depth.clone();
-        sched.enqueue(&object, move || {
-            let _node = parc_obs::trace::enter_node_id(node);
-            let _trace = parc_obs::trace::with_remote_parent(trace);
-            parc_obs::record_wait(parc_obs::kinds::QUEUE_WAIT, enqueued_ns);
-            let out = dispatch(&objects, &call);
-            if let (Some(out), Some(tx)) = (out, reply) {
-                let _span = parc_obs::Span::enter(parc_obs::kinds::REPLY);
-                if let Ok(bytes) = out.encode(&BinaryFormatter::new()) {
-                    let _ = tx.send(InprocReply {
-                        bytes,
-                        depth: (depth.pending(), depth.max_object_depth()),
-                    });
-                }
-            }
-        });
-    }
-    // Dropping the pump's scheduler handle lets the last owner drain and
-    // join the workers.
-    drop(sched);
-}
-
 /// A live in-process endpoint (server side). Dropping it unregisters the
-/// endpoint and stops its dispatcher once queued work drains.
+/// endpoint; channels already open keep being served until the last of
+/// them drops, and the scheduler then drains its queue and exits.
+/// [`InprocNetwork::stop_endpoint`] severs them instead.
 pub struct InprocEndpoint {
     name: String,
     objects: ObjectTable,
     network: InprocNetwork,
     scheduler: Arc<MailboxScheduler>,
-    thread: Option<std::thread::JoinHandle<()>>,
 }
 
 impl InprocEndpoint {
@@ -299,12 +267,7 @@ impl InprocEndpoint {
 
 impl Drop for InprocEndpoint {
     fn drop(&mut self) {
-        // Unregister, dropping the network's sender; when the last client
-        // channel drops its sender clone too, the pump exits.
         self.network.remove(&self.name);
-        // Do not join: clients may still hold senders. The pump exits when
-        // every sender is gone; detach the thread.
-        let _ = self.thread.take();
     }
 }
 
@@ -322,57 +285,70 @@ pub struct InprocClient {
 }
 
 impl InprocClient {
-    /// Encodes and enqueues one envelope, returning the encoded payload
-    /// size in bytes.
-    fn send(
-        &self,
-        msg: &CallMessage,
-        reply: Option<Sender<InprocReply>>,
-    ) -> Result<usize, RemotingError> {
-        // A stopped endpoint's pump may not have drained its queue yet;
-        // without this check a one-way post would be accepted and then
-        // silently discarded. Failing here makes kill → post deterministic
-        // for callers (posts racing the stop itself can still be lost —
-        // fire-and-forget semantics).
-        if self.shared.stopped.load(std::sync::atomic::Ordering::Relaxed) {
-            return Err(RemotingError::Transport { detail: "endpoint stopped".into() });
-        }
+    /// Encodes `msg`, decodes it as the server would and enqueues it on
+    /// the target object's mailbox, returning the encoded payload size.
+    /// A send either lands before a concurrent stop or fails here; one
+    /// that lands but has not started when the stop comes is discarded
+    /// with the rest of the queue, as a crash would lose it.
+    fn send(&self, msg: &CallMessage, reply: Option<Reply>) -> Result<usize, RemotingError> {
+        let formatter = BinaryFormatter::new();
         let bytes = {
             let _span = parc_obs::Span::enter(parc_obs::kinds::SERIALIZE);
-            msg.encode(&BinaryFormatter::new())?
+            msg.encode(&formatter)?
         };
-        let sent = bytes.len();
         let _span = parc_obs::Span::enter(parc_obs::kinds::CHANNEL_SEND);
         // Captured inside the send span: the server dispatch becomes a
-        // child of this `channel.send`, mirroring the TCP transports.
+        // child of this `channel.send`, mirroring the TCP transport.
         let trace = parc_obs::trace::current_for_wire();
-        self.shared
-            .tx
-            .send(Envelope { bytes, reply, enqueued_ns: parc_obs::timestamp_if_enabled(), trace })
-            .map(|()| sent)
-            .map_err(|_| RemotingError::Transport { detail: "endpoint stopped".into() })
+        let enqueued_ns = parc_obs::timestamp_if_enabled();
+        let call = CallMessage::decode(&formatter, &bytes);
+        let serving = self.shared.serving.read();
+        let serving = serving.as_ref().ok_or_else(stopped)?;
+        self.shared.bytes_received.fetch_add(bytes.len() as u64, Ordering::Relaxed);
+        self.shared.messages_received.fetch_add(1, Ordering::Relaxed);
+        let call = match call {
+            Ok(call) => call,
+            // Undecodable: a call faults with id 0, a post is dropped.
+            Err(e) => {
+                if let Some(reply) = reply {
+                    reply.send(&ReturnMessage::fault(0, e.to_string()), &serving.depth);
+                }
+                return Ok(bytes.len());
+            }
+        };
+        let objects = serving.objects.clone();
+        let depth = serving.depth.clone();
+        let node = serving.node;
+        let object = call.object.clone();
+        serving.scheduler.enqueue(&object, move || {
+            let _node = parc_obs::trace::enter_node_id(node);
+            let _trace = parc_obs::trace::with_remote_parent(trace);
+            parc_obs::record_wait(parc_obs::kinds::QUEUE_WAIT, enqueued_ns);
+            if let (Some(out), Some(reply)) = (dispatch(&objects, &call), reply) {
+                let _span = parc_obs::Span::enter(parc_obs::kinds::REPLY);
+                reply.send(&out, &depth);
+            }
+        });
+        Ok(bytes.len())
     }
 }
 
 impl ClientChannel for InprocClient {
-    fn call(&self, msg: &CallMessage) -> Result<crate::message::ReturnMessage, RemotingError> {
-        let (reply_tx, reply_rx) = bounded(1);
-        let started = std::time::Instant::now();
-        self.send(msg, Some(reply_tx))?;
-        let reply = {
+    fn call(&self, msg: &CallMessage) -> Result<ReturnMessage, RemotingError> {
+        let started = Instant::now();
+        let slot = Slot::new();
+        self.send(msg, Some(Reply(Some(Arc::clone(&slot)))))?;
+        let (bytes, (pending, busiest)) = {
             let _span = parc_obs::Span::enter(parc_obs::kinds::CHANNEL_RECV);
-            use parc_sync::channel::RecvTimeoutError::{Disconnected, Timeout};
-            reply_rx.recv_timeout(self.timeout).map_err(|e| match e {
-                Timeout => RemotingError::timed_out(started.elapsed(), self.timeout),
-                // The endpoint stopped with this call still queued.
-                Disconnected => RemotingError::Transport { detail: "endpoint stopped".into() },
-            })?
+            match slot.wait(&self.feedback, started + self.timeout) {
+                Some(outcome) => outcome?,
+                None => return Err(RemotingError::timed_out(started.elapsed(), self.timeout)),
+            }
         };
         self.feedback.record_rtt(started.elapsed());
-        let (pending, busiest) = reply.depth;
         self.feedback.record_depth(pending, busiest);
         let _span = parc_obs::Span::enter(parc_obs::kinds::DESERIALIZE);
-        Ok(crate::message::ReturnMessage::decode(&BinaryFormatter::new(), &reply.bytes)?)
+        Ok(ReturnMessage::decode(&BinaryFormatter::new(), &bytes)?)
     }
 
     fn post(&self, msg: &CallMessage) -> Result<usize, RemotingError> {
@@ -390,21 +366,8 @@ impl ClientChannel for InprocClient {
 
 impl ChannelProvider for InprocNetwork {
     fn open(&self, uri: &ObjectUri) -> Result<Arc<dyn ClientChannel>, RemotingError> {
-        if uri.scheme() != Scheme::Inproc {
-            return Err(RemotingError::BadUri {
-                uri: uri.to_string(),
-                detail: "inproc network only serves inproc:// uris".into(),
-            });
-        }
-        let endpoints = self.endpoints.read();
-        let shared = endpoints.get(uri.authority()).ok_or_else(|| {
-            RemotingError::EndpointNotFound { endpoint: uri.authority().to_string() }
-        })?;
-        Ok(crate::fault::wrap_if_chaotic(Arc::new(InprocClient {
-            shared: Arc::clone(shared),
-            timeout: crate::retry::call_timeout(),
-            feedback: Arc::new(LinkFeedback::new()),
-        })))
+        let client = self.client(uri, crate::retry::call_timeout())?;
+        Ok(crate::fault::wrap_if_chaotic(Arc::new(client)))
     }
 }
 
@@ -421,21 +384,7 @@ impl InprocNetwork {
         uri: &ObjectUri,
         timeout: Duration,
     ) -> Result<Arc<dyn ClientChannel>, RemotingError> {
-        if uri.scheme() != Scheme::Inproc {
-            return Err(RemotingError::BadUri {
-                uri: uri.to_string(),
-                detail: "inproc network only serves inproc:// uris".into(),
-            });
-        }
-        let endpoints = self.endpoints.read();
-        let shared = endpoints.get(uri.authority()).ok_or_else(|| {
-            RemotingError::EndpointNotFound { endpoint: uri.authority().to_string() }
-        })?;
-        Ok(Arc::new(InprocClient {
-            shared: Arc::clone(shared),
-            timeout,
-            feedback: Arc::new(LinkFeedback::new()),
-        }))
+        Ok(Arc::new(self.client(uri, timeout)?))
     }
 }
 
@@ -445,6 +394,7 @@ mod tests {
     use crate::channel::RemoteObject;
     use crate::dispatcher::FnInvokable;
     use parc_serial::Value;
+    use std::sync::mpsc;
 
     fn adder_network() -> (InprocNetwork, InprocEndpoint) {
         let net = InprocNetwork::new();
@@ -540,23 +490,86 @@ mod tests {
         // New opens fail fast...
         let uri: ObjectUri = "inproc://node0/Adder".parse().unwrap();
         assert!(matches!(net.open(&uri), Err(RemotingError::EndpointNotFound { .. })));
-        // ...and channels opened before the crash start failing once the
-        // pump exits (a call still queued for it fails at once with a
-        // transport error; later sends fail at the transport).
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        loop {
-            match adder.call("add", vec![Value::I32(1), Value::I32(1)]) {
-                Err(RemotingError::Transport { .. }) | Err(RemotingError::Timeout { .. }) => break,
-                Err(other) => panic!("unexpected error class: {other:?}"),
-                Ok(_) => {
-                    assert!(
-                        std::time::Instant::now() < deadline,
-                        "stopped endpoint kept serving"
-                    );
-                    std::thread::sleep(Duration::from_millis(2));
+        // ...and so does every send on a channel opened before the crash.
+        assert!(matches!(
+            adder.call("add", vec![Value::I32(1), Value::I32(1)]),
+            Err(RemotingError::Transport { .. })
+        ));
+        assert!(matches!(adder.post("add", vec![]), Err(RemotingError::Transport { .. })));
+    }
+
+    #[test]
+    fn stop_fails_a_call_queued_behind_a_running_job_at_once() {
+        let net = InprocNetwork::new();
+        let ep = net.create_endpoint_with_workers("node0", 1).unwrap();
+        let (entered_tx, entered_rx) = mpsc::channel::<()>();
+        let (gate_tx, gate_rx) = mpsc::channel::<()>();
+        let gate_rx = parc_sync::Mutex::new(gate_rx);
+        ep.objects().register_singleton(
+            "Gate",
+            Arc::new(FnInvokable(move |method: &str, _args: &[Value]| {
+                if method == "block" {
+                    entered_tx.send(()).unwrap();
+                    gate_rx.lock().recv_timeout(Duration::from_secs(10)).expect("gate");
                 }
-            }
+                Ok(Value::Null)
+            })),
+        );
+        let blocker = proxy(&net, "inproc://node0/Gate");
+        let blocked = std::thread::spawn(move || blocker.call("block", vec![]));
+        entered_rx.recv_timeout(Duration::from_secs(5)).expect("blocker never ran");
+        let queued = proxy(&net, "inproc://node0/Gate");
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let outcome = queued.call("quick", vec![]);
+            done_tx.send((outcome, std::time::Instant::now())).unwrap();
+        });
+        let depth = ep.dispatch_depth().unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while depth.object_depth("Gate") == 0 {
+            assert!(std::time::Instant::now() < deadline, "second call never queued");
+            std::thread::yield_now();
         }
+        let stopped_at = std::time::Instant::now();
+        assert!(net.stop_endpoint("node0"));
+        let (outcome, failed_at) = done_rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert!(matches!(outcome, Err(RemotingError::Transport { .. })), "{outcome:?}");
+        let waited = failed_at - stopped_at;
+        assert!(waited < Duration::from_millis(100), "queued call failed after {waited:?}");
+        // The running job finishes and replies.
+        gate_tx.send(()).unwrap();
+        assert_eq!(blocked.join().unwrap().unwrap(), Value::Null);
+    }
+
+    #[test]
+    fn calls_racing_a_stop_see_ok_or_transport_never_timeout() {
+        let (net, _ep) = adder_network();
+        let uri: ObjectUri = "inproc://node0/Adder".parse().unwrap();
+        // Every caller has a call behind it and keeps calling when the
+        // stop comes; "sleepy" calls keep the object's mailbox queued.
+        let started = std::sync::Barrier::new(5);
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let chan = net.open_with_timeout(&uri, Duration::from_secs(2)).unwrap();
+                let started = &started;
+                scope.spawn(move || {
+                    let adder = RemoteObject::new(chan, "Adder");
+                    for i in 0.. {
+                        let method = if (t + i) % 3 == 0 { "sleepy" } else { "add" };
+                        match adder.call(method, vec![Value::I32(1), Value::I32(2)]) {
+                            Ok(_) if i == 0 => {
+                                started.wait();
+                            }
+                            Ok(_) => {}
+                            Err(RemotingError::Transport { .. }) if i > 0 => return,
+                            Err(other) => panic!("caller {t} saw {other:?}"),
+                        }
+                    }
+                });
+            }
+            started.wait();
+            assert!(net.stop_endpoint("node0"));
+        });
     }
 
     #[test]
@@ -585,12 +598,8 @@ mod tests {
         for _ in 0..10 {
             adder.post("sleepy", vec![]).unwrap();
         }
-        // Give the pool a moment to drain, then check delivery counters.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while net.messages_received("node0").unwrap() < 10 {
-            assert!(std::time::Instant::now() < deadline, "posts never delivered");
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        // Counted at the send itself, not when a worker gets to them.
+        assert_eq!(net.messages_received("node0"), Some(10));
         assert!(net.bytes_received("node0").unwrap() > 0);
     }
 

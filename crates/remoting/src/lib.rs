@@ -75,6 +75,7 @@ pub mod mailbox;
 pub mod message;
 pub mod reserve;
 pub mod retry;
+mod slot;
 pub mod tcp;
 pub mod threadpool;
 pub mod uri;

@@ -130,6 +130,11 @@ impl Shared {
         }))
     }
 
+    fn wake_all(&self) {
+        let _g = self.idle_lock.lock();
+        self.idle_cv.notify_all();
+    }
+
     fn push_runq(&self, at: usize, mb: Arc<Mailbox>) {
         self.runqs[at].lock().push_back(mb);
         self.ready.fetch_add(1, Ordering::SeqCst);
@@ -358,6 +363,26 @@ impl MailboxScheduler {
         }
     }
 
+    /// Halts the scheduler the way a crash would: later enqueues are
+    /// dropped, and every job that has not started is discarded with its
+    /// closure (so a caller waiting on one fails at once). Jobs already
+    /// running finish; claim-lane jobs still run. Workers exit once idle.
+    pub fn halt(&self) {
+        self.shared.stop.store(true, Ordering::SeqCst);
+        // Dropped outside every lock: a closure's captures may own
+        // channels whose drop re-enters the remoting stack.
+        let mut discarded: Vec<Job> = Vec::new();
+        for mb in self.shared.mailboxes.read().values() {
+            discarded.extend(mb.queue.lock().jobs.drain(..));
+        }
+        self.shared.pending.fetch_sub(discarded.len(), Ordering::SeqCst);
+        if parc_obs::is_enabled() {
+            parc_obs::gauge(parc_obs::kinds::MAILBOX_DEPTH).adjust(-(discarded.len() as i64));
+        }
+        drop(discarded);
+        self.shared.wake_all();
+    }
+
     /// Monitoring snapshot of the scheduler's counters.
     pub fn stats(&self) -> DispatchStats {
         DispatchStats {
@@ -384,9 +409,17 @@ impl Default for MailboxScheduler {
 impl Drop for MailboxScheduler {
     fn drop(&mut self) {
         self.shared.stop.store(true, Ordering::SeqCst);
-        {
-            let _g = self.shared.idle_lock.lock();
-            self.shared.idle_cv.notify_all();
+        self.shared.wake_all();
+        let lane = self.claim_lane.lock().take();
+        // The last handle can be released by a job on one of this
+        // scheduler's own threads (an in-process send racing shutdown).
+        // That thread cannot join itself, and the other workers wait for
+        // its job to finish, so every thread is detached instead: each
+        // exits once the remaining work drains.
+        let me = std::thread::current().id();
+        let lane_threads = lane.iter().flat_map(|lane| &lane.threads);
+        if self.workers.iter().chain(lane_threads).any(|t| t.thread().id() == me) {
+            return;
         }
         for w in self.workers.drain(..) {
             let _ = w.join();
@@ -394,7 +427,7 @@ impl Drop for MailboxScheduler {
         // The lane outlives the workers: a worker parked in a claim wait
         // can need a lane-borne release to finish draining. Only once
         // every worker has joined is it safe to retire the lane.
-        if let Some(lane) = self.claim_lane.lock().take() {
+        if let Some(lane) = lane {
             drop(lane.tx);
             for t in lane.threads {
                 let _ = t.join();
@@ -660,6 +693,61 @@ mod tests {
         // Drop drains: it only returns if the release ran and the worker
         // unblocked, i.e. the lane made progress with zero free workers.
         drop(sched);
+    }
+
+    #[test]
+    fn halt_discards_queued_jobs_and_lets_the_running_one_finish() {
+        let sched = MailboxScheduler::with_workers(1);
+        let (started_tx, started_rx) = mpsc::channel::<()>();
+        let (gate_tx, gate_rx) = mpsc::channel::<()>();
+        let (finished_tx, finished_rx) = mpsc::channel::<()>();
+        sched.enqueue("blocked", move || {
+            started_tx.send(()).unwrap();
+            gate_rx.recv_timeout(Duration::from_secs(10)).expect("gate");
+            finished_tx.send(()).unwrap();
+        });
+        started_rx.recv_timeout(Duration::from_secs(5)).expect("blocker never started");
+        let (dropped_tx, dropped_rx) = mpsc::channel::<()>();
+        let ran = Arc::new(AtomicUsize::new(0));
+        for _ in 0..5 {
+            let ran = Arc::clone(&ran);
+            let dropped = dropped_tx.clone();
+            sched.enqueue("blocked", move || {
+                let _keep = &dropped;
+                ran.fetch_add(1, Ordering::SeqCst);
+            });
+        }
+        drop(dropped_tx);
+        sched.halt();
+        // Every queued closure is gone the moment `halt` returns.
+        assert_eq!(dropped_rx.try_recv(), Err(mpsc::TryRecvError::Disconnected));
+        let late = Arc::clone(&ran);
+        sched.enqueue("other", move || {
+            late.fetch_add(1, Ordering::SeqCst);
+        });
+        assert_eq!(sched.stats().pending, 1, "only the running job is left");
+        gate_tx.send(()).unwrap();
+        finished_rx.recv_timeout(Duration::from_secs(5)).expect("running job did not finish");
+        drop(sched);
+        assert_eq!(ran.load(Ordering::SeqCst), 0, "a discarded or late job ran");
+    }
+
+    #[test]
+    fn dropping_the_last_handle_inside_a_job_does_not_self_join() {
+        let sched = Arc::new(MailboxScheduler::with_workers(2));
+        let last = Arc::clone(&sched);
+        let (go_tx, go_rx) = mpsc::channel::<()>();
+        let (done_tx, done_rx) = mpsc::channel::<()>();
+        sched.enqueue("self", move || {
+            go_rx.recv_timeout(Duration::from_secs(10)).expect("go");
+            drop(last);
+            done_tx.send(()).unwrap();
+        });
+        drop(sched);
+        go_tx.send(()).unwrap();
+        done_rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("dropping the last handle on its own worker deadlocked");
     }
 
     #[test]

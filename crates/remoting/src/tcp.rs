@@ -34,7 +34,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parc_serial::BinaryFormatter;
-use parc_sync::{Condvar, Mutex};
+use parc_sync::Mutex;
 
 use crate::bufpool;
 use crate::channel::{ChannelProvider, ClientChannel, LinkFeedback};
@@ -44,6 +44,7 @@ use crate::frame::{self, DepthExt, FrameRead, FLAG_ONEWAY};
 use crate::mailbox::{DispatchDepth, MailboxScheduler};
 use crate::message::{CallMessage, ReturnMessage};
 use crate::retry::call_timeout;
+use crate::slot::{self, Wake};
 use crate::uri::{ObjectUri, Scheme};
 use crate::wellknown::ObjectTable;
 
@@ -59,10 +60,6 @@ pub const DEFAULT_POOL_SIZE: usize = 2;
 
 /// Environment variable overriding the per-authority socket-pool size.
 pub const POOL_SIZE_ENV: &str = "PARC_TCP_POOL";
-
-/// A leader polls its socket this long before parking in `read`, so a
-/// prompt reply finds its CPU running; links slower (RTT EWMA) never poll.
-const SPIN: Duration = Duration::from_micros(30);
 
 /// The client transport serving `tcp://` URIs. There is one; the type
 /// is kept only because the `callpath` benchmark records
@@ -260,68 +257,10 @@ fn serve_connection(
     bufpool::global().checkin(payload);
 }
 
-/// One completion slot a caller parks on while its call is in flight.
-struct Slot {
-    state: Mutex<SlotState>,
-    cv: Condvar,
-}
-
 /// The pooled reply payload and the offset its formatter bytes start at.
 type SlotOutcome = Result<(Vec<u8>, usize), RemotingError>;
 
-enum SlotState {
-    Waiting,
-    /// Handed the connection's read half.
-    Lead,
-    Done(SlotOutcome),
-}
-
-/// Why [`Slot::park`] returned.
-enum Wake {
-    Done(SlotOutcome),
-    Lead,
-    Timeout,
-}
-
-impl Slot {
-    fn new() -> Arc<Slot> {
-        Arc::new(Slot { state: Mutex::new(SlotState::Waiting), cv: Condvar::new() })
-    }
-
-    fn complete(&self, outcome: SlotOutcome) {
-        *self.state.lock() = SlotState::Done(outcome);
-        self.cv.notify_all();
-    }
-
-    /// Parks until the slot completes, is handed the read half, or
-    /// `deadline` passes; a past `deadline` polls without parking.
-    fn park(&self, deadline: Instant) -> Wake {
-        let mut state = self.state.lock();
-        loop {
-            match std::mem::replace(&mut *state, SlotState::Waiting) {
-                SlotState::Done(outcome) => return Wake::Done(outcome),
-                SlotState::Lead => return Wake::Lead,
-                SlotState::Waiting => {}
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Wake::Timeout;
-            }
-            self.cv.wait_for(&mut state, deadline - now);
-        }
-    }
-
-    /// Hands the read half to this slot's owner, unless it is done.
-    fn promote(&self) -> bool {
-        let mut state = self.state.lock();
-        let waiting = matches!(*state, SlotState::Waiting);
-        if waiting {
-            *state = SlotState::Lead;
-            self.cv.notify_all();
-        }
-        waiting
-    }
-}
+type Slot = crate::slot::Slot<SlotOutcome>;
 
 /// State shared between a connection's callers and its leading caller,
 /// which demuxes replies.
@@ -450,11 +389,14 @@ impl MuxConnection {
         let corr_id = self.next_corr.fetch_add(1, Ordering::Relaxed);
         let slot = Slot::new();
         self.shared.pending.lock().insert(corr_id, Arc::clone(&slot));
-        if parc_obs::is_enabled() {
+        // Decided once, so a call straddling an obs toggle leaves the
+        // gauge balanced.
+        let counted = parc_obs::is_enabled();
+        if counted {
             parc_obs::gauge(parc_obs::kinds::INFLIGHT).adjust(1);
         }
         let outcome = self.call_inner(msg, corr_id, &slot);
-        if parc_obs::is_enabled() {
+        if counted {
             parc_obs::gauge(parc_obs::kinds::INFLIGHT).adjust(-1);
         }
         outcome
@@ -522,32 +464,19 @@ impl MuxConnection {
 
     /// Waits at a frame boundary until the socket has a byte, EOF or an
     /// error to report (`Ok(true)`) or `deadline` passes (`Ok(false)`).
-    /// On a link faster than [`SPIN`] it first polls without blocking for
-    /// up to [`SPIN`], yielding every 8th poll to a server on this CPU.
+    /// On a fast link it first polls without blocking ([`slot::spin`]).
     fn readable(&self, deadline: Instant) -> std::io::Result<bool> {
         use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
         let idle = |e: &std::io::Error| matches!(e.kind(), WouldBlock | TimedOut | Interrupted);
         let mut probe = [0u8; 1];
-        if self.feedback.rtt().is_none_or(|rtt| rtt < SPIN) {
-            let until = deadline.min(Instant::now() + SPIN);
+        if slot::fast_link(&self.feedback) {
             self.reader.set_nonblocking(true)?;
-            let mut polls = 0u32;
-            let ready = loop {
-                polls += 1;
-                match self.reader.peek(&mut probe) {
-                    Err(e) if idle(&e) && Instant::now() < until => {}
-                    ready => break ready,
-                }
-                std::hint::spin_loop();
-                if polls.is_multiple_of(8) {
-                    std::thread::yield_now();
-                }
-            };
+            let polled = slot::spin(deadline, || match self.reader.peek(&mut probe) {
+                Err(e) if idle(&e) => None,
+                ready => Some(ready),
+            });
             self.reader.set_nonblocking(false)?;
-            let hit = !matches!(&ready, Err(e) if idle(e));
-            let kind = if hit { parc_obs::kinds::SPIN_HIT } else { parc_obs::kinds::SPIN_MISS };
-            parc_obs::event(kind, || format!("polls={polls}"));
-            if hit {
+            if let Some(ready) = polled {
                 return ready.map(|_| true);
             }
         }

@@ -91,17 +91,19 @@ for seed in 11 12; do
     echo "ok: chaos sieve run (seed ${seed}) injected ${injected} faults, output correct, trace valid"
 done
 
-# Gate 7: the TCP transport. The conformance suite pins its semantics
-# (FIFO ordering, one-way/two-way interleaving, reply-by-correlation-ID,
-# poison-on-death, unknown-frame tolerance, hostile request frames, the
-# mux client's leader/follower reads). Then a traced sieve hosted over
+# Gate 7: the transports. The conformance suite pins the contracts
+# every transport keeps over TCP and inproc alike (FIFO ordering,
+# one-way/two-way interleaving, replies reaching their own caller,
+# claim/release) and TCP's wire contracts (poison-on-death,
+# unknown-frame tolerance, hostile request frames, the mux client's
+# leader/follower reads). Then a traced sieve hosted over
 # real TCP sockets must compute the correct primes (the example asserts
 # them) and emit a structurally valid Chrome trace.
 cargo test -q --offline --test transport_conformance
 PARC_OBS=1 cargo run --release --offline -q --example tcp_sieve >/dev/null
 cargo run --release --offline -q -p parc-obs --bin parc-trace-check -- \
     target/tcp_sieve_trace.json --min-events 10
-echo "ok: tcp transport passes (conformance suite, sieve over sockets, trace valid)"
+echo "ok: transports pass (conformance suite over tcp + inproc, sieve over sockets, trace valid)"
 
 # Gate 8: cross-node distributed tracing. A traced 3-node sieve writes
 # one JSONL trace file per node; parc-trace-merge must join them into a

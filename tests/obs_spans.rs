@@ -112,7 +112,7 @@ fn dispatcher_roundtrip_produces_the_expected_span_tree() {
         );
     }
 
-    // Server-side spans run on a pump/worker thread, not the caller's.
+    // Server-side spans run on a mailbox worker, not the caller's thread.
     for kind in [kinds::DISPATCH, kinds::REPLY] {
         let server = all
             .iter()

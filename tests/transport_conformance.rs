@@ -1,13 +1,18 @@
-//! Conformance suite for the TCP transport (multiplexed client →
-//! threaded server): one set of contract checks any transport change
-//! must keep passing.
+//! Conformance suite for the transports: one set of contract checks any
+//! transport change must keep passing.
 //!
-//! The contract, in order of appearance:
-//! * per-object FIFO ordering — frames sent by one caller to one object
+//! The transport-agnostic contracts run over every transport in
+//! [`TRANSPORTS`] — TCP (multiplexed client → threaded server) and
+//! inproc (callers enqueue on the endpoint's mailboxes):
+//! * per-object FIFO ordering — calls sent by one caller to one object
 //!   execute in send order;
 //! * one-way/two-way interleaving — posts and calls from one caller
 //!   keep their relative order on the target object;
-//! * replies route by correlation ID, never by arrival order;
+//! * replies reach their own caller under concurrent callers;
+//! * claim/release — a claim grants a private alias, foreign calls park
+//!   until release, and a re-claim under the same id is idempotent.
+//!
+//! The wire contracts are TCP's alone:
 //! * a dead connection poisons pending *and* future calls (fail fast,
 //!   not hang);
 //! * unknown-correlation-ID frames are tolerated and skipped;
@@ -39,15 +44,62 @@ use parc::remoting::frame::{
     read_frame_into, split_depth_ext, write_frame, FrameRead, FLAG_DEPTH, FLAG_ONEWAY,
     FLAG_TRACE, HEADER_LEN, MAX_FRAME,
 };
+use parc::remoting::inproc::{InprocEndpoint, InprocNetwork};
 use parc::remoting::tcp::{TcpClientChannel, TcpServerChannel};
 use parc::remoting::{
-    CallMessage, ClientChannel, Invokable, RemoteObject, RemotingError, ReturnMessage,
+    CallMessage, ChannelProvider, ClientChannel, Invokable, ObjectTable, RemoteObject,
+    RemotingError, ReturnMessage,
 };
 use parc::serial::{BinaryFormatter, Value};
 
 // ---------------------------------------------------------------------------
-// The transport under test
+// The transports under test
 // ---------------------------------------------------------------------------
+
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    Tcp,
+    Inproc,
+}
+
+/// Every transport the transport-agnostic contracts run over.
+const TRANSPORTS: [Kind; 2] = [Kind::Tcp, Kind::Inproc];
+
+/// A server of one transport, with four mailbox workers either way.
+enum Server {
+    Tcp(TcpServerChannel),
+    Inproc(InprocNetwork, InprocEndpoint),
+}
+
+impl Server {
+    fn start(kind: Kind) -> Server {
+        match kind {
+            Kind::Tcp => Server::Tcp(bind_server()),
+            Kind::Inproc => {
+                let net = InprocNetwork::new();
+                let endpoint = net.create_endpoint_with_workers("node0", 4).expect("endpoint");
+                Server::Inproc(net, endpoint)
+            }
+        }
+    }
+
+    fn objects(&self) -> &ObjectTable {
+        match self {
+            Server::Tcp(server) => server.objects(),
+            Server::Inproc(_, endpoint) => endpoint.objects(),
+        }
+    }
+
+    /// A fresh client channel; over TCP, one socket of its own.
+    fn connect(&self) -> Arc<dyn ClientChannel> {
+        match self {
+            Server::Tcp(server) => connect(&server.local_addr().to_string()),
+            Server::Inproc(net, _) => {
+                net.open(&"inproc://node0/any".parse().unwrap()).expect("inproc open")
+            }
+        }
+    }
+}
 
 /// The threaded server with four mailbox workers.
 fn bind_server() -> TcpServerChannel {
@@ -93,26 +145,28 @@ fn recorder() -> (Arc<dyn Invokable>, Arc<Mutex<Vec<i32>>>) {
 /// a trailing two-way call is the barrier proving they all landed.
 #[test]
 fn per_object_fifo_ordering_holds_on_every_combo() {
-    let server = bind_server();
-    let chan = connect(&server.local_addr().to_string());
-    let (object, log) = recorder();
-    server.objects().register_singleton("Recorder", object);
-    let proxy = RemoteObject::new(chan, "Recorder");
-    for i in 0..32 {
-        proxy.post("note", vec![Value::I32(i)]).unwrap_or_else(|e| {
-            panic!("post {i} failed: {e}");
+    for kind in TRANSPORTS {
+        let server = Server::start(kind);
+        let chan = server.connect();
+        let (object, log) = recorder();
+        server.objects().register_singleton("Recorder", object);
+        let proxy = RemoteObject::new(chan, "Recorder");
+        for i in 0..32 {
+            proxy.post("note", vec![Value::I32(i)]).unwrap_or_else(|e| {
+                panic!("{kind:?}: post {i} failed: {e}");
+            });
+        }
+        let drained = proxy.call("drain", vec![]).unwrap_or_else(|e| {
+            panic!("{kind:?}: drain barrier failed: {e}");
         });
+        assert_eq!(drained, Value::I32(32), "{kind:?}: posts lost before barrier");
+        let seen = log.lock().unwrap().clone();
+        assert_eq!(
+            seen,
+            (0..32).collect::<Vec<i32>>(),
+            "{kind:?}: one-way posts executed out of order"
+        );
     }
-    let drained = proxy.call("drain", vec![]).unwrap_or_else(|e| {
-        panic!("drain barrier failed: {e}");
-    });
-    assert_eq!(drained, Value::I32(32), "posts lost before barrier");
-    let seen = log.lock().unwrap().clone();
-    assert_eq!(
-        seen,
-        (0..32).collect::<Vec<i32>>(),
-        "one-way posts executed out of order"
-    );
 }
 
 /// Alternating posts and calls from one caller hit the object in exactly
@@ -120,68 +174,72 @@ fn per_object_fifo_ordering_holds_on_every_combo() {
 /// vice versa.
 #[test]
 fn oneway_twoway_interleaving_preserves_order_on_every_combo() {
-    let server = bind_server();
-    let chan = connect(&server.local_addr().to_string());
-    let (object, log) = recorder();
-    server.objects().register_singleton("Recorder", object);
-    let proxy = RemoteObject::new(chan, "Recorder");
-    for i in 0..24 {
-        if i % 2 == 0 {
-            proxy.post("note", vec![Value::I32(i)]).unwrap();
-        } else {
-            proxy.call("note", vec![Value::I32(i)]).unwrap_or_else(|e| {
-                panic!("two-way note {i} failed: {e}");
-            });
+    for kind in TRANSPORTS {
+        let server = Server::start(kind);
+        let chan = server.connect();
+        let (object, log) = recorder();
+        server.objects().register_singleton("Recorder", object);
+        let proxy = RemoteObject::new(chan, "Recorder");
+        for i in 0..24 {
+            if i % 2 == 0 {
+                proxy.post("note", vec![Value::I32(i)]).unwrap();
+            } else {
+                proxy.call("note", vec![Value::I32(i)]).unwrap_or_else(|e| {
+                    panic!("{kind:?}: two-way note {i} failed: {e}");
+                });
+            }
         }
+        proxy.call("drain", vec![]).unwrap();
+        let seen = log.lock().unwrap().clone();
+        assert_eq!(
+            seen,
+            (0..24).collect::<Vec<i32>>(),
+            "{kind:?}: one-way/two-way interleaving broke per-object order"
+        );
     }
-    proxy.call("drain", vec![]).unwrap();
-    let seen = log.lock().unwrap().clone();
-    assert_eq!(
-        seen,
-        (0..24).collect::<Vec<i32>>(),
-        "one-way/two-way interleaving broke per-object order"
-    );
 }
 
 // ---------------------------------------------------------------------------
 // Contract: correlation
 // ---------------------------------------------------------------------------
 
-/// Concurrent callers sharing one channel each get *their* reply back:
-/// replies route by correlation ID, not arrival order.
+/// Concurrent callers sharing one channel each get *their* reply back
+/// (over TCP, replies route by correlation ID, not arrival order).
 #[test]
 fn replies_route_by_correlation_id_on_every_combo() {
-    let server = bind_server();
-    let chan = connect(&server.local_addr().to_string());
-    server.objects().register_singleton(
-        "Echo",
-        Arc::new(FnInvokable(|method: &str, args: &[Value]| match method {
-            "echo" => Ok(args.first().cloned().unwrap_or(Value::Null)),
-            _ => Err(RemotingError::MethodNotFound {
-                object: "Echo".into(),
-                method: method.into(),
-            }),
-        })),
-    );
-    std::thread::scope(|scope| {
-        for t in 0..4i32 {
-            let chan = Arc::clone(&chan);
-            scope.spawn(move || {
-                let proxy = RemoteObject::new(chan, "Echo");
-                for i in 0..25 {
-                    let sent = t * 1000 + i;
-                    let got = proxy.call("echo", vec![Value::I32(sent)]).unwrap_or_else(|e| {
-                        panic!("caller {t} call {i} failed: {e}");
-                    });
-                    assert_eq!(
-                        got,
-                        Value::I32(sent),
-                        "caller {t} received another caller's reply"
-                    );
-                }
-            });
-        }
-    });
+    for kind in TRANSPORTS {
+        let server = Server::start(kind);
+        let chan = server.connect();
+        server.objects().register_singleton(
+            "Echo",
+            Arc::new(FnInvokable(|method: &str, args: &[Value]| match method {
+                "echo" => Ok(args.first().cloned().unwrap_or(Value::Null)),
+                _ => Err(RemotingError::MethodNotFound {
+                    object: "Echo".into(),
+                    method: method.into(),
+                }),
+            })),
+        );
+        std::thread::scope(|scope| {
+            for t in 0..4i32 {
+                let chan = Arc::clone(&chan);
+                scope.spawn(move || {
+                    let proxy = RemoteObject::new(chan, "Echo");
+                    for i in 0..25 {
+                        let sent = t * 1000 + i;
+                        let got = proxy.call("echo", vec![Value::I32(sent)]).unwrap_or_else(|e| {
+                            panic!("{kind:?}: caller {t} call {i} failed: {e}");
+                        });
+                        assert_eq!(
+                            got,
+                            Value::I32(sent),
+                            "caller {t} received another caller's reply"
+                        );
+                    }
+                });
+            }
+        });
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -610,124 +668,130 @@ fn mux_slow_link_stops_spinning_after_its_first_call() {
 /// releasing through the alias reopens the object.
 #[test]
 fn claim_grants_alias_and_release_reopens_on_every_transport() {
-    let server = bind_server();
-    let (object, log) = recorder();
-    let claims = Arc::new(parc::remoting::ClaimTable::new());
-    parc::remoting::register_claimable(server.objects(), "Recorder", object, &claims);
+    for kind in TRANSPORTS {
+        let server = Server::start(kind);
+        let (object, log) = recorder();
+        let claims = Arc::new(parc::remoting::ClaimTable::new());
+        parc::remoting::register_claimable(server.objects(), "Recorder", object, &claims);
 
-    let chan = connect(&server.local_addr().to_string());
-    let gate = RemoteObject::new(Arc::clone(&chan), "Recorder");
-    let alias = gate
-        .call(parc::remoting::CLAIM_METHOD, vec![Value::Str("c1".into())])
-        .unwrap_or_else(|e| panic!("claim failed: {e}"));
-    let alias = alias.as_str().expect("alias name").to_string();
-    assert!(
-        parc::remoting::is_claim_plane(&alias),
-        "grant returned a non-claim-plane alias {alias:?}"
-    );
+        let chan = server.connect();
+        let gate = RemoteObject::new(Arc::clone(&chan), "Recorder");
+        let alias = gate
+            .call(parc::remoting::CLAIM_METHOD, vec![Value::Str("c1".into())])
+            .unwrap_or_else(|e| panic!("{kind:?}: claim failed: {e}"));
+        let alias = alias.as_str().expect("alias name").to_string();
+        assert!(
+            parc::remoting::is_claim_plane(&alias),
+            "grant returned a non-claim-plane alias {alias:?}"
+        );
 
-    let holder = RemoteObject::new(Arc::clone(&chan), alias.clone());
-    for i in 0..4 {
-        holder
-            .call("note", vec![Value::I32(i)])
-            .unwrap_or_else(|e| panic!("holder call {i} failed: {e}"));
+        let holder = RemoteObject::new(Arc::clone(&chan), alias.clone());
+        for i in 0..4 {
+            holder
+                .call("note", vec![Value::I32(i)])
+                .unwrap_or_else(|e| panic!("{kind:?}: holder call {i} failed: {e}"));
+        }
+        assert_eq!(log.lock().unwrap().clone(), vec![0, 1, 2, 3], "{kind:?}: holder calls lost");
+
+        let released = holder
+            .call(parc::remoting::RELEASE_METHOD, vec![])
+            .unwrap_or_else(|e| panic!("{kind:?}: release failed: {e}"));
+        assert_eq!(released, Value::Bool(true), "{kind:?}: release reported no claim");
+        // Object is open again: a plain (foreign) call completes.
+        assert_eq!(
+            gate.call("drain", vec![]).unwrap_or_else(|e| {
+                panic!("{kind:?}: post-release foreign call failed: {e}")
+            }),
+            Value::I32(4),
+            "{kind:?}: foreign call after release saw the wrong state"
+        );
+        assert_eq!(claims.stats().active, 0, "{kind:?}: claim table still holds the claim");
     }
-    assert_eq!(log.lock().unwrap().clone(), vec![0, 1, 2, 3], "holder calls lost");
-
-    let released = holder
-        .call(parc::remoting::RELEASE_METHOD, vec![])
-        .unwrap_or_else(|e| panic!("release failed: {e}"));
-    assert_eq!(released, Value::Bool(true), "release reported no claim");
-    // Object is open again: a plain (foreign) call completes.
-    assert_eq!(
-        gate.call("drain", vec![]).unwrap_or_else(|e| {
-            panic!("post-release foreign call failed: {e}")
-        }),
-        Value::I32(4),
-        "foreign call after release saw the wrong state"
-    );
-    assert_eq!(claims.stats().active, 0, "claim table still holds the claim");
 }
 
 /// While claimed, a foreign call parks in the object's mailbox slot and
 /// only runs after the holder releases.
 #[test]
 fn foreign_calls_park_until_release_on_every_transport() {
-    let server = bind_server();
-    let (object, log) = recorder();
-    let claims = Arc::new(parc::remoting::ClaimTable::new());
-    parc::remoting::register_claimable(server.objects(), "Recorder", object, &claims);
+    for kind in TRANSPORTS {
+        let server = Server::start(kind);
+        let (object, log) = recorder();
+        let claims = Arc::new(parc::remoting::ClaimTable::new());
+        parc::remoting::register_claimable(server.objects(), "Recorder", object, &claims);
 
-    let chan = connect(&server.local_addr().to_string());
-    let gate = RemoteObject::new(Arc::clone(&chan), "Recorder");
-    let alias = gate
-        .call(parc::remoting::CLAIM_METHOD, vec![Value::Str("c2".into())])
-        .unwrap()
-        .as_str()
-        .unwrap()
-        .to_string();
-    let holder = RemoteObject::new(Arc::clone(&chan), alias);
+        let chan = server.connect();
+        let gate = RemoteObject::new(Arc::clone(&chan), "Recorder");
+        let alias = gate
+            .call(parc::remoting::CLAIM_METHOD, vec![Value::Str("c2".into())])
+            .unwrap()
+            .as_str()
+            .unwrap()
+            .to_string();
+        let holder = RemoteObject::new(Arc::clone(&chan), alias);
 
-    // The foreign caller gets its own connection.
-    let foreign_chan = connect(&server.local_addr().to_string());
-    let foreign_done = Arc::new(Mutex::new(false));
-    let observer = std::thread::spawn({
-        let foreign_done = Arc::clone(&foreign_done);
-        move || {
-            let foreign = RemoteObject::new(foreign_chan, "Recorder");
-            foreign
-                .call("note", vec![Value::I32(99)])
-                .unwrap_or_else(|e| panic!("parked foreign call failed: {e}"));
-            *foreign_done.lock().unwrap() = true;
-        }
-    });
-    // Give the foreign call ample time to park, then prove it has
-    // not run: the holder still owns the object.
-    std::thread::sleep(Duration::from_millis(60));
-    holder.call("note", vec![Value::I32(1)]).unwrap();
-    assert!(
-        !*foreign_done.lock().unwrap(),
-        "foreign call ran while the object was claimed"
-    );
-    assert_eq!(
-        log.lock().unwrap().clone(),
-        vec![1],
-        "foreign note executed under the claim"
-    );
-    holder.call(parc::remoting::RELEASE_METHOD, vec![]).unwrap();
-    observer.join().expect("observer thread");
-    assert_eq!(
-        log.lock().unwrap().clone(),
-        vec![1, 99],
-        "parked call did not run after release"
-    );
+        // The foreign caller gets its own connection.
+        let foreign_chan = server.connect();
+        let foreign_done = Arc::new(Mutex::new(false));
+        let observer = std::thread::spawn({
+            let foreign_done = Arc::clone(&foreign_done);
+            move || {
+                let foreign = RemoteObject::new(foreign_chan, "Recorder");
+                foreign
+                    .call("note", vec![Value::I32(99)])
+                    .unwrap_or_else(|e| panic!("{kind:?}: parked foreign call failed: {e}"));
+                *foreign_done.lock().unwrap() = true;
+            }
+        });
+        // Give the foreign call ample time to park, then prove it has
+        // not run: the holder still owns the object.
+        std::thread::sleep(Duration::from_millis(60));
+        holder.call("note", vec![Value::I32(1)]).unwrap();
+        assert!(
+            !*foreign_done.lock().unwrap(),
+            "{kind:?}: foreign call ran while the object was claimed"
+        );
+        assert_eq!(
+            log.lock().unwrap().clone(),
+            vec![1],
+            "{kind:?}: foreign note executed under the claim"
+        );
+        holder.call(parc::remoting::RELEASE_METHOD, vec![]).unwrap();
+        observer.join().expect("observer thread");
+        assert_eq!(
+            log.lock().unwrap().clone(),
+            vec![1, 99],
+            "{kind:?}: parked call did not run after release"
+        );
+    }
 }
 
 /// `__claim` is idempotent per claim id: a retry (reply lost) re-grants
 /// the same alias; a different claim id must wait its turn.
 #[test]
 fn claim_is_idempotent_per_claim_id_on_every_transport() {
-    let server = bind_server();
-    let (object, _log) = recorder();
-    let claims = Arc::new(parc::remoting::ClaimTable::new());
-    parc::remoting::register_claimable(server.objects(), "Recorder", object, &claims);
+    for kind in TRANSPORTS {
+        let server = Server::start(kind);
+        let (object, _log) = recorder();
+        let claims = Arc::new(parc::remoting::ClaimTable::new());
+        parc::remoting::register_claimable(server.objects(), "Recorder", object, &claims);
 
-    let chan = connect(&server.local_addr().to_string());
-    let gate = RemoteObject::new(Arc::clone(&chan), "Recorder");
-    let first = gate
-        .call(parc::remoting::CLAIM_METHOD, vec![Value::Str("same".into())])
-        .unwrap();
-    let second = gate
-        .call(parc::remoting::CLAIM_METHOD, vec![Value::Str("same".into())])
-        .unwrap_or_else(|e| panic!("idempotent re-claim failed: {e}"));
-    assert_eq!(first, second, "re-claim granted a different alias");
-    assert_eq!(
-        claims.stats().acquired,
-        1,
-        "idempotent re-claim double-counted the grant"
-    );
-    let holder = RemoteObject::new(chan, first.as_str().unwrap().to_string());
-    holder.call(parc::remoting::RELEASE_METHOD, vec![]).unwrap();
+        let chan = server.connect();
+        let gate = RemoteObject::new(Arc::clone(&chan), "Recorder");
+        let first = gate
+            .call(parc::remoting::CLAIM_METHOD, vec![Value::Str("same".into())])
+            .unwrap();
+        let second = gate
+            .call(parc::remoting::CLAIM_METHOD, vec![Value::Str("same".into())])
+            .unwrap_or_else(|e| panic!("{kind:?}: idempotent re-claim failed: {e}"));
+        assert_eq!(first, second, "{kind:?}: re-claim granted a different alias");
+        assert_eq!(
+            claims.stats().acquired,
+            1,
+            "{kind:?}: idempotent re-claim double-counted the grant"
+        );
+        let holder = RemoteObject::new(chan, first.as_str().unwrap().to_string());
+        holder.call(parc::remoting::RELEASE_METHOD, vec![]).unwrap();
+    }
 }
 
 // ---------------------------------------------------------------------------
