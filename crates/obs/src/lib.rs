@@ -172,6 +172,44 @@ pub fn record_wait(name: &str, start_ns: u64) {
     }
 }
 
+/// A registry metric resolved on first use and held after, for paths
+/// that record on every job: they skip the registry lock. [`reset`]
+/// zeroes metrics in place, so a held handle stays the registered one.
+///
+/// ```
+/// static WAIT: parc_obs::Held<parc_obs::Histogram> =
+///     parc_obs::Held::new("doc.wait", parc_obs::histogram);
+/// WAIT.record_wait(0); // a timestamp taken while disabled: no-op
+/// ```
+pub struct Held<T: 'static> {
+    name: &'static str,
+    resolve: fn(&str) -> Arc<T>,
+    cell: OnceLock<Arc<T>>,
+}
+
+impl<T> Held<T> {
+    /// A handle on `resolve(name)`: [`histogram`], [`gauge`] or [`counter`].
+    pub const fn new(name: &'static str, resolve: fn(&str) -> Arc<T>) -> Held<T> {
+        Held { name, resolve, cell: OnceLock::new() }
+    }
+
+    /// The metric, resolved through the registry on the first call only.
+    #[inline]
+    pub fn get(&self) -> &T {
+        self.cell.get_or_init(|| (self.resolve)(self.name))
+    }
+}
+
+impl Held<Histogram> {
+    /// [`record_wait`] into the held histogram.
+    #[inline]
+    pub fn record_wait(&self, start_ns: u64) {
+        if start_ns != 0 && is_enabled() {
+            self.get().record(now_ns().saturating_sub(start_ns));
+        }
+    }
+}
+
 /// Looks up (or creates) the named counter in the global registry.
 pub fn counter(name: &str) -> Arc<Counter> {
     let mut map = registry().counters.lock().expect("counter registry");

@@ -10,9 +10,11 @@
 //! drop is a `None` check — cheap enough to leave in every hot path
 //! (`crates/bench/benches/obs_overhead.rs` pins the cost).
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
+use crate::metrics::Histogram;
 use crate::ring::{Record, SpanRecord};
 
 static NEXT_TID: AtomicU64 = AtomicU64::new(0);
@@ -20,6 +22,33 @@ static NEXT_TID: AtomicU64 = AtomicU64::new(0);
 thread_local! {
     static TID: u64 = NEXT_TID.fetch_add(1, Ordering::Relaxed);
     static DEPTH: Cell<u32> = const { Cell::new(0) };
+    /// Each span kind's histogram, resolved once per thread, so a span's
+    /// drop takes no registry lock. Keyed by the kind's address and
+    /// length: a kind met at two addresses resolves twice, to the same
+    /// histogram. `reset` zeroes histograms in place, so held ones stay
+    /// the registered ones.
+    static HISTOGRAMS: RefCell<Vec<(*const u8, usize, Arc<Histogram>)>> =
+        const { RefCell::new(Vec::new()) };
+}
+
+/// Records `dur_ns` into `kind`'s histogram through this thread's handle.
+fn record_duration(kind: &'static str, dur_ns: u64) {
+    let key = (kind.as_ptr(), kind.len());
+    let recorded = HISTOGRAMS.try_with(|cache| {
+        let mut cache = cache.borrow_mut();
+        match cache.iter().find(|(p, n, _)| (*p, *n) == key) {
+            Some((.., h)) => h.record(dur_ns),
+            None => {
+                let h = crate::histogram(kind);
+                h.record(dur_ns);
+                cache.push((key.0, key.1, h));
+            }
+        }
+    });
+    if recorded.is_err() {
+        // The thread is exiting and its cache is gone: ask the registry.
+        crate::histogram(kind).record(dur_ns);
+    }
 }
 
 /// The dense id assigned to the calling thread on first use.
@@ -90,7 +119,7 @@ impl Drop for Span {
         // Same clock as `start_ns`, so a parent's end can never precede
         // a nested child's end no matter how the threads are scheduled.
         let dur_ns = crate::now_ns().saturating_sub(active.start_ns);
-        crate::histogram(active.kind).record(dur_ns);
+        record_duration(active.kind, dur_ns);
         crate::recorder().push(Record::Span(SpanRecord {
             kind: active.kind,
             start_ns: active.start_ns,

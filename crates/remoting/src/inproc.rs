@@ -28,6 +28,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use parc_obs::{Held, Histogram};
 use parc_serial::BinaryFormatter;
 use parc_sync::RwLock;
 
@@ -45,6 +46,10 @@ use crate::wellknown::ObjectTable;
 /// network. The live value each opened channel uses is
 /// [`crate::retry::call_timeout`].
 pub const DEFAULT_TIMEOUT: Duration = crate::retry::DEFAULT_CALL_TIMEOUT;
+
+/// The queue-wait histogram every traced job records into, resolved once.
+static QUEUE_WAIT: Held<Histogram> =
+    Held::new(parc_obs::kinds::QUEUE_WAIT, parc_obs::histogram);
 
 /// A reply's bytes and the endpoint's backlog (`pending`, `busiest`) at
 /// reply time — the in-process analogue of a reply frame with a
@@ -323,7 +328,7 @@ impl InprocClient {
         serving.scheduler.enqueue(&object, move || {
             let _node = parc_obs::trace::enter_node_id(node);
             let _trace = parc_obs::trace::with_remote_parent(trace);
-            parc_obs::record_wait(parc_obs::kinds::QUEUE_WAIT, enqueued_ns);
+            QUEUE_WAIT.record_wait(enqueued_ns);
             if let (Some(out), Some(reply)) = (dispatch(&objects, &call), reply) {
                 let _span = parc_obs::Span::enter(parc_obs::kinds::REPLY);
                 reply.send(&out, &depth);

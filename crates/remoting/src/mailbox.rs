@@ -39,6 +39,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use parc_obs::{kinds, Counter, Gauge, Held, Histogram};
 use parc_sync::{Condvar, Mutex, RwLock};
 
 /// Environment variable overriding the dispatch worker count.
@@ -59,6 +60,12 @@ const BATCH_LIMIT: usize = 32;
 /// calls, releases) are short, and the lane exists for isolation, not
 /// throughput.
 const CLAIM_LANE_THREADS: usize = 2;
+
+/// Obs handles every traced job records through, resolved once.
+static MAILBOX_WAIT: Held<Histogram> = Held::new(kinds::MAILBOX_WAIT, parc_obs::histogram);
+static MAILBOX_BUSY: Held<Gauge> = Held::new(kinds::MAILBOX_BUSY, parc_obs::gauge);
+static MAILBOX_DEPTH: Held<Gauge> = Held::new(kinds::MAILBOX_DEPTH, parc_obs::gauge);
+static MAILBOX_STEAL: Held<Counter> = Held::new(kinds::MAILBOX_STEAL, parc_obs::counter);
 
 /// The configured dispatch worker count: `PARC_DISPATCH_WORKERS` when set
 /// and positive, otherwise `available_parallelism` floored at
@@ -155,7 +162,7 @@ impl Shared {
                 self.ready.fetch_sub(1, Ordering::SeqCst);
                 self.stolen.fetch_add(1, Ordering::Relaxed);
                 if parc_obs::is_enabled() {
-                    parc_obs::counter(parc_obs::kinds::MAILBOX_STEAL).incr();
+                    MAILBOX_STEAL.get().incr();
                 }
                 return Some(mb);
             }
@@ -180,17 +187,17 @@ impl Shared {
                     }
                 }
             };
-            parc_obs::record_wait(parc_obs::kinds::MAILBOX_WAIT, job.enqueued_ns);
+            MAILBOX_WAIT.record_wait(job.enqueued_ns);
             self.busy.fetch_add(1, Ordering::Relaxed);
             if parc_obs::is_enabled() {
-                parc_obs::gauge(parc_obs::kinds::MAILBOX_BUSY).adjust(1);
+                MAILBOX_BUSY.get().adjust(1);
             }
             // A panicking invocation must not take the worker (and with it
             // the mailbox, wedged at `scheduled == true`) down with it.
             let _ = std::panic::catch_unwind(AssertUnwindSafe(job.run));
             if parc_obs::is_enabled() {
-                parc_obs::gauge(parc_obs::kinds::MAILBOX_BUSY).adjust(-1);
-                parc_obs::gauge(parc_obs::kinds::MAILBOX_DEPTH).adjust(-1);
+                MAILBOX_BUSY.get().adjust(-1);
+                MAILBOX_DEPTH.get().adjust(-1);
             }
             self.busy.fetch_sub(1, Ordering::Relaxed);
             self.executed.fetch_add(1, Ordering::Relaxed);
@@ -261,10 +268,7 @@ impl ClaimLane {
                         let job = { rx.lock().recv() };
                         match job {
                             Ok(job) => {
-                                parc_obs::record_wait(
-                                    parc_obs::kinds::MAILBOX_WAIT,
-                                    job.enqueued_ns,
-                                );
+                                MAILBOX_WAIT.record_wait(job.enqueued_ns);
                                 let _ = std::panic::catch_unwind(AssertUnwindSafe(job.run));
                             }
                             Err(_) => return,
@@ -345,7 +349,7 @@ impl MailboxScheduler {
         let mb = self.shared.mailbox(object);
         self.shared.pending.fetch_add(1, Ordering::SeqCst);
         if parc_obs::is_enabled() {
-            parc_obs::gauge(parc_obs::kinds::MAILBOX_DEPTH).adjust(1);
+            MAILBOX_DEPTH.get().adjust(1);
         }
         let schedule = {
             let mut q = mb.queue.lock();
@@ -377,7 +381,7 @@ impl MailboxScheduler {
         }
         self.shared.pending.fetch_sub(discarded.len(), Ordering::SeqCst);
         if parc_obs::is_enabled() {
-            parc_obs::gauge(parc_obs::kinds::MAILBOX_DEPTH).adjust(-(discarded.len() as i64));
+            MAILBOX_DEPTH.get().adjust(-(discarded.len() as i64));
         }
         drop(discarded);
         self.shared.wake_all();

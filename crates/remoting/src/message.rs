@@ -3,10 +3,10 @@
 //! On the wire a message is a `Call` or `Return` struct in a
 //! [`Formatter`]'s encoding, so the bytes each channel sends are real —
 //! the benchmark harness measures them directly. Encoding writes that
-//! struct from borrowed [`Field`]s and decoding moves the fields out of
-//! the decoded [`Value`]: no argument is cloned into or out of a tree.
+//! struct from borrowed [`Field`]s, and decoding takes the fields it keeps
+//! from the formatter's field visits: no envelope tree is built either way.
 
-use parc_serial::{Field, Formatter, SerialError, Value};
+use parc_serial::{visit_struct, Field, FieldVisitor, Formatter, SerialError, Value};
 
 use crate::error::RemotingError;
 
@@ -68,17 +68,22 @@ impl CallMessage {
     ///
     /// [`SerialError::Parse`] when the value is not a well-formed call.
     pub fn from_value(value: &Value) -> Result<CallMessage, SerialError> {
-        CallMessage::from_owned(value.clone())
+        CallMessage::read(|visit| visit_struct(value.clone(), "Call", visit))
     }
 
-    fn from_owned(value: Value) -> Result<CallMessage, SerialError> {
-        let mut s = expect_struct(value, "Call")?;
+    /// The one body behind [`CallMessage::from_value`] and
+    /// [`CallMessage::decode`]: `feed` visits the fields.
+    fn read(
+        feed: impl FnOnce(&mut FieldVisitor<'_>) -> Result<(), SerialError>,
+    ) -> Result<CallMessage, SerialError> {
+        let [obj, method, id, oneway, args] =
+            first_fields(["obj", "method", "id", "oneway", "args"], feed)?;
         Ok(CallMessage {
-            object: take_str(&mut s, "obj").ok_or_else(|| shape_err("obj"))?,
-            method: take_str(&mut s, "method").ok_or_else(|| shape_err("method"))?,
-            call_id: expect(&s, "id", Value::as_i64)? as u64,
-            oneway: expect(&s, "oneway", Value::as_bool)?,
-            args: match take_field(&mut s, "args") {
+            object: into_str(obj).ok_or_else(|| shape_err("obj"))?,
+            method: into_str(method).ok_or_else(|| shape_err("method"))?,
+            call_id: expect(id, "id", Value::as_i64)? as u64,
+            oneway: expect(oneway, "oneway", Value::as_bool)?,
+            args: match args {
                 Some(Value::List(items)) => items,
                 _ => return Err(shape_err("args list")),
             },
@@ -110,7 +115,7 @@ impl CallMessage {
     ///
     /// Propagates formatter failures and shape errors.
     pub fn decode(f: &dyn Formatter, bytes: &[u8]) -> Result<CallMessage, SerialError> {
-        CallMessage::from_owned(f.deserialize(bytes)?)
+        CallMessage::read(|visit| f.deserialize_struct(bytes, "Call", visit))
     }
 }
 
@@ -171,19 +176,23 @@ impl ReturnMessage {
     ///
     /// [`SerialError::Parse`] when the value is not a well-formed reply.
     pub fn from_value(value: &Value) -> Result<ReturnMessage, SerialError> {
-        ReturnMessage::from_owned(value.clone())
+        ReturnMessage::read(|visit| visit_struct(value.clone(), "Return", visit))
     }
 
-    fn from_owned(value: Value) -> Result<ReturnMessage, SerialError> {
-        let mut s = expect_struct(value, "Return")?;
-        let call_id = expect(&s, "id", Value::as_i64)? as u64;
-        let result = if expect(&s, "ok", Value::as_bool)? {
-            Ok(take_field(&mut s, "value").ok_or_else(|| shape_err("value field"))?)
+    /// The one body behind [`ReturnMessage::from_value`] and
+    /// [`ReturnMessage::decode`]: `feed` visits the fields.
+    fn read(
+        feed: impl FnOnce(&mut FieldVisitor<'_>) -> Result<(), SerialError>,
+    ) -> Result<ReturnMessage, SerialError> {
+        let [id, ok, value, error, moved] =
+            first_fields(["id", "ok", "value", "error", "moved"], feed)?;
+        let call_id = expect(id, "id", Value::as_i64)? as u64;
+        let result = if expect(ok, "ok", Value::as_bool)? {
+            Ok(value.ok_or_else(|| shape_err("value field"))?)
         } else {
-            Err(take_str(&mut s, "error").ok_or_else(|| shape_err("error"))?)
+            Err(into_str(error).ok_or_else(|| shape_err("error"))?)
         };
-        let moved_to = take_str(&mut s, "moved");
-        Ok(ReturnMessage { call_id, result, moved_to })
+        Ok(ReturnMessage { call_id, result, moved_to: into_str(moved) })
     }
 
     /// Serializes through a formatter.
@@ -211,7 +220,7 @@ impl ReturnMessage {
     ///
     /// Propagates formatter failures and shape errors.
     pub fn decode(f: &dyn Formatter, bytes: &[u8]) -> Result<ReturnMessage, SerialError> {
-        ReturnMessage::from_owned(f.deserialize(bytes)?)
+        ReturnMessage::read(|visit| f.deserialize_struct(bytes, "Return", visit))
     }
 
     /// Converts the reply into the caller-facing result.
@@ -241,31 +250,35 @@ fn shape_err(what: &str) -> SerialError {
     SerialError::Parse { detail: format!("malformed message: missing {what}") }
 }
 
-fn expect_struct(value: Value, name: &str) -> Result<Vec<(String, Value)>, SerialError> {
-    match value {
-        Value::Struct(s) if s.name() == name => Ok(s.into_fields()),
-        _ => Err(SerialError::Parse { detail: format!("expected {name} message") }),
-    }
+/// Keeps the first field of each of `names` that `feed` visits, whatever
+/// its type; later fields of the same name and unknown names are dropped.
+fn first_fields<const N: usize>(
+    names: [&str; N],
+    feed: impl FnOnce(&mut FieldVisitor<'_>) -> Result<(), SerialError>,
+) -> Result<[Option<Value>; N], SerialError> {
+    let mut kept: [Option<Value>; N] = std::array::from_fn(|_| None);
+    feed(&mut |name, value| {
+        if let Some(i) = names.iter().position(|n| *n == name) {
+            kept[i].get_or_insert(value);
+        }
+        Ok(())
+    })?;
+    Ok(kept)
 }
 
-/// Moves the first field called `name` out, leaving `Null` behind.
-fn take_field(fields: &mut [(String, Value)], name: &str) -> Option<Value> {
-    fields.iter_mut().find(|(n, _)| n == name).map(|(_, v)| std::mem::take(v))
-}
-
-fn take_str(fields: &mut [(String, Value)], name: &str) -> Option<String> {
-    match take_field(fields, name) {
+fn into_str(field: Option<Value>) -> Option<String> {
+    match field {
         Some(Value::Str(s)) => Some(s),
         _ => None,
     }
 }
 
 fn expect<T>(
-    fields: &[(String, Value)],
+    field: Option<Value>,
     name: &str,
     get: impl FnOnce(&Value) -> Option<T>,
 ) -> Result<T, SerialError> {
-    fields.iter().find(|(n, _)| n == name).and_then(|(_, v)| get(v)).ok_or_else(|| shape_err(name))
+    field.as_ref().and_then(get).ok_or_else(|| shape_err(name))
 }
 
 #[cfg(test)]

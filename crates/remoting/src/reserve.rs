@@ -32,7 +32,7 @@
 //! total order on resources and makes wait cycles impossible.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -95,6 +95,11 @@ pub struct ClaimStats {
 /// endpoint so expiry sweeps and release notifications cover all of them.
 pub struct ClaimTable {
     claims: Mutex<HashMap<String, ClaimEntry>>,
+    /// `claims.len()`, stored (`Release`) under the `claims` lock. While
+    /// it is 0 a foreign call skips the lock and the lease sweep: its
+    /// `Acquire` load pairs with the grant's store (see
+    /// [`ClaimTable::wait_unclaimed`]).
+    held: AtomicUsize,
     cv: Condvar,
     /// Leases keyed by *alias* name, so a sweep directly unregisters the
     /// lapsed alias objects from the endpoint's table.
@@ -115,6 +120,7 @@ impl ClaimTable {
     pub fn with_ttl(ttl: Duration) -> ClaimTable {
         ClaimTable {
             claims: Mutex::new(HashMap::new()),
+            held: AtomicUsize::new(0),
             cv: Condvar::new(),
             leases: LeaseManager::new(ttl.as_nanos() as u64),
             epoch: Instant::now(),
@@ -139,7 +145,7 @@ impl ClaimTable {
             acquired: self.acquired.load(Ordering::Relaxed),
             aborted: self.aborted.load(Ordering::Relaxed),
             released: self.released.load(Ordering::Relaxed),
-            active: self.claims.lock().len(),
+            active: self.held.load(Ordering::Acquire),
         }
     }
 
@@ -152,6 +158,7 @@ impl ClaimTable {
             return;
         }
         claims.retain(|_, e| !lapsed.contains(&e.alias));
+        self.held.store(claims.len(), Ordering::Release);
         self.aborted.fetch_add(lapsed.len() as u64, Ordering::Relaxed);
         parc_obs::counter(parc_obs::kinds::CLAIM_ABORTED).add(lapsed.len() as u64);
         self.cv.notify_all();
@@ -192,6 +199,7 @@ impl ClaimTable {
                         object.to_string(),
                         ClaimEntry { claim_id: claim_id.to_string(), alias: alias.clone() },
                     );
+                    self.held.store(claims.len(), Ordering::Release);
                     self.leases.grant(&alias, self.now());
                     table.register_singleton(
                         &alias,
@@ -224,6 +232,7 @@ impl ClaimTable {
             Some(e) if e.claim_id == claim_id => {
                 let alias = e.alias.clone();
                 claims.remove(object);
+                self.held.store(claims.len(), Ordering::Release);
                 self.leases.cancel(&alias);
                 table.unregister(&alias);
                 self.released.fetch_add(1, Ordering::Relaxed);
@@ -256,7 +265,15 @@ impl ClaimTable {
     /// mailbox job, so the wait *is* the park: the one-in-flight slot
     /// stays occupied and every later invocation queues behind it in
     /// FIFO order.
+    ///
+    /// With no claim held on the node it returns at once, without the
+    /// lock or a lease sweep: there is no lease to lapse. A grant on
+    /// `object` runs in `object`'s own mailbox slot, so every later
+    /// foreign call on `object` is ordered after it and reads `held` ≥ 1.
     pub fn wait_unclaimed(&self, object: &str, table: &ObjectTable) {
+        if self.held.load(Ordering::Acquire) == 0 {
+            return;
+        }
         let mut claims = self.claims.lock();
         loop {
             self.reclaim_expired_locked(&mut claims, table);

@@ -8,7 +8,7 @@
 
 use crate::value::{StructValue, Value, ValueKind};
 use crate::varint;
-use crate::{Field, Formatter, SerialError};
+use crate::{not_struct, Field, FieldVisitor, Formatter, SerialError};
 
 const MAGIC: [u8; 2] = [0xb1, 0x4f];
 const VERSION: u8 = 1;
@@ -133,14 +133,11 @@ impl BinaryFormatter {
                 Value::List(items)
             }
             ValueKind::Struct => {
-                let name = read_string(input, pos)?;
-                let nfields = read_len_elems(input, pos, 2)?;
-                let mut s = StructValue::new(name);
-                for _ in 0..nfields {
-                    let fname = read_string(input, pos)?;
-                    let v = Self::read_value(input, pos, depth + 1)?;
-                    s.push_field(fname, v);
-                }
+                let mut s = StructValue::new(read_string(input, pos)?);
+                Self::read_fields(input, pos, depth, |field, v| {
+                    s.push_field(field, v);
+                    Ok(())
+                })?;
                 Value::Struct(s)
             }
             ValueKind::Ref => {
@@ -151,6 +148,23 @@ impl BinaryFormatter {
                 Value::Ref(id as u32)
             }
         })
+    }
+
+    /// What follows a struct's name, each field lent to `each`, for
+    /// `Value::Struct` and the tree-free [`Formatter::deserialize_struct`]
+    /// alike.
+    fn read_fields<'a>(
+        input: &'a [u8],
+        pos: &mut usize,
+        depth: usize,
+        mut each: impl FnMut(&'a str, Value) -> Result<(), SerialError>,
+    ) -> Result<(), SerialError> {
+        let nfields = read_len_elems(input, pos, 2)?;
+        for _ in 0..nfields {
+            let field = read_str(input, pos)?;
+            each(field, Self::read_value(input, pos, depth + 1)?)?;
+        }
+        Ok(())
     }
 }
 
@@ -204,9 +218,28 @@ fn f64_le(raw: &[u8]) -> f64 {
     f64::from_bits(u64::from_le_bytes(raw.try_into().expect("8 bytes")))
 }
 
-fn read_string(input: &[u8], pos: &mut usize) -> Result<String, SerialError> {
+fn read_str<'a>(input: &'a [u8], pos: &mut usize) -> Result<&'a str, SerialError> {
     let raw = read_len_prefixed(input, pos)?;
-    String::from_utf8(raw.to_vec()).map_err(|_| SerialError::BadUtf8 { offset: *pos - raw.len() })
+    std::str::from_utf8(raw).map_err(|_| SerialError::BadUtf8 { offset: *pos - raw.len() })
+}
+
+fn read_string(input: &[u8], pos: &mut usize) -> Result<String, SerialError> {
+    read_str(input, pos).map(str::to_owned)
+}
+
+/// Checks the stream header, returning where the value starts.
+fn read_header(bytes: &[u8]) -> Result<usize, SerialError> {
+    if bytes.len() < 3 || bytes[0..2] != MAGIC || bytes[2] != VERSION {
+        return Err(SerialError::BadMagic { expected: "binary" });
+    }
+    Ok(3)
+}
+
+fn expect_end(bytes: &[u8], pos: usize) -> Result<(), SerialError> {
+    if pos != bytes.len() {
+        return Err(SerialError::TrailingBytes { remaining: bytes.len() - pos });
+    }
+    Ok(())
 }
 
 impl Formatter for BinaryFormatter {
@@ -239,15 +272,42 @@ impl Formatter for BinaryFormatter {
     }
 
     fn deserialize(&self, bytes: &[u8]) -> Result<Value, SerialError> {
-        if bytes.len() < 3 || bytes[0..2] != MAGIC || bytes[2] != VERSION {
-            return Err(SerialError::BadMagic { expected: "binary" });
-        }
-        let mut pos = 3;
+        let mut pos = read_header(bytes)?;
         let value = Self::read_value(bytes, &mut pos, 0)?;
-        if pos != bytes.len() {
-            return Err(SerialError::TrailingBytes { remaining: bytes.len() - pos });
-        }
+        expect_end(bytes, pos)?;
         Ok(value)
+    }
+
+    /// `read_value`'s struct arm without the struct: the name is compared
+    /// in place and each field name is lent to `visit`. The reads and
+    /// checks come in `deserialize`'s order, so both fail alike; a name
+    /// mismatch is reported once the bytes have parsed.
+    fn deserialize_struct(
+        &self,
+        bytes: &[u8],
+        name: &str,
+        visit: &mut FieldVisitor<'_>,
+    ) -> Result<(), SerialError> {
+        let mut pos = read_header(bytes)?;
+        if bytes.get(pos) != Some(&(ValueKind::Struct as u8)) {
+            self.deserialize(bytes)?;
+            return Err(not_struct(name));
+        }
+        pos += 1;
+        let named = read_str(bytes, &mut pos)? == name;
+        Self::read_fields(bytes, &mut pos, 0, |field, value| {
+            if named {
+                visit(field, value)
+            } else {
+                Ok(())
+            }
+        })?;
+        expect_end(bytes, pos)?;
+        if named {
+            Ok(())
+        } else {
+            Err(not_struct(name))
+        }
     }
 }
 

@@ -90,6 +90,37 @@ impl Field<'_> {
     }
 }
 
+/// Receives a decoded struct's fields one at a time, in wire order
+/// ([`Formatter::deserialize_struct`]). The name is borrowed from the
+/// decoder; an error ends the decode and is returned as is.
+pub type FieldVisitor<'a> = dyn FnMut(&str, Value) -> Result<(), SerialError> + 'a;
+
+/// Hands the fields of `value` to `visit` in order when it is a struct
+/// named `name`, and fails with [`SerialError::Parse`] otherwise: what
+/// [`Formatter::deserialize_struct`] does with a decoded tree.
+///
+/// # Errors
+///
+/// [`SerialError::Parse`] on a shape mismatch, or the first error `visit`
+/// returns.
+pub fn visit_struct(
+    value: Value,
+    name: &str,
+    visit: &mut FieldVisitor<'_>,
+) -> Result<(), SerialError> {
+    match value {
+        Value::Struct(s) if s.name() == name => {
+            s.into_fields().into_iter().try_for_each(|(field, v)| visit(&field, v))
+        }
+        _ => Err(not_struct(name)),
+    }
+}
+
+/// The error for a value that is not the struct `name`.
+fn not_struct(name: &str) -> SerialError {
+    SerialError::Parse { detail: format!("expected a {name} struct") }
+}
+
 /// A wire format able to turn a [`Value`] into bytes and back.
 ///
 /// Implementations are stateless and cheap to construct; a formatter can be
@@ -149,6 +180,27 @@ pub trait Formatter: Send + Sync {
     ///
     /// Returns [`SerialError`] on truncated, corrupt, or foreign input.
     fn deserialize(&self, bytes: &[u8]) -> Result<Value, SerialError>;
+
+    /// Decodes the struct `name` and hands its fields to `visit` in wire
+    /// order: the decode twin of [`Formatter::serialize_struct_into`].
+    /// The default body is [`visit_struct`] on [`Formatter::deserialize`]'s
+    /// tree; a format overrides it to skip the tree. Either way it accepts
+    /// exactly the bytes that decode to such a struct, and a visitor that
+    /// never fails sees the same error as the default body would give.
+    /// Fields already visited when an error comes are to be discarded.
+    ///
+    /// # Errors
+    ///
+    /// [`Formatter::deserialize`]'s errors, then [`SerialError::Parse`]
+    /// when the value is not a struct named `name`, or `visit`'s error.
+    fn deserialize_struct(
+        &self,
+        bytes: &[u8],
+        name: &str,
+        visit: &mut FieldVisitor<'_>,
+    ) -> Result<(), SerialError> {
+        visit_struct(self.deserialize(bytes)?, name, visit)
+    }
 
     /// Number of bytes `value` would occupy on the wire, without keeping the
     /// encoding. The default implementation serializes and measures; formats

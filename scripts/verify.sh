@@ -230,8 +230,13 @@ echo "ok: $(printf '%s\n' "${code_knobs}" | wc -l) PARC_* knobs, each read in co
 # of the encoders, so an encoder change that moves one byte must fail
 # here. tests/wire_format.rs pins the encodings (tree-free envelope ==
 # value tree on all three formatters, golden vectors, bulk array codec ==
-# element-wise reference); then one traced `echo_bulk_tcp` run must
-# report the three counts that repeat exactly from run to run.
+# element-wise reference) and the decoders (tree-free envelope decode ==
+# `from_value` of the formatter's tree, error for error: on generated
+# messages for all three formatters, on every cut and byte flip of a
+# binary envelope, and on hand-built duplicate-field, wrong-type,
+# wrong-name and trailing-byte envelopes); then one traced
+# `echo_bulk_tcp` run must report the three counts that repeat exactly
+# from run to run.
 cargo test -q --offline --test wire_format
 wire_json=$(bash benchmark/run.sh --workload echo_bulk_tcp --seed 1 --seconds 3 --trace 1 | tail -n 1)
 wire_counts=""

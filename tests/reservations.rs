@@ -472,3 +472,96 @@ fn claim_counters_surface_in_node_telemetry() {
 fn _po_is_compatible(po: &Po) -> Option<String> {
     po.uri()
 }
+
+// ---------------------------------------------------------------------------
+// The claim table's fast path: `held` mirrors the claims map
+// ---------------------------------------------------------------------------
+
+use parc::remoting::{register_claimable, ObjectTable};
+
+/// A gated counter object named `name` on `table`.
+fn gated_counter(table: &ObjectTable, claims: &Arc<ClaimTable>, name: &str) -> Arc<dyn Invokable> {
+    let hits = AtomicUsize::new(0);
+    let counter = Arc::new(FnInvokable(move |_: &str, _: &[Value]| {
+        Ok(Value::I64(hits.fetch_add(1, Ordering::SeqCst) as i64 + 1))
+    }));
+    register_claimable(table, name, counter, claims);
+    table.resolve(name).expect("gate registered")
+}
+
+fn claim(gate: &Arc<dyn Invokable>, claim_id: &str) -> String {
+    match gate.invoke(CLAIM_METHOD, &[Value::Str(claim_id.into())]).expect("claim") {
+        Value::Str(alias) => alias,
+        other => panic!("expected an alias, got {other:?}"),
+    }
+}
+
+#[test]
+fn active_claims_return_to_zero_after_release_and_after_a_lapse() {
+    let table = ObjectTable::new();
+    let claims = Arc::new(ClaimTable::with_ttl(Duration::from_millis(60)));
+    let gate = gated_counter(&table, &claims, "acct");
+    assert_eq!(claims.stats().active, 0);
+
+    let alias = claim(&gate, "c1");
+    assert_eq!(claims.stats().active, 1);
+    let session = table.resolve(&alias).expect("alias");
+    assert_eq!(session.invoke(RELEASE_METHOD, &[]).unwrap(), Value::Bool(true));
+    assert_eq!(claims.stats().active, 0, "release");
+    assert_eq!(gate.invoke("bump", &[]).unwrap(), Value::I64(1));
+
+    // A holder that never renews: the next foreign call parks until the
+    // lease lapses, sweeps it, and leaves nothing held.
+    let alias = claim(&gate, "dead");
+    let t0 = Instant::now();
+    assert_eq!(gate.invoke("bump", &[]).unwrap(), Value::I64(2));
+    assert!(t0.elapsed() >= Duration::from_millis(40), "foreign call skipped the lease");
+    assert!(!table.contains(&alias), "lapsed alias is unregistered");
+    let stats = claims.stats();
+    assert_eq!((stats.active, stats.aborted, stats.released), (0, 1, 1), "lapse");
+    assert_eq!(gate.invoke("bump", &[]).unwrap(), Value::I64(3));
+}
+
+#[test]
+fn an_idempotent_regrant_keeps_one_claim_active() {
+    let table = ObjectTable::new();
+    let claims = Arc::new(ClaimTable::with_ttl(Duration::from_secs(5)));
+    let gate = gated_counter(&table, &claims, "acct");
+    let first = claim(&gate, "c1");
+    assert_eq!(claim(&gate, "c1"), first, "a retried claim returns the same alias");
+    let stats = claims.stats();
+    assert_eq!((stats.active, stats.acquired), (1, 1));
+    assert_eq!(
+        gate.invoke(RELEASE_METHOD, &[Value::Str("c1".into())]).unwrap(),
+        Value::Bool(true)
+    );
+    assert_eq!(claims.stats().active, 0);
+}
+
+/// The fast path only skips the sweep when nothing is held: while B is
+/// held, a foreign call on a third object still reclaims A's lapsed claim.
+#[test]
+fn a_lapsed_claim_is_reclaimed_while_another_is_held() {
+    let ttl = Duration::from_secs(1);
+    let table = ObjectTable::new();
+    let claims = Arc::new(ClaimTable::with_ttl(ttl));
+    let a = gated_counter(&table, &claims, "a");
+    let b = gated_counter(&table, &claims, "b");
+    let c = gated_counter(&table, &claims, "c");
+    let t0 = Instant::now();
+    let alias_a = claim(&a, "ca");
+    std::thread::sleep(ttl * 6 / 10);
+    let alias_b = claim(&b, "cb");
+    while t0.elapsed() <= ttl + Duration::from_millis(10) {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(claims.stats().active, 2, "nothing swept before the next call");
+    assert_eq!(c.invoke("bump", &[]).unwrap(), Value::I64(1));
+    assert!(!table.contains(&alias_a), "A's lapsed alias is unregistered");
+    assert!(table.contains(&alias_b), "B is still held");
+    let stats = claims.stats();
+    assert_eq!((stats.active, stats.aborted), (1, 1));
+    let session_b = table.resolve(&alias_b).expect("B's alias");
+    assert_eq!(session_b.invoke(RELEASE_METHOD, &[]).unwrap(), Value::Bool(true));
+    assert_eq!(claims.stats().active, 0);
+}

@@ -284,3 +284,143 @@ fn out_of_range_i32_scalars_are_rejected_not_truncated() {
         assert_eq!(f.deserialize(&bytes).unwrap(), Value::I32(fine));
     }
 }
+
+/// `decode` through the tree: the formatter's `Value`, then `from_value`.
+fn call_via_tree(f: &dyn Formatter, bytes: &[u8]) -> Result<CallMessage, SerialError> {
+    CallMessage::from_value(&f.deserialize(bytes)?)
+}
+
+fn return_via_tree(f: &dyn Formatter, bytes: &[u8]) -> Result<ReturnMessage, SerialError> {
+    ReturnMessage::from_value(&f.deserialize(bytes)?)
+}
+
+/// Both envelope decoders agree with the tree path on `bytes`, error for
+/// error.
+fn assert_decodes_alike(f: &dyn Formatter, bytes: &[u8], what: &str) {
+    assert_eq!(
+        CallMessage::decode(f, bytes),
+        call_via_tree(f, bytes),
+        "call, {what}, format {}",
+        f.name()
+    );
+    assert_eq!(
+        ReturnMessage::decode(f, bytes),
+        return_via_tree(f, bytes),
+        "return, {what}, format {}",
+        f.name()
+    );
+}
+
+#[test]
+fn tree_free_decode_equals_from_value_on_every_formatter() {
+    Config::cases(96).check(
+        |src| (arb_call(src), arb_return(src), arb_value(src, 2)),
+        |(call, ret, value)| {
+            for f in formatters() {
+                let call_bytes = call.encode(&*f).unwrap();
+                assert_eq!(&CallMessage::decode(&*f, &call_bytes).unwrap(), call);
+                assert_decodes_alike(&*f, &call_bytes, "call bytes");
+                let ret_bytes = ret.encode(&*f).unwrap();
+                assert_eq!(&ReturnMessage::decode(&*f, &ret_bytes).unwrap(), ret);
+                assert_decodes_alike(&*f, &ret_bytes, "return bytes");
+                // Any other value is refused alike.
+                assert_decodes_alike(&*f, &f.serialize(value).unwrap(), "a non-envelope");
+            }
+        },
+    );
+}
+
+#[test]
+fn every_cut_and_byte_flip_of_a_binary_envelope_decodes_alike() {
+    let f = BinaryFormatter::new();
+    let mut call = CallMessage::one_way("Prime-7", "process", vec![Value::I32(97), Value::Null]);
+    call.call_id = 300;
+    let envelopes = [
+        call.encode(&f).unwrap(),
+        ReturnMessage::ok(9, Value::List(vec![Value::F64(0.5), Value::Str("é".into())]))
+            .with_moved_to("inproc://node1/io-1-4")
+            .encode(&f)
+            .unwrap(),
+        ReturnMessage::fault(2, "boom").encode(&f).unwrap(),
+    ];
+    for bytes in envelopes {
+        for cut in 0..bytes.len() {
+            assert_decodes_alike(&f, &bytes[..cut], &format!("cut at {cut}"));
+            assert!(CallMessage::decode(&f, &bytes[..cut]).is_err(), "cut at {cut}");
+            assert!(ReturnMessage::decode(&f, &bytes[..cut]).is_err(), "cut at {cut}");
+        }
+        for at in 0..bytes.len() {
+            for mask in [0x01u8, 0x40, 0x80, 0xff] {
+                let mut flipped = bytes.clone();
+                flipped[at] ^= mask;
+                assert_decodes_alike(&f, &flipped, &format!("byte {at} ^ {mask:#04x}"));
+            }
+        }
+    }
+}
+
+fn call_struct(name: &str, fields: &[(&str, Value)]) -> Value {
+    let mut s = StructValue::new(name);
+    for (field, value) in fields {
+        s.push_field(*field, value.clone());
+    }
+    Value::Struct(s)
+}
+
+/// Hand-built envelopes at the edges of the field-matching rule: the
+/// first field of a name wins even when a later one would fit, unknown
+/// fields are skipped, and the struct name must match exactly.
+#[test]
+fn hand_built_envelopes_decode_alike_and_first_field_wins() {
+    let obj = |s: &str| ("obj", Value::Str(s.into()));
+    let rest = [
+        ("method", Value::Str("m".into())),
+        ("id", Value::I64(5)),
+        ("oneway", Value::Bool(false)),
+        ("args", Value::List(vec![Value::I32(1)])),
+    ];
+    let with = |head: &[(&'static str, Value)]| -> Vec<(&'static str, Value)> {
+        let mut fields = head.to_vec();
+        fields.extend(rest.iter().cloned());
+        fields
+    };
+    let duplicated = call_struct("Call", &with(&[obj("first"), obj("second")]));
+    let wrong_first = call_struct("Call", &with(&[("obj", Value::I64(1)), obj("later")]));
+    let unknown = call_struct("Call", &with(&[("extra", Value::Null), obj("x")]));
+    let bad_id = call_struct("Call", &with(&[obj("x"), ("id", Value::Str("5".into()))]));
+    let wrong_name = call_struct("Cal", &with(&[obj("x")]));
+    let reply_dup = call_struct(
+        "Return",
+        &[
+            ("id", Value::I32(4)),
+            ("ok", Value::Bool(true)),
+            ("value", Value::I64(1)),
+            ("value", Value::I64(2)),
+            ("moved", Value::I64(3)),
+            ("moved", Value::Str("ignored".into())),
+        ],
+    );
+    for f in formatters() {
+        let f = &*f;
+        let enc = |v: &Value| f.serialize(v).unwrap();
+        for value in [&duplicated, &wrong_first, &unknown, &bad_id, &wrong_name, &reply_dup] {
+            assert_decodes_alike(f, &enc(value), &format!("{value:?}"));
+        }
+        assert_eq!(CallMessage::decode(f, &enc(&duplicated)).unwrap().object, "first");
+        assert_eq!(CallMessage::decode(f, &enc(&unknown)).unwrap().object, "x");
+        assert!(CallMessage::decode(f, &enc(&wrong_first)).is_err(), "format {}", f.name());
+        assert!(CallMessage::decode(f, &enc(&bad_id)).is_err(), "format {}", f.name());
+        assert!(CallMessage::decode(f, &enc(&wrong_name)).is_err(), "format {}", f.name());
+        let reply = ReturnMessage::decode(f, &enc(&reply_dup)).unwrap();
+        assert_eq!((reply.call_id, reply.result, reply.moved_to), (4, Ok(Value::I64(1)), None));
+    }
+    // A byte after a whole binary envelope is an error on both paths.
+    let f = BinaryFormatter::new();
+    let mut bytes = f.serialize(&duplicated).unwrap();
+    bytes.push(0);
+    assert_decodes_alike(&f, &bytes, "trailing byte");
+    assert_eq!(
+        CallMessage::decode(&f, &bytes),
+        Err(SerialError::TrailingBytes { remaining: 1 })
+    );
+}
