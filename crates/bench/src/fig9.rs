@@ -174,11 +174,11 @@ pub fn raytracer_execution_time(
     let mut seq = 0usize;
     let mut makespan = SimTime::ZERO;
 
-    let dispatch = |task: usize,
-                        at: SimTime,
-                        worker_free: &mut Vec<SimTime>,
-                        heap: &mut BinaryHeap<Reverse<(SimTime, usize, Event)>>,
-                        seq: &mut usize| {
+    let send_chunk = |task: usize,
+                      at: SimTime,
+                      worker_free: &mut Vec<SimTime>,
+                      heap: &mut BinaryHeap<Reverse<(SimTime, usize, Event)>>,
+                      seq: &mut usize| {
         let (start_line, len) = chunks[task];
         let compute =
             SimTime::from_secs_f64(work.chunk_secs(start_line, len) * cfg.jit_factor);
@@ -202,7 +202,7 @@ pub fn raytracer_execution_time(
     for task in 0..n_tasks {
         match pool.offer(SimTime::ZERO, Job::new(task as u64, SimTime::ZERO)) {
             parc_sim::threadpool::Offered::Started(s) => {
-                dispatch(s.job.id as usize, s.start, &mut worker_free, &mut heap, &mut seq);
+                send_chunk(s.job.id as usize, s.start, &mut worker_free, &mut heap, &mut seq);
             }
             parc_sim::threadpool::Offered::Queued { injection_at: Some(t) } => {
                 heap.push(Reverse((t, seq, Event::Injection)));
@@ -217,13 +217,13 @@ pub fn raytracer_execution_time(
             Event::Reply { .. } => {
                 makespan = makespan.max(now);
                 if let Some(s) = pool.complete(now) {
-                    dispatch(s.job.id as usize, s.start, &mut worker_free, &mut heap, &mut seq);
+                    send_chunk(s.job.id as usize, s.start, &mut worker_free, &mut heap, &mut seq);
                 }
             }
             Event::Injection => {
                 let (started, next) = pool.inject(now);
                 if let Some(s) = started {
-                    dispatch(s.job.id as usize, s.start, &mut worker_free, &mut heap, &mut seq);
+                    send_chunk(s.job.id as usize, s.start, &mut worker_free, &mut heap, &mut seq);
                 }
                 if let Some(t) = next {
                     heap.push(Reverse((t, seq, Event::Injection)));

@@ -59,7 +59,7 @@ impl TelemetryService {
                 i64::try_from(d.busy).unwrap_or(i64::MAX),
             )
         });
-        let wait = parc_obs::histogram(parc_obs::kinds::QUEUE_WAIT);
+        let wait = parc_obs::histogram(parc_obs::kinds::MAILBOX_WAIT);
         let snap = self.stats.snapshot();
         let clamp = |v: u64| i64::try_from(v).unwrap_or(i64::MAX);
         Value::List(vec![
@@ -132,9 +132,10 @@ pub struct NodeTelemetry {
     pub steals: i64,
     /// Workers currently inside an invocation.
     pub busy: i64,
-    /// Median dispatch queue wait, nanoseconds (process-wide histogram).
+    /// Median mailbox wait (enqueue to run), nanoseconds (the
+    /// process-wide `dispatch.mailbox_wait` histogram; 0 unless obs is on).
     pub queue_wait_p50_ns: i64,
-    /// Tail dispatch queue wait, nanoseconds (process-wide histogram).
+    /// Tail mailbox wait, nanoseconds (same histogram).
     pub queue_wait_p99_ns: i64,
     /// Chaos faults injected so far (process-wide).
     pub faults_injected: i64,

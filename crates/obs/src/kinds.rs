@@ -48,8 +48,9 @@ pub const LEADER_HANDOFF: &str = "channel.leader_handoff";
 pub const DISPATCH: &str = "dispatch";
 /// Encoding and sending the reply frame.
 pub const REPLY: &str = "reply";
-/// Histogram-only: time a frame spent queued before a dispatch worker
-/// picked it up.
+/// Histogram-only, and no server records it: [`MAILBOX_WAIT`] covers
+/// the time a call waits for a dispatch worker on every transport. The
+/// name stays because the `callpath` benchmark still reads it.
 pub const QUEUE_WAIT: &str = "queue.wait";
 /// Histogram-only: time a task spent queued in a [`ThreadPool`] before a
 /// worker ran it.

@@ -1,18 +1,23 @@
-//! Server-side dispatch: from decoded [`CallMessage`]s to object method
+//! Server-side dispatch: from received calls to object method
 //! invocations.
 //!
 //! In .NET remoting the server-side stack is reflective; here, server
 //! objects implement [`Invokable`] (usually via the generated dispatcher of
 //! [`crate::remote_interface!`]) and [`dispatch`] routes a call through an
-//! [`ObjectTable`]. This function is shared by every channel — inproc, TCP
-//! and HTTP differ only in framing and formatter.
+//! [`ObjectTable`]. Every server — inproc, TCP and HTTP — hands its
+//! decoded calls to one function, `serve_call`, which enqueues them on the
+//! server's per-object mailboxes and answers through a reply sink the
+//! channel supplies; the channels differ only in framing and formatter.
+//! The two socket servers also share one bind / accept loop /
+//! stop-on-drop (`SocketServer`).
 
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use parc_serial::{BinaryFormatter, Value};
+use parc_serial::Value;
 
 use crate::error::RemotingError;
-use crate::frame::{self, FrameHeader, TraceExt};
 use crate::mailbox::MailboxScheduler;
 use crate::message::{CallMessage, ReturnMessage};
 use crate::wellknown::ObjectTable;
@@ -86,47 +91,42 @@ pub fn dispatch(table: &ObjectTable, call: &CallMessage) -> Option<ReturnMessage
     })
 }
 
-/// Dispatches a two-way call, turning a "no reply" dispatch outcome (which
-/// only a one-way-marked message produces) into an explicit fault instead
-/// of leaving the caller to time out.
-fn dispatch_call(objects: &ObjectTable, call: &CallMessage) -> ReturnMessage {
-    dispatch(objects, call)
-        .unwrap_or_else(|| ReturnMessage::fault(call.call_id, "call produced no reply"))
+/// Where a call came from: the caller's trace context, which parents
+/// every span the dispatch opens, and the serving node's interned name
+/// (inproc endpoints tag their spans with it; socket servers have none).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Origin {
+    pub(crate) trace: Option<parc_obs::TraceContext>,
+    pub(crate) node: Option<u32>,
 }
 
-/// The TCP server's path from a received frame to an invocation: peel the
-/// optional trace-context extension, decode the [`CallMessage`], enqueue
-/// it on the target object's mailbox and return — the transport thread
+/// Every server's path from a received call to an invocation: enqueue it
+/// on the target object's mailbox and return, so the receiving thread
 /// never runs a method body. One-way posts, batches and two-way calls
-/// all ride the same per-object FIFO, so arrival order per object
-/// (including one-way/two-way interleaving on one connection) is
+/// all ride the same per-object FIFO, so arrival order per object is
 /// execution order while distinct objects run in parallel.
 ///
-/// `reply` is how a two-way caller hears back; it runs on the mailbox
-/// worker once the method returns, or right here with a fault (call id 0)
-/// when the frame body or its trace extension is malformed. The frame
-/// flag, not the payload, decides whether it is ever called: a one-way
-/// frame never produces a reply, so a post can never consume (or corrupt)
-/// a caller's correlation slot, and a malformed one is dropped silently.
-pub(crate) fn serve_frame(
+/// `reply` is how a two-way caller hears back, and the transport alone
+/// decides whether there is one (TCP's frame flag, HTTP's `SOAPAction`,
+/// inproc's `post`/`call`), never the payload: `None` is a one-way call,
+/// so a post can never consume (or corrupt) a caller's correlation slot.
+/// A present `reply` is always answered — on the mailbox worker once the
+/// method returns (with a fault if a one-way-marked message produced no
+/// reply), or right here with a fault (call id 0) when `decoded` is an
+/// error. An undecodable post is dropped.
+pub(crate) fn serve_call<R>(
     sched: &MailboxScheduler,
     objects: &ObjectTable,
-    header: &FrameHeader,
-    payload: &[u8],
-    reply: impl FnOnce(&ReturnMessage) + Send + 'static,
-) {
-    let oneway = header.oneway();
-    let decoded = frame::split_trace_ext(header, payload)
-        .map_err(|e| e.to_string())
-        .and_then(|(ext, body)| {
-            CallMessage::decode(&BinaryFormatter::new(), body)
-                .map(|call| (ext.map(TraceExt::to_context), call))
-                .map_err(|e| e.to_string())
-        });
-    let (trace_ctx, call) = match decoded {
-        Ok(decoded) => decoded,
+    origin: Origin,
+    decoded: Result<CallMessage, String>,
+    reply: Option<R>,
+) where
+    R: FnOnce(&ReturnMessage) + Send + 'static,
+{
+    let call = match decoded {
+        Ok(call) => call,
         Err(detail) => {
-            if !oneway {
+            if let Some(reply) = reply {
                 reply(&ReturnMessage::fault(0, detail));
             }
             return;
@@ -135,15 +135,88 @@ pub(crate) fn serve_frame(
     let objects = objects.clone();
     let object = call.object.clone();
     sched.enqueue(&object, move || {
+        let _node = origin.node.map(parc_obs::trace::enter_node_id);
         // The remote caller becomes the parent of every span the
         // dispatch opens.
-        let _trace = parc_obs::trace::with_remote_parent(trace_ctx);
-        if oneway {
-            let _ = dispatch(&objects, &call);
-        } else {
-            reply(&dispatch_call(&objects, &call));
+        let _trace = parc_obs::trace::with_remote_parent(origin.trace);
+        let out = dispatch(&objects, &call);
+        if let Some(reply) = reply {
+            // Only a one-way-marked message dispatches to no reply; its
+            // caller gets a fault instead of waiting out its deadline.
+            let out = out
+                .unwrap_or_else(|| ReturnMessage::fault(call.call_id, "call produced no reply"));
+            let _span = parc_obs::Span::enter(parc_obs::kinds::REPLY);
+            reply(&out);
         }
     });
+}
+
+/// What every connection of a socket server serves with.
+#[derive(Clone)]
+pub(crate) struct ServerState {
+    pub(crate) objects: ObjectTable,
+    pub(crate) scheduler: Arc<MailboxScheduler>,
+    stop: Arc<AtomicBool>,
+}
+
+impl ServerState {
+    /// True once the server was dropped; connections close at their next request.
+    pub(crate) fn stopped(&self) -> bool {
+        self.stop.load(Ordering::SeqCst)
+    }
+}
+
+/// The bind / accept loop / stop-on-drop both socket servers (TCP and
+/// HTTP) share. Each accepted socket gets a `{kind}-conn` thread running
+/// `serve`, which parses its channel's framing and hands every call to
+/// [`serve_call`].
+pub(crate) struct SocketServer {
+    pub(crate) addr: SocketAddr,
+    pub(crate) state: ServerState,
+}
+
+impl SocketServer {
+    /// Binds `addr` and starts accepting, with a mailbox scheduler of
+    /// `workers` threads shared by every connection.
+    pub(crate) fn bind(
+        addr: &str,
+        workers: usize,
+        kind: &'static str,
+        serve: fn(TcpStream, ServerState),
+    ) -> Result<SocketServer, RemotingError> {
+        let listener = TcpListener::bind(addr)?;
+        let local = listener.local_addr()?;
+        let state = ServerState {
+            objects: ObjectTable::new(),
+            scheduler: Arc::new(MailboxScheduler::with_workers(workers)),
+            stop: Arc::new(AtomicBool::new(false)),
+        };
+        let accept = state.clone();
+        std::thread::Builder::new()
+            .name(format!("{kind}-accept-{local}"))
+            .spawn(move || {
+                for conn in listener.incoming() {
+                    if accept.stopped() {
+                        return;
+                    }
+                    let Ok(stream) = conn else { continue };
+                    let state = accept.clone();
+                    let _ = std::thread::Builder::new()
+                        .name(format!("{kind}-conn"))
+                        .spawn(move || serve(stream, state));
+                }
+            })
+            .expect("spawning accept thread");
+        Ok(SocketServer { addr: local, state })
+    }
+}
+
+impl Drop for SocketServer {
+    fn drop(&mut self) {
+        self.state.stop.store(true, Ordering::SeqCst);
+        // Poke the listener so the accept loop observes the stop flag.
+        let _ = TcpStream::connect(self.addr);
+    }
 }
 
 /// Convenience [`Invokable`] built from a closure — handy in tests and for

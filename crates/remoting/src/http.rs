@@ -6,17 +6,25 @@
 //! text headers and a SOAP (XML-ish) body, inflating both bytes and parse
 //! work. Connections are persistent (keep-alive); one request/response at a
 //! time per connection.
+//!
+//! The server is the TCP server's twin behind different framing: a
+//! thread per connection parses requests and hands each call to the
+//! `serve_call` every server shares, so dispatch runs on the server's
+//! per-object mailbox workers with the same FIFO and one-in-flight
+//! guarantees as TCP and inproc. The `SOAPAction` header says whether a
+//! request is a call or a one-way post (as TCP's frame flag does): a
+//! worker writes a call's response once the method returns, and a post
+//! is acknowledged with `202 Accepted` as soon as it is enqueued.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::io::{self, BufRead, BufReader, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::{mpsc, Arc};
 
 use parc_serial::SoapFormatter;
 use parc_sync::Mutex;
 
 use crate::channel::{ChannelProvider, ClientChannel};
-use crate::dispatcher::dispatch;
+use crate::dispatcher::{serve_call, Origin, ServerState, SocketServer};
 use crate::error::RemotingError;
 use crate::message::{CallMessage, ReturnMessage};
 use crate::uri::{ObjectUri, Scheme};
@@ -25,43 +33,49 @@ use crate::wellknown::ObjectTable;
 /// Maximum accepted body size.
 pub const MAX_BODY: usize = 64 << 20;
 
-/// Writes an HTTP request carrying `body`.
-fn write_request(stream: &mut impl Write, object: &str, body: &[u8]) -> std::io::Result<()> {
+/// `SOAPAction` of a one-way post, acknowledged with `202 Accepted`.
+const ACTION_POST: &str = "\"#post\"";
+
+/// Writes one HTTP message: `head` (its first line and own headers),
+/// then the headers every message carries and `body`.
+fn write_message(stream: &mut impl Write, head: &str, body: &[u8]) -> io::Result<()> {
     write!(
         stream,
-        "POST /{object} HTTP/1.1\r\nHost: remoting\r\nContent-Type: text/xml; charset=utf-8\r\nSOAPAction: \"#invoke\"\r\nContent-Length: {}\r\n\r\n",
+        "{head}\r\nContent-Type: text/xml; charset=utf-8\r\nContent-Length: {}\r\n\r\n",
         body.len()
     )?;
     stream.write_all(body)?;
     stream.flush()
 }
 
-/// Writes an HTTP response with `status` and `body`.
-fn write_response(stream: &mut impl Write, status: &str, body: &[u8]) -> std::io::Result<()> {
-    write!(
-        stream,
-        "HTTP/1.1 {status}\r\nContent-Type: text/xml; charset=utf-8\r\nContent-Length: {}\r\n\r\n",
-        body.len()
-    )?;
-    stream.write_all(body)?;
-    stream.flush()
+/// Writes a request to `object` carrying `body`; `oneway` marks a post.
+fn write_request(w: &mut impl Write, object: &str, oneway: bool, body: &[u8]) -> io::Result<()> {
+    let action = if oneway { ACTION_POST } else { "\"#invoke\"" };
+    let head = format!("POST /{object} HTTP/1.1\r\nHost: remoting\r\nSOAPAction: {action}");
+    write_message(w, &head, body)
 }
 
-/// Reads one HTTP message (request or response): returns `(first_line,
-/// body)`, or `None` on clean EOF before the first byte.
-fn read_message(reader: &mut impl BufRead) -> std::io::Result<Option<(String, Vec<u8>)>> {
+/// One HTTP message (request or response) as this channel reads it.
+struct Message {
+    /// Request or status line, without its line break.
+    first_line: String,
+    /// Whether a `SOAPAction` header marked it a one-way post.
+    post: bool,
+    body: Vec<u8>,
+}
+
+/// Reads one HTTP message, or `None` on clean EOF before the first byte.
+fn read_message(reader: &mut impl BufRead) -> io::Result<Option<Message>> {
     let mut first_line = String::new();
     if reader.read_line(&mut first_line)? == 0 {
         return Ok(None);
     }
     let mut content_length: Option<usize> = None;
+    let mut post = false;
     loop {
         let mut line = String::new();
         if reader.read_line(&mut line)? == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "eof inside headers",
-            ));
+            return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "eof inside headers"));
         }
         let trimmed = line.trim_end();
         if trimmed.is_empty() {
@@ -70,130 +84,107 @@ fn read_message(reader: &mut impl BufRead) -> std::io::Result<Option<(String, Ve
         if let Some((name, value)) = trimmed.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
                 content_length = value.trim().parse::<usize>().ok();
+            } else if name.eq_ignore_ascii_case("soapaction") {
+                post = value.trim() == ACTION_POST;
             }
         }
     }
     let len = content_length.ok_or_else(|| {
-        std::io::Error::new(std::io::ErrorKind::InvalidData, "missing content-length")
+        io::Error::new(io::ErrorKind::InvalidData, "missing content-length")
     })?;
     if len > MAX_BODY {
-        return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, "body too large"));
+        return Err(io::Error::new(io::ErrorKind::InvalidData, "body too large"));
     }
     let mut body = vec![0u8; len];
     reader.read_exact(&mut body)?;
-    Ok(Some((first_line.trim_end().to_string(), body)))
+    Ok(Some(Message { first_line: first_line.trim_end().to_string(), post, body }))
 }
 
 /// Server half of the HTTP channel.
-pub struct HttpServerChannel {
-    addr: SocketAddr,
-    objects: ObjectTable,
-    stop: Arc<AtomicBool>,
-}
+pub struct HttpServerChannel(SocketServer);
 
 impl HttpServerChannel {
-    /// Binds and starts accepting.
+    /// Binds and starts accepting, with the configured mailbox worker
+    /// count ([`crate::mailbox::workers_from_env`]).
     ///
     /// # Errors
     ///
     /// Socket bind failures.
     pub fn bind(addr: &str) -> Result<HttpServerChannel, RemotingError> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        let objects = ObjectTable::new();
-        let stop = Arc::new(AtomicBool::new(false));
-        let accept_objects = objects.clone();
-        let accept_stop = Arc::clone(&stop);
-        std::thread::Builder::new()
-            .name(format!("http-accept-{local}"))
-            .spawn(move || accept_loop(listener, accept_objects, accept_stop))
-            .expect("spawning http accept thread");
-        Ok(HttpServerChannel { addr: local, objects, stop })
+        let workers = crate::mailbox::workers_from_env();
+        SocketServer::bind(addr, workers, "http", serve_connection).map(HttpServerChannel)
     }
 
     /// The bound address.
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.0.addr
     }
 
     /// The published-object table.
     pub fn objects(&self) -> &ObjectTable {
-        &self.objects
+        &self.0.state.objects
     }
 
     /// An `http://` URI for an object on this server.
     pub fn uri_for(&self, object: &str) -> String {
-        format!("http://{}/{}", self.addr, object)
-    }
-}
-
-impl Drop for HttpServerChannel {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.addr);
+        format!("http://{}/{}", self.local_addr(), object)
     }
 }
 
 impl std::fmt::Debug for HttpServerChannel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HttpServerChannel").field("addr", &self.addr).finish()
+        f.debug_struct("HttpServerChannel").field("addr", &self.local_addr()).finish()
     }
 }
 
-fn accept_loop(listener: TcpListener, objects: ObjectTable, stop: Arc<AtomicBool>) {
-    for conn in listener.incoming() {
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
-        let Ok(stream) = conn else { continue };
-        let objects = objects.clone();
-        let stop = Arc::clone(&stop);
-        let _ = std::thread::Builder::new()
-            .name("http-conn".into())
-            .spawn(move || serve_connection(stream, objects, stop));
+/// Encodes `reply` and writes it as a response — `500` for a fault, as
+/// SOAP has it — tearing the connection down if that fails (the client
+/// must not wait for a response that will never come).
+fn respond(mut writer: &TcpStream, reply: &ReturnMessage) {
+    let status = match reply.result {
+        Ok(_) => "HTTP/1.1 200 OK",
+        Err(_) => "HTTP/1.1 500 Internal Server Error",
+    };
+    let written = match reply.encode(&SoapFormatter::new()) {
+        Ok(bytes) => write_message(&mut writer, status, &bytes).is_ok(),
+        Err(_) => false,
+    };
+    if !written {
+        let _ = writer.shutdown(std::net::Shutdown::Both);
     }
 }
 
-fn serve_connection(stream: TcpStream, objects: ObjectTable, stop: Arc<AtomicBool>) {
+/// One server connection. HTTP answers requests in order, so the next is
+/// read only once the worker has written this call's response (or the
+/// post is acknowledged); a call whose job was dropped closes the socket.
+fn serve_connection(stream: TcpStream, state: ServerState) {
     let formatter = SoapFormatter::new();
     let _ = stream.set_nodelay(true);
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
+    let Ok(writer) = stream.try_clone() else { return };
+    let writer = Arc::new(writer);
     let mut reader = BufReader::new(stream);
-    loop {
-        let (_request_line, body) = match read_message(&mut reader) {
-            Ok(Some(msg)) => msg,
-            Ok(None) | Err(_) => return,
-        };
+    while let Ok(Some(request)) = read_message(&mut reader) {
         // A stopped server closes instead of answering.
-        if stop.load(Ordering::SeqCst) {
+        if state.stopped() {
             return;
         }
-        match CallMessage::decode(&formatter, &body) {
-            Ok(call) => match dispatch(&objects, &call) {
-                Some(reply) => {
-                    let _span = parc_obs::Span::enter(parc_obs::kinds::REPLY);
-                    let Ok(bytes) = reply.encode(&formatter) else { return };
-                    if write_response(&mut writer, "200 OK", &bytes).is_err() {
-                        return;
-                    }
-                }
-                // One-way over HTTP still acknowledges receipt.
-                None => {
-                    if write_response(&mut writer, "202 Accepted", b"").is_err() {
-                        return;
-                    }
-                }
-            },
-            Err(e) => {
-                let fault = ReturnMessage::fault(0, e.to_string());
-                let Ok(bytes) = fault.encode(&formatter) else { return };
-                if write_response(&mut writer, "500 Internal Server Error", &bytes).is_err() {
-                    return;
-                }
+        let decoded = CallMessage::decode(&formatter, &request.body).map_err(|e| e.to_string());
+        let (done, answered) = mpsc::channel();
+        let reply = (!request.post).then(|| {
+            let writer = Arc::clone(&writer);
+            move |reply: &ReturnMessage| {
+                respond(&writer, reply);
+                let _ = done.send(());
             }
+        });
+        serve_call(&state.scheduler, &state.objects, Origin::default(), decoded, reply);
+        let answered = if request.post {
+            write_message(&mut &*writer, "HTTP/1.1 202 Accepted", b"").is_ok()
+        } else {
+            answered.recv().is_ok()
+        };
+        if !answered {
+            return;
         }
     }
 }
@@ -281,9 +272,9 @@ impl HttpClientChannel {
         }
     }
 
-    /// One request/response round trip; returns the status line, response
-    /// body and the size of the *request* body that was sent.
-    fn exchange(&self, msg: &CallMessage) -> Result<(String, Vec<u8>, usize), RemotingError> {
+    /// One request/response round trip, as a post when `oneway`; returns
+    /// the response and the size of the *request* body that was sent.
+    fn exchange(&self, msg: &CallMessage, oneway: bool) -> Result<(Message, usize), RemotingError> {
         let body = {
             let _span = parc_obs::Span::enter(parc_obs::kinds::SERIALIZE);
             msg.encode(&self.formatter)?
@@ -295,7 +286,7 @@ impl HttpClientChannel {
         let outcome = (|| {
             {
                 let _span = parc_obs::Span::enter(parc_obs::kinds::CHANNEL_SEND);
-                write_request(&mut conn.writer, &msg.object, &body)?;
+                write_request(&mut conn.writer, &msg.object, oneway, &body)?;
             }
             let _span = parc_obs::Span::enter(parc_obs::kinds::CHANNEL_RECV);
             read_message(&mut conn.reader)?
@@ -304,23 +295,24 @@ impl HttpClientChannel {
         if outcome.is_ok() {
             self.checkin(conn);
         }
-        outcome.map(|(status, body)| (status, body, sent))
+        outcome.map(|response| (response, sent))
     }
 }
 
 impl ClientChannel for HttpClientChannel {
     fn call(&self, msg: &CallMessage) -> Result<ReturnMessage, RemotingError> {
-        let (_status, body, _sent) = self.exchange(msg)?;
+        let (response, _sent) = self.exchange(msg, false)?;
         let _span = parc_obs::Span::enter(parc_obs::kinds::DESERIALIZE);
-        Ok(ReturnMessage::decode(&self.formatter, &body)?)
+        Ok(ReturnMessage::decode(&self.formatter, &response.body)?)
     }
 
     fn post(&self, msg: &CallMessage) -> Result<usize, RemotingError> {
-        // HTTP always answers; a one-way call reads its 202 and discards it.
-        let (status, _body, sent) = self.exchange(msg)?;
-        if status.contains("202") || status.contains("200") {
+        // HTTP always answers; a post reads its 202 and discards it.
+        let (response, sent) = self.exchange(msg, true)?;
+        if response.first_line.contains("202") {
             Ok(sent)
         } else {
+            let status = response.first_line;
             Err(RemotingError::Transport { detail: format!("unexpected status {status:?}") })
         }
     }
@@ -448,13 +440,66 @@ mod tests {
     }
 
     #[test]
+    fn undecodable_body_gets_a_fault_and_the_connection_keeps_serving() {
+        let server = start_server();
+        let stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream.set_read_timeout(Some(std::time::Duration::from_secs(5))).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        let formatter = SoapFormatter::new();
+
+        write_request(&mut writer, "Svc", false, b"<not a call").unwrap();
+        let fault = read_message(&mut reader).unwrap().expect("a response");
+        assert!(fault.first_line.contains("500"), "{}", fault.first_line);
+        let fault = ReturnMessage::decode(&formatter, &fault.body).unwrap();
+        assert_eq!(fault.call_id, 0);
+        assert!(fault.result.is_err(), "{fault:?}");
+
+        let call = CallMessage::new("Svc", "double", vec![Value::I32(8)]);
+        write_request(&mut writer, "Svc", false, &call.encode(&formatter).unwrap()).unwrap();
+        let ok = read_message(&mut reader).unwrap().expect("a response");
+        assert!(ok.first_line.contains("200"), "{}", ok.first_line);
+        let ok = ReturnMessage::decode(&formatter, &ok.body).unwrap();
+        assert_eq!(ok.result, Ok(Value::I32(16)));
+    }
+
+    #[test]
+    fn pipelined_requests_are_answered_in_order() {
+        let server = start_server();
+        server.objects().register_singleton(
+            "Slow",
+            Arc::new(FnInvokable(|_: &str, _: &[Value]| {
+                std::thread::sleep(std::time::Duration::from_millis(50));
+                Ok(Value::Null)
+            })),
+        );
+        let stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream.set_read_timeout(Some(std::time::Duration::from_secs(5))).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        let body = CallMessage::new("Slow", "nap", vec![]).encode(&SoapFormatter::new()).unwrap();
+        // A call, and a post sent before the call's response arrives.
+        write_request(&mut writer, "Slow", false, &body).unwrap();
+        write_request(&mut writer, "Slow", true, &body).unwrap();
+        let first = read_message(&mut reader).unwrap().expect("a response");
+        assert!(first.first_line.contains("200"), "{}", first.first_line);
+        let second = read_message(&mut reader).unwrap().expect("a response");
+        assert!(second.first_line.contains("202"), "{}", second.first_line);
+    }
+
+    #[test]
     fn http_message_codec_roundtrips() {
         let mut buf = Vec::new();
-        write_request(&mut buf, "Obj", b"<body/>").unwrap();
+        write_request(&mut buf, "Obj", false, b"<body/>").unwrap();
+        write_request(&mut buf, "Obj", true, b"<post/>").unwrap();
         let mut reader = BufReader::new(std::io::Cursor::new(buf));
-        let (line, body) = read_message(&mut reader).unwrap().unwrap();
-        assert!(line.starts_with("POST /Obj HTTP/1.1"));
-        assert_eq!(body, b"<body/>");
+        let call = read_message(&mut reader).unwrap().unwrap();
+        assert!(call.first_line.starts_with("POST /Obj HTTP/1.1"));
+        assert_eq!(call.body, b"<body/>");
+        assert!(!call.post);
+        let post = read_message(&mut reader).unwrap().unwrap();
+        assert_eq!(post.body, b"<post/>");
+        assert!(post.post);
         assert!(read_message(&mut reader).unwrap().is_none());
     }
 

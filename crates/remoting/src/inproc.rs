@@ -28,12 +28,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parc_obs::{Held, Histogram};
 use parc_serial::BinaryFormatter;
 use parc_sync::RwLock;
 
 use crate::channel::{ChannelProvider, ClientChannel, LinkFeedback};
-use crate::dispatcher::dispatch;
+use crate::dispatcher::{serve_call, Origin};
 use crate::error::RemotingError;
 use crate::mailbox::{DispatchDepth, MailboxScheduler};
 use crate::message::{CallMessage, ReturnMessage};
@@ -46,10 +45,6 @@ use crate::wellknown::ObjectTable;
 /// network. The live value each opened channel uses is
 /// [`crate::retry::call_timeout`].
 pub const DEFAULT_TIMEOUT: Duration = crate::retry::DEFAULT_CALL_TIMEOUT;
-
-/// The queue-wait histogram every traced job records into, resolved once.
-static QUEUE_WAIT: Held<Histogram> =
-    Held::new(parc_obs::kinds::QUEUE_WAIT, parc_obs::histogram);
 
 /// A reply's bytes and the endpoint's backlog (`pending`, `busiest`) at
 /// reply time — the in-process analogue of a reply frame with a
@@ -91,7 +86,6 @@ impl Drop for Reply {
 struct Serving {
     objects: ObjectTable,
     scheduler: Arc<MailboxScheduler>,
-    depth: DispatchDepth,
     /// Interned endpoint name: every span dispatched here is tagged with
     /// it, so multi-node traces in one process stay attributable per node.
     node: u32,
@@ -151,7 +145,6 @@ impl InprocNetwork {
         let serving = Serving {
             objects: objects.clone(),
             scheduler: Arc::clone(&scheduler),
-            depth: scheduler.depth_handle(),
             node: parc_obs::trace::node_id(&name),
         };
         endpoints.insert(
@@ -228,6 +221,21 @@ impl InprocNetwork {
         })?;
         Ok(InprocClient { shared, timeout, feedback: Arc::new(LinkFeedback::new()) })
     }
+
+    /// Opens a channel with an explicit per-call deadline, bypassing the
+    /// `PARC_CALL_TIMEOUT` default (tests pin short deadlines without
+    /// touching the process environment). Never chaos-wrapped.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`ChannelProvider::open`].
+    pub fn open_with_timeout(
+        &self,
+        uri: &ObjectUri,
+        timeout: Duration,
+    ) -> Result<Arc<dyn ClientChannel>, RemotingError> {
+        Ok(Arc::new(self.client(uri, timeout)?))
+    }
 }
 
 impl std::fmt::Debug for InprocNetwork {
@@ -290,8 +298,10 @@ pub struct InprocClient {
 }
 
 impl InprocClient {
-    /// Encodes `msg`, decodes it as the server would and enqueues it on
-    /// the target object's mailbox, returning the encoded payload size.
+    /// Encodes `msg`, decodes it as the server would and hands it to the
+    /// shared `serve_call`, which enqueues it on the target object's
+    /// mailbox; returns the encoded payload size. `reply` is `None` for a
+    /// post.
     /// A send either lands before a concurrent stop or fails here; one
     /// that lands but has not started when the stop comes is discarded
     /// with the rest of the queue, as a crash would lose it.
@@ -305,35 +315,17 @@ impl InprocClient {
         // Captured inside the send span: the server dispatch becomes a
         // child of this `channel.send`, mirroring the TCP transport.
         let trace = parc_obs::trace::current_for_wire();
-        let enqueued_ns = parc_obs::timestamp_if_enabled();
-        let call = CallMessage::decode(&formatter, &bytes);
+        let decoded = CallMessage::decode(&formatter, &bytes).map_err(|e| e.to_string());
         let serving = self.shared.serving.read();
         let serving = serving.as_ref().ok_or_else(stopped)?;
         self.shared.bytes_received.fetch_add(bytes.len() as u64, Ordering::Relaxed);
         self.shared.messages_received.fetch_add(1, Ordering::Relaxed);
-        let call = match call {
-            Ok(call) => call,
-            // Undecodable: a call faults with id 0, a post is dropped.
-            Err(e) => {
-                if let Some(reply) = reply {
-                    reply.send(&ReturnMessage::fault(0, e.to_string()), &serving.depth);
-                }
-                return Ok(bytes.len());
-            }
-        };
-        let objects = serving.objects.clone();
-        let depth = serving.depth.clone();
-        let node = serving.node;
-        let object = call.object.clone();
-        serving.scheduler.enqueue(&object, move || {
-            let _node = parc_obs::trace::enter_node_id(node);
-            let _trace = parc_obs::trace::with_remote_parent(trace);
-            QUEUE_WAIT.record_wait(enqueued_ns);
-            if let (Some(out), Some(reply)) = (dispatch(&objects, &call), reply) {
-                let _span = parc_obs::Span::enter(parc_obs::kinds::REPLY);
-                reply.send(&out, &depth);
-            }
+        let reply = reply.map(|reply| {
+            let depth = serving.scheduler.depth_handle();
+            move |out: &ReturnMessage| reply.send(out, &depth)
         });
+        let origin = Origin { trace, node: Some(serving.node) };
+        serve_call(&serving.scheduler, &serving.objects, origin, decoded, reply);
         Ok(bytes.len())
     }
 }
@@ -373,23 +365,6 @@ impl ChannelProvider for InprocNetwork {
     fn open(&self, uri: &ObjectUri) -> Result<Arc<dyn ClientChannel>, RemotingError> {
         let client = self.client(uri, crate::retry::call_timeout())?;
         Ok(crate::fault::wrap_if_chaotic(Arc::new(client)))
-    }
-}
-
-impl InprocNetwork {
-    /// Opens a channel with an explicit per-call deadline, bypassing the
-    /// `PARC_CALL_TIMEOUT` default (tests pin short deadlines without
-    /// touching the process environment). Never chaos-wrapped.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ChannelProvider::open`].
-    pub fn open_with_timeout(
-        &self,
-        uri: &ObjectUri,
-        timeout: Duration,
-    ) -> Result<Arc<dyn ClientChannel>, RemotingError> {
-        Ok(Arc::new(self.client(uri, timeout)?))
     }
 }
 

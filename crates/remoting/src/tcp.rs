@@ -13,12 +13,12 @@
 //!
 //! The server accepts connections on a loopback-or-LAN socket and serves
 //! each connection from its own reader thread. That thread only reads
-//! frames and hands them to [`crate::dispatcher::serve_frame`], which
-//! decodes and enqueues on the server's per-object [`MailboxScheduler`],
-//! so the reader returns to the socket immediately: calls to one object
-//! run serially in arrival order (one-way posts, batches and two-way
-//! calls alike), distinct objects run in parallel on the scheduler's
-//! work-stealing workers, and a slow method on one object cannot
+//! and decodes frames and hands each call to the `serve_call` every
+//! server shares, which enqueues it on the server's per-object
+//! [`crate::mailbox`] scheduler, so the reader returns to the socket
+//! immediately: calls to one object run serially in arrival order
+//! (one-way posts, batches and two-way calls alike), distinct objects
+//! run in parallel, and a slow method on one object cannot
 //! head-of-line-block the objects behind the same socket. Replies are
 //! written back in completion order; the correlation ID is what makes
 //! out-of-order replies safe.
@@ -28,7 +28,7 @@
 //! same call rate as one (DESIGN §11).
 
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -38,10 +38,10 @@ use parc_sync::Mutex;
 
 use crate::bufpool;
 use crate::channel::{ChannelProvider, ClientChannel, LinkFeedback};
-use crate::dispatcher::serve_frame;
+use crate::dispatcher::{serve_call, Origin, ServerState, SocketServer};
 use crate::error::RemotingError;
-use crate::frame::{self, DepthExt, FrameRead, FLAG_ONEWAY};
-use crate::mailbox::{DispatchDepth, MailboxScheduler};
+use crate::frame::{self, DepthExt, FrameRead, TraceExt, FLAG_ONEWAY};
+use crate::mailbox::DispatchDepth;
 use crate::message::{CallMessage, ReturnMessage};
 use crate::retry::call_timeout;
 use crate::slot::{self, Wake};
@@ -82,12 +82,7 @@ pub fn pool_size_from_env() -> usize {
 }
 
 /// Server half of the TCP channel.
-pub struct TcpServerChannel {
-    addr: SocketAddr,
-    objects: ObjectTable,
-    stop: Arc<AtomicBool>,
-    scheduler: Arc<MailboxScheduler>,
-}
+pub struct TcpServerChannel(SocketServer);
 
 impl TcpServerChannel {
     /// Binds and starts accepting, with the configured mailbox worker
@@ -112,79 +107,38 @@ impl TcpServerChannel {
         addr: &str,
         workers: usize,
     ) -> Result<TcpServerChannel, RemotingError> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        let objects = ObjectTable::new();
-        let stop = Arc::new(AtomicBool::new(false));
-        // One scheduler per server, shared by every connection.
-        let scheduler = Arc::new(MailboxScheduler::with_workers(workers));
-        let accept_objects = objects.clone();
-        let accept_stop = Arc::clone(&stop);
-        let accept_sched = Arc::clone(&scheduler);
-        std::thread::Builder::new()
-            .name(format!("tcp-accept-{local}"))
-            .spawn(move || accept_loop(listener, accept_objects, accept_stop, accept_sched))
-            .expect("spawning tcp accept thread");
-        Ok(TcpServerChannel { addr: local, objects, stop, scheduler })
+        SocketServer::bind(addr, workers, "tcp", serve_connection).map(TcpServerChannel)
     }
 
     /// Live backlog view of the mailbox scheduler (always `Some`).
     pub fn dispatch_depth(&self) -> Option<DispatchDepth> {
-        Some(self.scheduler.depth_handle())
+        Some(self.0.state.scheduler.depth_handle())
     }
 
     /// Scheduler counter snapshot (always `Some`).
     pub fn dispatch_stats(&self) -> Option<crate::mailbox::DispatchStats> {
-        Some(self.scheduler.stats())
+        Some(self.0.state.scheduler.stats())
     }
 
     /// The bound address (host:port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.0.addr
     }
 
     /// The published-object table served on this socket.
     pub fn objects(&self) -> &ObjectTable {
-        &self.objects
+        &self.0.state.objects
     }
 
     /// A `tcp://` URI for an object on this server.
     pub fn uri_for(&self, object: &str) -> String {
-        format!("tcp://{}/{}", self.addr, object)
-    }
-}
-
-impl Drop for TcpServerChannel {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Poke the listener so the accept loop observes the stop flag.
-        let _ = TcpStream::connect(self.addr);
+        format!("tcp://{}/{}", self.local_addr(), object)
     }
 }
 
 impl std::fmt::Debug for TcpServerChannel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TcpServerChannel").field("addr", &self.addr).finish()
-    }
-}
-
-fn accept_loop(
-    listener: TcpListener,
-    objects: ObjectTable,
-    stop: Arc<AtomicBool>,
-    sched: Arc<MailboxScheduler>,
-) {
-    for conn in listener.incoming() {
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
-        let Ok(stream) = conn else { continue };
-        let objects = objects.clone();
-        let stop = Arc::clone(&stop);
-        let sched = Arc::clone(&sched);
-        let _ = std::thread::Builder::new()
-            .name("tcp-conn".into())
-            .spawn(move || serve_connection(stream, objects, stop, sched));
+        f.debug_struct("TcpServerChannel").field("addr", &self.local_addr()).finish()
     }
 }
 
@@ -207,7 +161,6 @@ impl ReplyWriter {
     /// extra round trips.
     fn write(&self, corr_id: u64, reply: &ReturnMessage) {
         let formatter = BinaryFormatter::new();
-        let _span = parc_obs::Span::enter(parc_obs::kinds::REPLY);
         let mut reply_buf = bufpool::global().checkout();
         if reply.encode_into(&formatter, &mut reply_buf).is_ok() {
             let ext = DepthExt::capture(&self.depth);
@@ -220,19 +173,17 @@ impl ReplyWriter {
     }
 }
 
-fn serve_connection(
-    mut stream: TcpStream,
-    objects: ObjectTable,
-    stop: Arc<AtomicBool>,
-    sched: Arc<MailboxScheduler>,
-) {
+/// One server connection: reads frames, peels each one's optional
+/// trace-context extension, decodes its [`CallMessage`] and hands it to
+/// [`serve_call`]. The frame flag decides whether the call is answered.
+fn serve_connection(mut stream: TcpStream, state: ServerState) {
     let _ = stream.set_nodelay(true);
     // The read half stays on this thread; replies are written by mailbox
     // workers through the cloned write half.
-    let writer = match stream.try_clone() {
-        Ok(w) => Arc::new(ReplyWriter { stream: Mutex::new(w), depth: sched.depth_handle() }),
-        Err(_) => return,
-    };
+    let Ok(w) = stream.try_clone() else { return };
+    let depth = state.scheduler.depth_handle();
+    let writer = Arc::new(ReplyWriter { stream: Mutex::new(w), depth });
+    let formatter = BinaryFormatter::new();
     // Every frame is decoded before the next read (the decoded call is
     // what routes to a mailbox), so one pooled request buffer serves the
     // whole connection.
@@ -243,16 +194,23 @@ fn serve_connection(
             Ok(FrameRead::Idle) => continue,
             Ok(FrameRead::Eof) | Err(_) => break,
         };
-        // A stopped server closes its connections instead of serving new
-        // requests (clients observe EOF -> transport error).
-        if stop.load(Ordering::SeqCst) {
+        if state.stopped() {
             break;
         }
-        let writer = Arc::clone(&writer);
-        let corr_id = header.corr_id;
-        serve_frame(&sched, &objects, &header, &payload, move |reply| {
-            writer.write(corr_id, reply);
+        let (trace, decoded) = match frame::split_trace_ext(&header, &payload) {
+            Ok((ext, body)) => (
+                ext.map(TraceExt::to_context),
+                CallMessage::decode(&formatter, body).map_err(|e| e.to_string()),
+            ),
+            Err(e) => (None, Err(e.to_string())),
+        };
+        let reply = (!header.oneway()).then(|| {
+            let writer = Arc::clone(&writer);
+            let corr_id = header.corr_id;
+            move |reply: &ReturnMessage| writer.write(corr_id, reply)
         });
+        let origin = Origin { trace, node: None };
+        serve_call(&state.scheduler, &state.objects, origin, decoded, reply);
     }
     bufpool::global().checkin(payload);
 }
@@ -775,6 +733,7 @@ mod tests {
     use crate::activator::Activator;
     use crate::dispatcher::FnInvokable;
     use parc_serial::Value;
+    use std::net::TcpListener;
 
     fn start_echo_server() -> TcpServerChannel {
         let server = TcpServerChannel::bind("127.0.0.1:0").unwrap();

@@ -92,18 +92,29 @@ for seed in 11 12; do
 done
 
 # Gate 7: the transports. The conformance suite pins the contracts
-# every transport keeps over TCP and inproc alike (FIFO ordering,
-# one-way/two-way interleaving, replies reaching their own caller,
+# every transport keeps over TCP, inproc and HTTP alike (FIFO ordering,
+# one-way/two-way interleaving, replies reaching their own caller, one
+# call in flight per object, a fault for a two-way call marked one-way,
 # claim/release) and TCP's wire contracts (poison-on-death,
 # unknown-frame tolerance, hostile request frames, the mux client's
 # leader/follower reads). Then a traced sieve hosted over
 # real TCP sockets must compute the correct primes (the example asserts
-# them) and emit a structurally valid Chrome trace.
-cargo test -q --offline --test transport_conformance
+# them) and emit a structurally valid Chrome trace, and the live HTTP
+# channel must answer a SOAP call over a loopback socket.
+if ! cargo test -q --offline --test transport_conformance; then
+    echo "FAIL: transport conformance suite (tcp, inproc, http) failed" >&2
+    exit 1
+fi
 PARC_OBS=1 cargo run --release --offline -q --example tcp_sieve >/dev/null
 cargo run --release --offline -q -p parc-obs --bin parc-trace-check -- \
     target/tcp_sieve_trace.json --min-events 10
-echo "ok: transports pass (conformance suite over tcp + inproc, sieve over sockets, trace valid)"
+if ! http_out=$(cargo run --release --offline -q --example http_channel 2>&1) \
+    || ! printf '%s\n' "$http_out" | grep -q '^355 / 113 over SOAP = 3.14159'; then
+    printf '%s\n' "${http_out:-}" >&2
+    echo "FAIL: the live HTTP channel did not answer its SOAP call (transports: tcp, inproc, http)" >&2
+    exit 1
+fi
+echo "ok: transports pass (conformance suite over tcp + inproc + http, sieve over sockets, trace valid, live http call answered)"
 
 # Gate 8: cross-node distributed tracing. A traced 3-node sieve writes
 # one JSONL trace file per node; parc-trace-merge must join them into a

@@ -1,5 +1,6 @@
 //! Observability integration tests: span trees recorded across a real
-//! remoting round trip, and the disabled path staying perfectly silent.
+//! remoting round trip, the disabled path staying perfectly silent, and
+//! the telemetry plane reading what the mailbox records.
 //!
 //! The global recorder is process-wide state, so every test here holds
 //! `parc::obs::test_lock()` for its full body.
@@ -139,4 +140,28 @@ fn posts_record_send_spans_without_a_recv() {
         !all.iter().any(|s| s.kind == kinds::CHANNEL_RECV && s.tid == sender_tid),
         "a one-way post never blocks on a reply"
     );
+}
+
+/// `parc-top`'s queue-wait quantiles read the histogram the mailbox
+/// scheduler records into: with recording on, calls through a runtime
+/// node make them non-zero. (If telemetry read a histogram nothing
+/// records, they would stay 0 however busy the node was.)
+#[test]
+fn telemetry_queue_wait_is_fed_by_the_mailbox() {
+    let _guard = parc::obs::test_lock();
+    parc::obs::set_enabled(true);
+    parc::obs::reset();
+
+    let rt = parc::scoopp::ParcRuntime::builder().nodes(2).build().unwrap();
+    rt.register_class("Noop", || Arc::new(FnInvokable(|_: &str, _: &[Value]| Ok(Value::Null))));
+    let po = rt.create_on("Noop", 1).unwrap();
+    for _ in 0..5 {
+        po.call("tick", vec![]).unwrap();
+    }
+    let rows = rt.telemetry().poll();
+    parc::obs::set_enabled(false);
+
+    assert!(rows[1].dispatched >= 5, "saw {}", rows[1].dispatched);
+    assert!(rows[1].queue_wait_p50_ns > 0, "queue-wait p50 read 0 after 5 calls");
+    assert!(rows[1].queue_wait_p99_ns > 0, "queue-wait p99 read 0 after 5 calls");
 }

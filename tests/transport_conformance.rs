@@ -2,13 +2,19 @@
 //! transport change must keep passing.
 //!
 //! The transport-agnostic contracts run over every transport in
-//! [`TRANSPORTS`] — TCP (multiplexed client → threaded server) and
-//! inproc (callers enqueue on the endpoint's mailboxes):
+//! [`TRANSPORTS`] — TCP (multiplexed client → threaded server), inproc
+//! (callers enqueue on the endpoint's mailboxes) and HTTP (SOAP over
+//! keep-alive connections). All three servers share one serve path, so
+//! all three keep the same contracts:
 //! * per-object FIFO ordering — calls sent by one caller to one object
 //!   execute in send order;
 //! * one-way/two-way interleaving — posts and calls from one caller
 //!   keep their relative order on the target object;
 //! * replies reach their own caller under concurrent callers;
+//! * calls to one object never overlap, whichever connections they
+//!   arrive on;
+//! * a two-way call whose message is marked one-way gets a fault, not a
+//!   retryable transport error or a timeout;
 //! * claim/release — a claim grants a private alias, foreign calls park
 //!   until release, and a re-claim under the same id is idempotent.
 //!
@@ -44,6 +50,7 @@ use parc::remoting::frame::{
     read_frame_into, split_depth_ext, write_frame, FrameRead, FLAG_DEPTH, FLAG_ONEWAY,
     FLAG_TRACE, HEADER_LEN, MAX_FRAME,
 };
+use parc::remoting::http::{HttpClientChannel, HttpServerChannel};
 use parc::remoting::inproc::{InprocEndpoint, InprocNetwork};
 use parc::remoting::tcp::{TcpClientChannel, TcpServerChannel};
 use parc::remoting::{
@@ -60,15 +67,18 @@ use parc::serial::{BinaryFormatter, Value};
 enum Kind {
     Tcp,
     Inproc,
+    Http,
 }
 
 /// Every transport the transport-agnostic contracts run over.
-const TRANSPORTS: [Kind; 2] = [Kind::Tcp, Kind::Inproc];
+const TRANSPORTS: [Kind; 3] = [Kind::Tcp, Kind::Inproc, Kind::Http];
 
-/// A server of one transport, with four mailbox workers either way.
+/// A server of one transport: four mailbox workers over TCP and inproc,
+/// the configured count over HTTP (its server takes no explicit count).
 enum Server {
     Tcp(TcpServerChannel),
     Inproc(InprocNetwork, InprocEndpoint),
+    Http(HttpServerChannel),
 }
 
 impl Server {
@@ -80,6 +90,7 @@ impl Server {
                 let endpoint = net.create_endpoint_with_workers("node0", 4).expect("endpoint");
                 Server::Inproc(net, endpoint)
             }
+            Kind::Http => Server::Http(HttpServerChannel::bind("127.0.0.1:0").expect("binding")),
         }
     }
 
@@ -87,16 +98,20 @@ impl Server {
         match self {
             Server::Tcp(server) => server.objects(),
             Server::Inproc(_, endpoint) => endpoint.objects(),
+            Server::Http(server) => server.objects(),
         }
     }
 
-    /// A fresh client channel; over TCP, one socket of its own.
+    /// A fresh client channel; over TCP and HTTP, sockets of its own.
     fn connect(&self) -> Arc<dyn ClientChannel> {
         match self {
             Server::Tcp(server) => connect(&server.local_addr().to_string()),
             Server::Inproc(net, _) => {
                 net.open(&"inproc://node0/any".parse().unwrap()).expect("inproc open")
             }
+            Server::Http(server) => Arc::new(
+                HttpClientChannel::connect(&server.local_addr().to_string()).expect("http connect"),
+            ),
         }
     }
 }
@@ -239,6 +254,82 @@ fn replies_route_by_correlation_id_on_every_combo() {
                 });
             }
         });
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Contract: one call in flight per object
+// ---------------------------------------------------------------------------
+
+/// Callers on separate connections hammer one object at once; the object
+/// counts the invocations inside it, and the peak must stay at one —
+/// every server runs calls to one object one at a time, whichever
+/// connection they arrive on.
+#[test]
+fn calls_to_one_object_never_overlap_on_every_transport() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    for kind in TRANSPORTS {
+        let server = Server::start(kind);
+        let inside = Arc::new(AtomicUsize::new(0));
+        let peak = Arc::new(AtomicUsize::new(0));
+        let (now, max) = (Arc::clone(&inside), Arc::clone(&peak));
+        server.objects().register_singleton(
+            "Counter",
+            Arc::new(FnInvokable(move |_: &str, _: &[Value]| {
+                let entered = now.fetch_add(1, Ordering::SeqCst) + 1;
+                max.fetch_max(entered, Ordering::SeqCst);
+                std::thread::sleep(Duration::from_millis(1));
+                now.fetch_sub(1, Ordering::SeqCst);
+                Ok(Value::Null)
+            })),
+        );
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let chan = server.connect();
+                scope.spawn(move || {
+                    let proxy = RemoteObject::new(chan, "Counter");
+                    for i in 0..10 {
+                        proxy.call("bump", vec![]).unwrap_or_else(|e| {
+                            panic!("{kind:?}: caller {t} call {i} failed: {e}");
+                        });
+                    }
+                });
+            }
+        });
+        assert_eq!(
+            peak.load(Ordering::SeqCst),
+            1,
+            "{kind:?}: calls to one object ran concurrently"
+        );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Contract: a two-way call always gets an answer
+// ---------------------------------------------------------------------------
+
+/// A message marked one-way but sent as a two-way call still runs, and
+/// its caller gets a fault at once: not a retryable transport error (a
+/// retry layer would re-send a call that already ran) and not a timeout.
+#[test]
+fn a_two_way_call_marked_one_way_faults_on_every_transport() {
+    for kind in TRANSPORTS {
+        let server = Server::start(kind);
+        let (object, log) = recorder();
+        server.objects().register_singleton("Recorder", object);
+        let chan = server.connect();
+        let started = Instant::now();
+        let reply = chan
+            .call(&CallMessage::one_way("Recorder", "note", vec![Value::I32(7)]))
+            .unwrap_or_else(|e| panic!("{kind:?}: expected a fault reply, got {e:?}"));
+        match reply.result {
+            Err(detail) => {
+                assert!(detail.contains("no reply"), "{kind:?}: unexpected fault {detail:?}");
+            }
+            Ok(value) => panic!("{kind:?}: expected a fault, got {value:?}"),
+        }
+        assert!(started.elapsed() < Duration::from_secs(10), "{kind:?}: fault came late");
+        assert_eq!(log.lock().unwrap().clone(), vec![7], "{kind:?}: the call did not run");
     }
 }
 
