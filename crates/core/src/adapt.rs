@@ -16,6 +16,7 @@
 //! estimate into one deterministic batch-size law (DESIGN.md §14).
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::Duration;
 
 use parc_sync::Mutex;
@@ -133,16 +134,16 @@ impl GrainAdapter {
     }
 }
 
-/// Tuning knobs of the closed-loop batch controller, read once per proxy
-/// from the `PARC_BATCH_*` environment variables.
+/// Tuning knobs of the closed-loop batch controller. A runtime proxy uses
+/// [`BatchConfig::from_env`]; [`BatchController::new`] takes any other.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchConfig {
-    /// Smallest batch the controller ever targets (`PARC_BATCH_MIN`).
+    /// Smallest batch the controller ever targets.
     pub min: usize,
-    /// Largest batch the controller ever targets (`PARC_BATCH_MAX`).
+    /// Largest batch the controller ever targets.
     pub max: usize,
     /// Oldest a buffered one-way call may get before the buffer ships
-    /// regardless of fill (`PARC_BATCH_LINGER_US`).
+    /// regardless of fill.
     pub linger: Duration,
     /// Remote queue depth above which the controller halves the batch —
     /// the server is drowning (`PARC_BATCH_DEPTH_HIGH`).
@@ -165,22 +166,22 @@ impl Default for BatchConfig {
 }
 
 impl BatchConfig {
-    /// Reads the `PARC_BATCH_*` knobs (`MIN`, `MAX`, `LINGER_US`,
-    /// `DEPTH_HIGH`, `DEPTH_LOW`), falling back to the defaults for unset
-    /// or unparseable values. `min`/`max` are forced into a sane order.
+    /// The defaults, with the two depth bands overridden by
+    /// `PARC_BATCH_DEPTH_HIGH` and `PARC_BATCH_DEPTH_LOW` when set and
+    /// parseable. Read once per process.
     pub fn from_env() -> BatchConfig {
-        fn get<T: std::str::FromStr>(name: &str) -> Option<T> {
-            std::env::var(name).ok().and_then(|v| v.parse().ok())
-        }
-        let d = BatchConfig::default();
-        let min = get("PARC_BATCH_MIN").unwrap_or(d.min).max(1);
-        BatchConfig {
-            min,
-            max: get("PARC_BATCH_MAX").unwrap_or(d.max).max(min),
-            linger: get("PARC_BATCH_LINGER_US").map_or(d.linger, Duration::from_micros),
-            depth_high: get("PARC_BATCH_DEPTH_HIGH").unwrap_or(d.depth_high),
-            depth_low: get("PARC_BATCH_DEPTH_LOW").unwrap_or(d.depth_low),
-        }
+        static CONFIG: OnceLock<BatchConfig> = OnceLock::new();
+        *CONFIG.get_or_init(|| {
+            fn get(name: &str) -> Option<usize> {
+                std::env::var(name).ok().and_then(|v| v.parse().ok())
+            }
+            let d = BatchConfig::default();
+            BatchConfig {
+                depth_high: get("PARC_BATCH_DEPTH_HIGH").unwrap_or(d.depth_high),
+                depth_low: get("PARC_BATCH_DEPTH_LOW").unwrap_or(d.depth_low),
+                ..d
+            }
+        })
     }
 }
 
@@ -584,7 +585,7 @@ mod tests {
 
     #[test]
     fn config_env_parsing_falls_back_to_defaults() {
-        // No PARC_BATCH_* set in the test environment: defaults apply.
+        // No PARC_BATCH_DEPTH_* set in the test environment: defaults apply.
         let cfg = BatchConfig::from_env();
         assert_eq!(cfg, BatchConfig::default());
         assert_eq!(cfg.min, 1);

@@ -17,25 +17,6 @@ pub enum Placement {
     Ring,
 }
 
-impl Placement {
-    /// Parses a policy name as accepted by the `PARC_PLACEMENT`
-    /// environment variable: `ring`, `leastloaded` (or `least-loaded`)
-    /// and `rr` (or `round-robin`/`roundrobin`).
-    pub fn parse(s: &str) -> Option<Placement> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "ring" => Some(Placement::Ring),
-            "leastloaded" | "least-loaded" => Some(Placement::LeastLoaded),
-            "rr" | "round-robin" | "roundrobin" => Some(Placement::RoundRobin),
-            _ => None,
-        }
-    }
-
-    /// Reads `PARC_PLACEMENT`; `None` when unset or unparseable.
-    pub fn from_env() -> Option<Placement> {
-        std::env::var("PARC_PLACEMENT").ok().and_then(|v| Placement::parse(&v))
-    }
-}
-
 impl fmt::Display for Placement {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -125,17 +106,5 @@ mod tests {
         assert_eq!(Placement::LeastLoaded.to_string(), "least-loaded");
         assert_eq!(Placement::Ring.to_string(), "ring");
         assert_eq!(Placement::default(), Placement::RoundRobin);
-    }
-
-    #[test]
-    fn placement_parses_env_names() {
-        assert_eq!(Placement::parse("ring"), Some(Placement::Ring));
-        assert_eq!(Placement::parse(" RING "), Some(Placement::Ring));
-        assert_eq!(Placement::parse("rr"), Some(Placement::RoundRobin));
-        assert_eq!(Placement::parse("round-robin"), Some(Placement::RoundRobin));
-        assert_eq!(Placement::parse("leastloaded"), Some(Placement::LeastLoaded));
-        assert_eq!(Placement::parse("least-loaded"), Some(Placement::LeastLoaded));
-        assert_eq!(Placement::parse("bogus"), None);
-        assert_eq!(Placement::parse("random:42"), None);
     }
 }

@@ -51,11 +51,9 @@ pub struct RuntimeBuilder {
     nodes: usize,
     grain: GrainConfig,
     placement: Placement,
-    placement_explicit: bool,
     node_lease_ttl: Duration,
-    node_lease_ttl_explicit: bool,
-    claim_ttl: Option<Duration>,
-    probe_ttl: Option<Duration>,
+    claim_ttl: Duration,
+    probe_ttl: Duration,
     ring: RingConfig,
 }
 
@@ -65,11 +63,9 @@ impl Default for RuntimeBuilder {
             nodes: 1,
             grain: GrainConfig::default(),
             placement: Placement::default(),
-            placement_explicit: false,
             node_lease_ttl: Duration::ZERO,
-            node_lease_ttl_explicit: false,
-            claim_ttl: None,
-            probe_ttl: None,
+            claim_ttl: parc_remoting::lease::DEFAULT_CLAIM_TTL,
+            probe_ttl: DEFAULT_PROBE_TTL,
             ring: RingConfig::default(),
         }
     }
@@ -94,22 +90,18 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Placement policy. An explicit choice here wins over the
-    /// `PARC_PLACEMENT` environment variable; without one the variable
-    /// (`ring`, `leastloaded`, `rr`) overrides the
-    /// round-robin default.
+    /// Placement policy (round-robin by default).
     pub fn placement(&mut self, placement: Placement) -> &mut Self {
         self.placement = placement;
-        self.placement_explicit = true;
         self
     }
 
     /// TTL of the `LeastLoaded` probe cache. `Duration::ZERO` disables
     /// caching (every create performs the full load scan — the paper's
     /// original behaviour, kept for benchmarking). Defaults to
-    /// `PARC_PROBE_TTL_MS` or 25 ms.
+    /// 25 ms (`DEFAULT_PROBE_TTL`).
     pub fn probe_ttl(&mut self, ttl: Duration) -> &mut Self {
-        self.probe_ttl = Some(ttl);
+        self.probe_ttl = ttl;
         self
     }
 
@@ -125,22 +117,19 @@ impl RuntimeBuilder {
     /// successful probe) has lapsed. The default of zero makes
     /// [`ParcRuntime::detect_failures`] act on the first failed probe —
     /// deterministic for tests; chaos runs set a TTL so injected transient
-    /// faults do not kill healthy nodes. An explicit setting here wins
-    /// over the shared `PARC_LEASE_TTL_MS` environment knob
-    /// ([`parc_remoting::lease::LEASE_TTL_ENV`]).
+    /// faults do not kill healthy nodes.
     pub fn node_lease_ttl(&mut self, ttl: Duration) -> &mut Self {
         self.node_lease_ttl = ttl;
-        self.node_lease_ttl_explicit = true;
         self
     }
 
     /// TTL of the leases carried by multi-object reservation claims
     /// ([`crate::txn`]). A claim whose holder stops renewing — client
     /// death, node kill mid-reservation — lapses after this long and the
-    /// object's mailbox slot is reclaimed. Defaults to the shared
-    /// `PARC_LEASE_TTL_MS` knob, else one second.
+    /// object's mailbox slot is reclaimed. Defaults to
+    /// [`parc_remoting::lease::DEFAULT_CLAIM_TTL`].
     pub fn claim_lease_ttl(&mut self, ttl: Duration) -> &mut Self {
-        self.claim_ttl = Some(ttl);
+        self.claim_ttl = ttl;
         self
     }
 
@@ -155,26 +144,6 @@ impl RuntimeBuilder {
             return Err(ParcError::Config { detail: "runtime needs at least one node".into() });
         }
         self.grain.validate()?;
-        let placement = if self.placement_explicit {
-            self.placement
-        } else {
-            Placement::from_env().unwrap_or(self.placement)
-        };
-        let probe_ttl = self.probe_ttl.unwrap_or_else(|| {
-            std::env::var("PARC_PROBE_TTL_MS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .map_or(DEFAULT_PROBE_TTL, Duration::from_millis)
-        });
-        let claim_ttl = self.claim_ttl.unwrap_or_else(parc_remoting::lease::claim_ttl);
-        // One env knob serves both lease domains: without an explicit
-        // builder setting, PARC_LEASE_TTL_MS also becomes the node
-        // liveness grace period.
-        let node_lease_ttl = if self.node_lease_ttl_explicit {
-            self.node_lease_ttl
-        } else {
-            parc_remoting::lease::ttl_from_env().unwrap_or(self.node_lease_ttl)
-        };
         let net = InprocNetwork::new();
         let registry = ClassRegistry::new();
         // Created before the nodes boot: every node's telemetry service
@@ -184,11 +153,11 @@ impl RuntimeBuilder {
         let mut endpoints = Vec::with_capacity(self.nodes);
         let mut om_states = Vec::with_capacity(self.nodes);
         for node in 0..self.nodes {
-            let (ep, om_state) = boot_node(&net, &registry, node, &stats, claim_ttl)?;
+            let (ep, om_state) = boot_node(&net, &registry, node, &stats, self.claim_ttl)?;
             endpoints.push(Some(ep));
             om_states.push(om_state);
         }
-        let ttl_nanos = u64::try_from(node_lease_ttl.as_nanos()).unwrap_or(u64::MAX);
+        let ttl_nanos = u64::try_from(self.node_lease_ttl.as_nanos()).unwrap_or(u64::MAX);
         let failover = Arc::new(FailoverState {
             net: net.clone(),
             registry: registry.clone(),
@@ -198,7 +167,7 @@ impl RuntimeBuilder {
             rescue: Mutex::new(None),
             stats: stats.clone(),
             directory: Arc::clone(&directory),
-            claim_ttl,
+            claim_ttl: self.claim_ttl,
         });
         for node in 0..self.nodes {
             failover.leases.grant(format!("node{node}"), failover.now());
@@ -210,7 +179,7 @@ impl RuntimeBuilder {
             om_states,
             failover,
             grain: self.grain,
-            placement,
+            placement: self.placement,
             rr_counter: AtomicUsize::new(0),
             rng: Mutex::new(parc_sim_free::SplitMix64::new(0x5eed)),
             next_object_id: AtomicU64::new(1),
@@ -219,7 +188,7 @@ impl RuntimeBuilder {
             stats,
             dag: Arc::new(DependenceGraph::new()),
             directory,
-            probe_ttl,
+            probe_ttl: self.probe_ttl,
             probe_cache: Mutex::new(None),
         })
     }
@@ -1046,27 +1015,6 @@ impl Default for RebalanceConfig {
             low_ratio: 1.1,
             max_migrations_per_round: 2,
             min_load: 2,
-        }
-    }
-}
-
-impl RebalanceConfig {
-    /// Reads the `PARC_REBALANCE_*` environment knobs
-    /// (`INTERVAL_MS`, `HIGH`, `LOW`, `CAP`, `MIN_LOAD`), falling back to
-    /// the defaults for unset or unparseable values.
-    pub fn from_env() -> RebalanceConfig {
-        fn get<T: std::str::FromStr>(name: &str) -> Option<T> {
-            std::env::var(name).ok().and_then(|v| v.parse().ok())
-        }
-        let d = RebalanceConfig::default();
-        RebalanceConfig {
-            interval: get("PARC_REBALANCE_INTERVAL_MS")
-                .map_or(d.interval, Duration::from_millis),
-            high_ratio: get("PARC_REBALANCE_HIGH").unwrap_or(d.high_ratio),
-            low_ratio: get("PARC_REBALANCE_LOW").unwrap_or(d.low_ratio),
-            max_migrations_per_round: get("PARC_REBALANCE_CAP")
-                .unwrap_or(d.max_migrations_per_round),
-            min_load: get("PARC_REBALANCE_MIN_LOAD").unwrap_or(d.min_load),
         }
     }
 }

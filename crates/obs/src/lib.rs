@@ -109,7 +109,7 @@ pub fn init(config: ObsConfig) -> ObsConfig {
 }
 
 /// Initialises from the environment: `PARC_OBS=1` (or `true`) enables
-/// recording, `PARC_OBS_RING=<n>` sizes the ring. Setting
+/// recording, with a [`DEFAULT_RING_CAPACITY`] ring. Setting
 /// `PARC_OBS_DUMP_DIR` also enables recording so the flight recorder
 /// (see [`flight_dump`]) has something to dump when a failure fires.
 /// Returns the effective configuration.
@@ -118,11 +118,7 @@ pub fn init_from_env() -> ObsConfig {
         .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
         .unwrap_or(false)
         || dump_dir().is_some();
-    let ring_capacity = std::env::var("PARC_OBS_RING")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_RING_CAPACITY);
-    init(ObsConfig { enabled, ring_capacity })
+    init(ObsConfig { enabled, ..ObsConfig::default() })
 }
 
 /// Whether recording is on. This is the single relaxed load every

@@ -165,11 +165,11 @@ pub struct RemoteObject {
 
 impl RemoteObject {
     /// Wraps a channel and a published object name. The proxy's retry
-    /// policy comes from `PARC_RETRY` (default: 3 attempts); it applies
-    /// to one-way posts and [`RemoteObject::call_idempotent`], never to
+    /// policy is [`RetryPolicy::default`] (3 attempts); it applies to
+    /// one-way posts and [`RemoteObject::call_idempotent`], never to
     /// plain [`RemoteObject::call`].
     pub fn new(channel: Arc<dyn ClientChannel>, object: impl Into<String>) -> RemoteObject {
-        RemoteObject { channel, object: object.into(), retry: RetryPolicy::from_env() }
+        RemoteObject { channel, object: object.into(), retry: RetryPolicy::default() }
     }
 
     /// Replaces the retry policy (tests and benches pin one explicitly).

@@ -203,7 +203,7 @@ impl HttpConn {
     fn dial(addr: &str) -> Result<HttpConn, RemotingError> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(crate::retry::call_timeout()))?;
+        stream.set_read_timeout(Some(crate::retry::DEFAULT_CALL_TIMEOUT))?;
         let writer = stream.try_clone()?;
         Ok(HttpConn { reader: BufReader::new(stream), writer })
     }

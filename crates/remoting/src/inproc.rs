@@ -40,12 +40,6 @@ use crate::slot::Slot;
 use crate::uri::{ObjectUri, Scheme};
 use crate::wellknown::ObjectTable;
 
-/// Default reply timeout for in-process calls when `PARC_CALL_TIMEOUT`
-/// is unset. Generous — a stuck server object is a bug, not a slow
-/// network. The live value each opened channel uses is
-/// [`crate::retry::call_timeout`].
-pub const DEFAULT_TIMEOUT: Duration = crate::retry::DEFAULT_CALL_TIMEOUT;
-
 /// A reply's bytes and the endpoint's backlog (`pending`, `busiest`) at
 /// reply time — the in-process analogue of a reply frame with a
 /// [`crate::frame::DepthExt`], so the caller's aggregation controller
@@ -222,9 +216,9 @@ impl InprocNetwork {
         Ok(InprocClient { shared, timeout, feedback: Arc::new(LinkFeedback::new()) })
     }
 
-    /// Opens a channel with an explicit per-call deadline, bypassing the
-    /// `PARC_CALL_TIMEOUT` default (tests pin short deadlines without
-    /// touching the process environment). Never chaos-wrapped.
+    /// Opens a channel with an explicit per-call deadline instead of
+    /// [`crate::retry::DEFAULT_CALL_TIMEOUT`] (tests pin short deadlines).
+    /// Never chaos-wrapped.
     ///
     /// # Errors
     ///
@@ -363,7 +357,7 @@ impl ClientChannel for InprocClient {
 
 impl ChannelProvider for InprocNetwork {
     fn open(&self, uri: &ObjectUri) -> Result<Arc<dyn ClientChannel>, RemotingError> {
-        let client = self.client(uri, crate::retry::call_timeout())?;
+        let client = self.client(uri, crate::retry::DEFAULT_CALL_TIMEOUT)?;
         Ok(crate::fault::wrap_if_chaotic(Arc::new(client)))
     }
 }

@@ -16,30 +16,10 @@ use parc_sync::Mutex;
 
 use crate::wellknown::ObjectTable;
 
-/// Env var holding the lease time-to-live in milliseconds. One knob for
-/// both lease domains: the runtime failure detector's node leases and the
-/// reservation subsystem's claim leases ([`crate::reserve`]).
-pub const LEASE_TTL_ENV: &str = "PARC_LEASE_TTL_MS";
-
-/// Default claim-lease TTL when [`LEASE_TTL_ENV`] is unset: long enough
+/// Claim-lease TTL of a reservation ([`crate::reserve`]): long enough
 /// that a healthy holder always renews in time, short enough that a dead
 /// holder's claim is reclaimed promptly.
 pub const DEFAULT_CLAIM_TTL: Duration = Duration::from_millis(1000);
-
-/// The [`LEASE_TTL_ENV`] override, if set to a positive integer.
-pub fn ttl_from_env() -> Option<Duration> {
-    std::env::var(LEASE_TTL_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .filter(|&ms| ms > 0)
-        .map(Duration::from_millis)
-}
-
-/// The claim-lease TTL: [`LEASE_TTL_ENV`] when set, else
-/// [`DEFAULT_CLAIM_TTL`].
-pub fn claim_ttl() -> Duration {
-    ttl_from_env().unwrap_or(DEFAULT_CLAIM_TTL)
-}
 
 /// Lease bookkeeping for one endpoint's object table.
 #[derive(Debug)]

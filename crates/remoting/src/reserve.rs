@@ -19,10 +19,10 @@
 //!   the alias, which the [`MailboxScheduler`](crate::mailbox) routes on
 //!   a dedicated claim-plane lane so releases can never be starved by
 //!   the very workers they would unblock.
-//! * Every claim carries a lease ([`LeaseManager`], TTL from
-//!   [`crate::lease::claim_ttl`]). Holder calls renew it; a holder that
-//!   dies (client crash, node kill, dropped `Reservation`) simply stops
-//!   renewing, the lease lapses, the alias is unregistered and the
+//! * Every claim carries a lease ([`LeaseManager`], TTL
+//!   [`crate::lease::DEFAULT_CLAIM_TTL`] unless the runtime sets one).
+//!   Holder calls renew it; a holder that dies (client crash, node kill,
+//!   dropped `Reservation`) simply stops renewing, the lease lapses, the alias is unregistered and the
 //!   mailbox slot serves the next caller. No orphaned locks.
 //! * `__claim` is **idempotent per claim id**: a retry whose original
 //!   grant succeeded (reply lost to chaos) returns the same alias.
@@ -111,9 +111,9 @@ pub struct ClaimTable {
 }
 
 impl ClaimTable {
-    /// A table with the configured claim TTL ([`lease::claim_ttl`]).
+    /// A table with the default claim TTL ([`lease::DEFAULT_CLAIM_TTL`]).
     pub fn new() -> ClaimTable {
-        ClaimTable::with_ttl(lease::claim_ttl())
+        ClaimTable::with_ttl(lease::DEFAULT_CLAIM_TTL)
     }
 
     /// A table with an explicit claim TTL (tests use short ones).

@@ -2,21 +2,21 @@
 //!
 //! The channel layer's original failure behaviour was a single hard-coded
 //! 30 s reply deadline and a permanent error afterwards. This module makes
-//! both halves configurable and deterministic: [`call_timeout`] is the
-//! per-call deadline every channel consults (`PARC_CALL_TIMEOUT`
-//! overrides it in milliseconds), and [`RetryPolicy`] wraps an operation
-//! in bounded retries with exponential backoff and deterministic
-//! SplitMix64 jitter (`PARC_RETRY` configures it). One-way posts and
+//! both halves explicit and deterministic: [`DEFAULT_CALL_TIMEOUT`] is the
+//! per-call deadline every channel starts from (each channel can set its
+//! own), and [`RetryPolicy`] wraps an operation in bounded retries with
+//! exponential backoff and deterministic SplitMix64 jitter
+//! ([`crate::channel::RemoteObject::with_retry`] sets it). One-way posts and
 //! idempotent-marked methods retry transparently in the proxies; two-way
 //! non-idempotent calls never retry implicitly, preserving at-most-once
 //! semantics.
 
-use std::sync::OnceLock;
 use std::time::Duration;
 
 use crate::error::RemotingError;
 
-/// The default per-call reply deadline (the historical constant).
+/// The per-call reply deadline of every channel that is not given its own
+/// (the historical constant).
 pub const DEFAULT_CALL_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// SplitMix64 — the same tiny deterministic generator parc-testkit uses,
@@ -53,20 +53,6 @@ impl SplitMix64 {
     pub(crate) fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
-}
-
-/// The per-call reply deadline: `PARC_CALL_TIMEOUT` (milliseconds) when
-/// set and parseable, [`DEFAULT_CALL_TIMEOUT`] otherwise. Read once per
-/// process.
-pub fn call_timeout() -> Duration {
-    static TIMEOUT: OnceLock<Duration> = OnceLock::new();
-    *TIMEOUT.get_or_init(|| {
-        std::env::var("PARC_CALL_TIMEOUT")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .filter(|&ms| ms > 0)
-            .map_or(DEFAULT_CALL_TIMEOUT, Duration::from_millis)
-    })
 }
 
 /// Bounded-retry policy: up to `max_attempts` tries with exponential
@@ -115,42 +101,6 @@ impl RetryPolicy {
     pub fn with_seed(mut self, seed: u64) -> RetryPolicy {
         self.seed = seed;
         self
-    }
-
-    /// The process-wide policy: parsed once from `PARC_RETRY`
-    /// (`attempts=N,base_ms=B,max_ms=M`, or a bare attempt count), falling
-    /// back to the default policy when unset or malformed.
-    pub fn from_env() -> RetryPolicy {
-        static POLICY: OnceLock<RetryPolicy> = OnceLock::new();
-        POLICY
-            .get_or_init(|| {
-                std::env::var("PARC_RETRY")
-                    .ok()
-                    .map_or_else(RetryPolicy::default, |v| RetryPolicy::parse(&v))
-            })
-            .clone()
-    }
-
-    /// Parses a `PARC_RETRY`-style spec. Unknown keys are ignored;
-    /// malformed values fall back to the default for that field.
-    pub fn parse(spec: &str) -> RetryPolicy {
-        let mut policy = RetryPolicy::default();
-        let spec = spec.trim();
-        if let Ok(n) = spec.parse::<u32>() {
-            policy.max_attempts = n.max(1);
-            return policy;
-        }
-        for part in spec.split(',') {
-            let Some((key, value)) = part.split_once('=') else { continue };
-            match (key.trim(), value.trim().parse::<u64>()) {
-                ("attempts", Ok(n)) => policy.max_attempts = (n as u32).max(1),
-                ("base_ms", Ok(ms)) => policy.base_backoff = Duration::from_millis(ms),
-                ("max_ms", Ok(ms)) => policy.max_backoff = Duration::from_millis(ms),
-                ("seed", Ok(s)) => policy.seed = s,
-                _ => {}
-            }
-        }
-        policy
     }
 
     /// The backoff delay before retry number `attempt` (0-based: the
@@ -205,30 +155,7 @@ mod tests {
     use std::sync::atomic::{AtomicU32, Ordering};
 
     #[test]
-    fn parse_bare_count() {
-        let p = RetryPolicy::parse("5");
-        assert_eq!(p.max_attempts, 5);
-        assert_eq!(p.base_backoff, RetryPolicy::default().base_backoff);
-    }
-
-    #[test]
-    fn parse_key_value_spec() {
-        let p = RetryPolicy::parse("attempts=4,base_ms=2,max_ms=40,seed=9");
-        assert_eq!(p.max_attempts, 4);
-        assert_eq!(p.base_backoff, Duration::from_millis(2));
-        assert_eq!(p.max_backoff, Duration::from_millis(40));
-        assert_eq!(p.seed, 9);
-    }
-
-    #[test]
-    fn parse_garbage_falls_back_to_default() {
-        assert_eq!(RetryPolicy::parse("nonsense"), RetryPolicy::default());
-        assert_eq!(RetryPolicy::parse("attempts=no"), RetryPolicy::default());
-    }
-
-    #[test]
     fn zero_attempts_clamps_to_one() {
-        assert_eq!(RetryPolicy::parse("0").max_attempts, 1);
         assert_eq!(RetryPolicy::new(0, Duration::ZERO, Duration::ZERO).max_attempts, 1);
     }
 

@@ -9,7 +9,8 @@
 //! the read half on. So N callers can have calls in flight on one socket
 //! (the stream mutex covers only the `write`, never the round trip), and
 //! a lone caller reads its own reply. A per-authority socket pool (default
-//! [`DEFAULT_POOL_SIZE`], `PARC_TCP_POOL` overrides) adds bandwidth.
+//! [`DEFAULT_POOL_SIZE`], [`TcpClientChannel::connect_pooled`] sets
+//! another) adds bandwidth.
 //!
 //! The server accepts connections on a loopback-or-LAN socket and serves
 //! each connection from its own reader thread. That thread only reads
@@ -43,23 +44,15 @@ use crate::error::RemotingError;
 use crate::frame::{self, DepthExt, FrameRead, TraceExt, FLAG_ONEWAY};
 use crate::mailbox::DispatchDepth;
 use crate::message::{CallMessage, ReturnMessage};
-use crate::retry::call_timeout;
+use crate::retry::DEFAULT_CALL_TIMEOUT;
 use crate::slot::{self, Wake};
 use crate::uri::{ObjectUri, Scheme};
 use crate::wellknown::ObjectTable;
 
 pub use crate::frame::MAX_FRAME;
 
-/// Default per-call reply deadline when `PARC_CALL_TIMEOUT` is unset.
-/// Kept as a named constant for the benches and docs; the live value
-/// every connection actually uses is [`crate::retry::call_timeout`].
-pub const DEFAULT_TIMEOUT: Duration = crate::retry::DEFAULT_CALL_TIMEOUT;
-
 /// Default per-authority socket-pool size.
 pub const DEFAULT_POOL_SIZE: usize = 2;
-
-/// Environment variable overriding the per-authority socket-pool size.
-pub const POOL_SIZE_ENV: &str = "PARC_TCP_POOL";
 
 /// The client transport serving `tcp://` URIs. There is one; the type
 /// is kept only because the `callpath` benchmark records
@@ -71,14 +64,11 @@ pub enum Transport {
     Mux,
 }
 
-/// The configured pool size: `PARC_TCP_POOL` when set and positive,
-/// otherwise [`DEFAULT_POOL_SIZE`].
+/// Returns [`DEFAULT_POOL_SIZE`]. Kept only because the `callpath`
+/// benchmark records the pool size in its environment block, like
+/// [`Transport`].
 pub fn pool_size_from_env() -> usize {
-    std::env::var(POOL_SIZE_ENV)
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(DEFAULT_POOL_SIZE)
+    DEFAULT_POOL_SIZE
 }
 
 /// Server half of the TCP channel.
@@ -516,15 +506,14 @@ pub struct TcpClientChannel {
 }
 
 impl TcpClientChannel {
-    /// Connects to a server with the configured pool size
-    /// ([`pool_size_from_env`]) and per-call deadline
-    /// ([`crate::retry::call_timeout`]).
+    /// Connects to a server with [`DEFAULT_POOL_SIZE`] sockets and the
+    /// [`DEFAULT_CALL_TIMEOUT`] per-call deadline.
     ///
     /// # Errors
     ///
     /// Connection failures.
     pub fn connect(addr: &str) -> Result<TcpClientChannel, RemotingError> {
-        TcpClientChannel::connect_pooled(addr, pool_size_from_env())
+        TcpClientChannel::connect_pooled(addr, DEFAULT_POOL_SIZE)
     }
 
     /// Connects with an explicit socket-pool size (`>= 1`).
@@ -533,11 +522,11 @@ impl TcpClientChannel {
     ///
     /// Connection failures.
     pub fn connect_pooled(addr: &str, pool: usize) -> Result<TcpClientChannel, RemotingError> {
-        TcpClientChannel::connect_pooled_with_timeout(addr, pool, call_timeout())
+        TcpClientChannel::connect_pooled_with_timeout(addr, pool, DEFAULT_CALL_TIMEOUT)
     }
 
     /// Connects with an explicit pool size and per-call deadline (tests
-    /// pin short deadlines without touching the process environment).
+    /// pin short deadlines).
     ///
     /// # Errors
     ///
@@ -978,10 +967,8 @@ mod tests {
     }
 
     #[test]
-    fn pool_size_env_parsing() {
-        // Don't mutate the process env (tests run threaded); exercise the
-        // default path and the explicit constructor instead.
-        assert!(pool_size_from_env() >= 1);
+    fn pool_size_defaults_and_clamps() {
+        assert_eq!(pool_size_from_env(), DEFAULT_POOL_SIZE);
         let server = start_echo_server();
         let chan =
             TcpClientChannel::connect_pooled(&server.local_addr().to_string(), 3).unwrap();

@@ -70,12 +70,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         runtime.directory().epoch()
     );
 
-    // Aggressive interval so a short example run converges; production
-    // deployments tune this via PARC_REBALANCE_* (see README).
+    // Aggressive interval so a short example run converges; the other
+    // fields keep their defaults.
     let cfg = RebalanceConfig {
         interval: Duration::from_millis(5),
         max_migrations_per_round: 2,
-        ..RebalanceConfig::from_env()
+        ..RebalanceConfig::default()
     };
     let rebalancer = runtime.start_rebalancer(cfg);
 
