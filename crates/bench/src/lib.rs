@@ -22,7 +22,6 @@
 
 pub mod ablation;
 pub mod fig9;
-pub mod harness;
 pub mod latency;
 pub mod pingpong;
 pub mod report;

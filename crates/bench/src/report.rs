@@ -29,19 +29,6 @@ pub fn fmt_secs(v: f64) -> String {
     format!("{v:.2}s")
 }
 
-/// Formats a per-iteration time, picking the unit by magnitude.
-pub fn fmt_nanos(ns: f64) -> String {
-    if ns < 1_000.0 {
-        format!("{ns:.0}ns")
-    } else if ns < 1_000_000.0 {
-        format!("{:.2}us", ns / 1_000.0)
-    } else if ns < 1_000_000_000.0 {
-        format!("{:.2}ms", ns / 1_000_000.0)
-    } else {
-        format!("{:.2}s", ns / 1_000_000_000.0)
-    }
-}
-
 /// Formats a message size in the paper's kbyte axis.
 pub fn fmt_size(bytes: usize) -> String {
     if bytes >= 1 << 20 {
@@ -73,13 +60,5 @@ mod tests {
     #[test]
     fn seconds_formatting() {
         assert_eq!(fmt_secs(139.9), "139.90s");
-    }
-
-    #[test]
-    fn nanos_formatting_picks_unit() {
-        assert_eq!(fmt_nanos(850.0), "850ns");
-        assert_eq!(fmt_nanos(1_500.0), "1.50us");
-        assert_eq!(fmt_nanos(2_250_000.0), "2.25ms");
-        assert_eq!(fmt_nanos(3_000_000_000.0), "3.00s");
     }
 }

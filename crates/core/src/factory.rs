@@ -32,6 +32,7 @@ use parc_sync::RwLock;
 
 use crate::batch::BatchDispatcher;
 use crate::om::OmState;
+use crate::runtime::{node_of, node_uri};
 
 /// Method a migratable IO implements to export its state (any [`Value`]).
 /// IOs without it migrate stateless — the re-created instance starts from
@@ -116,10 +117,12 @@ impl MigratableHost {
     /// object stays registered and serving at the source — callers observe
     /// a clean abort, never a half-moved object.
     fn migrate(&self, dst: &str) -> Result<Value, RemotingError> {
-        let own_endpoint = format!("node{}", self.node);
-        if dst == own_endpoint {
+        let dst = node_of(dst).ok_or_else(|| RemotingError::ServerFault {
+            detail: format!("migration destination {dst:?} is not a runtime node"),
+        })?;
+        if dst == self.node {
             // Already home — idempotent no-op.
-            return Ok(Value::Str(format!("inproc://{own_endpoint}/{}", self.name)));
+            return Ok(Value::Str(node_uri(self.node, &self.name)));
         }
         // 1. Snapshot. IOs that expose no __snapshot migrate stateless.
         let state = match self.inner.invoke(SNAPSHOT_METHOD, &[]) {
@@ -128,8 +131,7 @@ impl MigratableHost {
             Err(e) => return Err(e),
         };
         // 2. Re-create (and restore) on the destination factory.
-        let factory_uri: parc_remoting::ObjectUri =
-            format!("inproc://{dst}/{FACTORY_OBJECT}").parse()?;
+        let factory_uri: parc_remoting::ObjectUri = node_uri(dst, FACTORY_OBJECT).parse()?;
         let chan = self.net.open(&factory_uri)?;
         let factory = RemoteObject::new(Arc::clone(&chan), FACTORY_OBJECT);
         let new_name = factory
@@ -142,7 +144,7 @@ impl MigratableHost {
                 detail: "destination factory returned a non-string".into(),
             })?
             .to_string();
-        let new_uri = format!("inproc://{dst}/{new_name}");
+        let new_uri = node_uri(dst, &new_name);
         // 3. Open the relay channel. If this fails the move aborts: undo
         //    the destination copy (best effort) and keep serving here.
         let target_uri: parc_remoting::ObjectUri = match new_uri.parse() {

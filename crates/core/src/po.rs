@@ -44,7 +44,7 @@ use crate::adapt::{BatchConfig, BatchController, GrainAdapter};
 use crate::batch::{encode_flat_call, BatchDispatcher, FLAT_BATCH_METHOD};
 use crate::config::GrainConfig;
 use crate::error::ParcError;
-use crate::runtime::FailoverState;
+use crate::runtime::{node_name, node_uri, FailoverState};
 use crate::stats::RuntimeStats;
 
 /// Where the implementation object lives.
@@ -154,9 +154,7 @@ impl Po {
     pub fn uri(&self) -> Option<String> {
         match &*self.target.read() {
             Target::Local(_) => None,
-            Target::Remote { node, io_name, .. } => {
-                Some(format!("inproc://node{node}/{io_name}"))
-            }
+            Target::Remote { node, io_name, .. } => Some(node_uri(*node, io_name)),
         }
     }
 
@@ -483,7 +481,7 @@ impl Po {
         match failover.replace_target(&self.class, failed_node) {
             Ok(new_target) => {
                 let destination = match &new_target {
-                    Target::Remote { node, .. } => format!("node{node}"),
+                    Target::Remote { node, .. } => node_name(*node),
                     Target::Local(_) => "local".to_string(),
                 };
                 *target = new_target;
@@ -493,8 +491,10 @@ impl Po {
                     .record(started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
                 parc_obs::event(parc_obs::kinds::OBJECT_FAILED_OVER, || {
                     format!(
-                        "object={} class={} from=node{failed_node} to={destination}",
-                        self.id, self.class
+                        "object={} class={} from={} to={destination}",
+                        self.id,
+                        self.class,
+                        node_name(failed_node)
                     )
                 });
                 // Post-mortem flight recorder: with PARC_OBS_DUMP_DIR

@@ -170,7 +170,7 @@ impl RuntimeBuilder {
             claim_ttl: self.claim_ttl,
         });
         for node in 0..self.nodes {
-            failover.leases.grant(format!("node{node}"), failover.now());
+            failover.leases.grant(node_name(node), failover.now());
         }
         Ok(ParcRuntime {
             net,
@@ -194,7 +194,23 @@ impl RuntimeBuilder {
     }
 }
 
-/// Boots one node: an endpoint named `node{i}` publishing the per-node OM
+/// The endpoint name of runtime node `node`: `node{node}`.
+pub(crate) fn node_name(node: usize) -> String {
+    format!("node{node}")
+}
+
+/// The URI of `object` hosted on runtime node `node`.
+pub(crate) fn node_uri(node: usize, object: &str) -> String {
+    format!("inproc://{}/{object}", node_name(node))
+}
+
+/// The runtime node an endpoint name (a URI authority) names, if any —
+/// the inverse of [`node_name`].
+pub(crate) fn node_of(authority: &str) -> Option<usize> {
+    authority.strip_prefix("node")?.parse().ok()
+}
+
+/// Boots one node: an endpoint named [`node_name`] publishing the per-node OM
 /// and factory — the paper's boot code, shared between the builder and the
 /// failover rescue path.
 ///
@@ -209,7 +225,7 @@ fn boot_node(
     stats: &RuntimeStats,
     claim_ttl: Duration,
 ) -> Result<(InprocEndpoint, Arc<OmState>), ParcError> {
-    let ep = net.create_endpoint(format!("node{node}"))?;
+    let ep = net.create_endpoint(node_name(node))?;
     let om_state = Arc::new(OmState::new());
     if let Some(depth) = ep.dispatch_depth() {
         om_state.attach_dispatch_depth(depth);
@@ -322,9 +338,9 @@ impl FailoverState {
         let transitioned = flag.swap(false, Ordering::Relaxed);
         if transitioned {
             self.directory.set_alive(node, false);
-            self.leases.cancel(&format!("node{node}"));
+            self.leases.cancel(&node_name(node));
             parc_obs::counter(parc_obs::kinds::NODE_FAILED).incr();
-            parc_obs::event(parc_obs::kinds::NODE_FAILED, || format!("node=node{node}"));
+            parc_obs::event(parc_obs::kinds::NODE_FAILED, || format!("node={}", node_name(node)));
             // Post-mortem flight recorder: with PARC_OBS_DUMP_DIR set,
             // freeze the ring and event log at the moment of death.
             parc_obs::flight_dump("node.failed");
@@ -338,8 +354,7 @@ impl FailoverState {
         if self.registry.get(class).is_none() {
             return Err(ParcError::UnknownClass { class: class.to_string() });
         }
-        let uri: parc_remoting::ObjectUri =
-            format!("inproc://node{node}/{FACTORY_OBJECT}").parse()?;
+        let uri: parc_remoting::ObjectUri = node_uri(node, FACTORY_OBJECT).parse()?;
         let chan = self.net.open(&uri)?;
         let factory = RemoteObject::new(Arc::clone(&chan), FACTORY_OBJECT);
         let io_name = factory
@@ -356,13 +371,9 @@ impl FailoverState {
     /// after live migration.
     pub(crate) fn target_from_uri(&self, uri: &str) -> Result<Target, ParcError> {
         let parsed: parc_remoting::ObjectUri = uri.parse()?;
-        let node: usize = parsed
-            .authority()
-            .strip_prefix("node")
-            .and_then(|s| s.parse().ok())
-            .ok_or(ParcError::Config {
-                detail: format!("uri authority {:?} is not a runtime node", parsed.authority()),
-            })?;
+        let node = node_of(parsed.authority()).ok_or(ParcError::Config {
+            detail: format!("uri authority {:?} is not a runtime node", parsed.authority()),
+        })?;
         let chan = self.net.open(&parsed)?;
         let remote = RemoteObject::new(chan, parsed.object());
         Ok(Target::Remote { remote, node, io_name: parsed.object().to_string() })
@@ -534,7 +545,7 @@ impl ParcRuntime {
     /// replacement starts from the class constructor).
     pub fn kill_node(&self, node: usize) -> bool {
         let transitioned = self.failover.mark_dead(node);
-        self.net.stop_endpoint(&format!("node{node}"));
+        self.net.stop_endpoint(&node_name(node));
         if let Some(slot) = self.endpoints.lock().get_mut(node) {
             slot.take();
         }
@@ -560,10 +571,9 @@ impl ParcRuntime {
             if !self.failover.is_alive(node) {
                 continue;
             }
-            let name = format!("node{node}");
+            let name = node_name(node);
             let probe = (|| -> Result<(), ParcError> {
-                let uri: parc_remoting::ObjectUri =
-                    format!("inproc://node{node}/{OM_OBJECT}").parse()?;
+                let uri: parc_remoting::ObjectUri = node_uri(node, OM_OBJECT).parse()?;
                 let chan = self.net.open_with_timeout(&uri, PROBE_TIMEOUT)?;
                 RemoteObject::new(chan, OM_OBJECT).call("node", vec![])?;
                 Ok(())
@@ -670,8 +680,7 @@ impl ParcRuntime {
     }
 
     fn om_remote(&self, node: usize) -> Result<RemoteObject, ParcError> {
-        let uri: parc_remoting::ObjectUri =
-            format!("inproc://node{node}/{OM_OBJECT}").parse()?;
+        let uri: parc_remoting::ObjectUri = node_uri(node, OM_OBJECT).parse()?;
         let chan = self.net.open(&uri)?;
         Ok(RemoteObject::new(chan, OM_OBJECT))
     }
@@ -773,7 +782,7 @@ impl ParcRuntime {
         self.stats.record_remote_creation();
         self.created.fetch_add(1, Ordering::Relaxed);
         if let Target::Remote { node, io_name, .. } = &target {
-            self.directory.register(format!("inproc://node{node}/{io_name}"), class, *node);
+            self.directory.register(node_uri(*node, io_name), class, *node);
         }
         Po::new(
             id,
@@ -793,21 +802,12 @@ impl ParcRuntime {
     ///
     /// URI parse or channel failures.
     pub fn proxy_from_uri(&self, uri: &str) -> Result<Po, ParcError> {
-        let parsed: parc_remoting::ObjectUri = uri.parse()?;
-        let node: usize = parsed
-            .authority()
-            .strip_prefix("node")
-            .and_then(|s| s.parse().ok())
-            .ok_or(ParcError::Config {
-                detail: format!("uri authority {:?} is not a runtime node", parsed.authority()),
-            })?;
-        let chan = self.net.open(&parsed)?;
-        let remote = RemoteObject::new(chan, parsed.object());
+        let target = self.failover.target_from_uri(uri)?;
         let id = self.new_object_id("(proxy)");
         Ok(Po::new(
             id,
             "(proxy)".to_string(),
-            Target::Remote { remote, node, io_name: parsed.object().to_string() },
+            target,
             &self.grain,
             Arc::clone(&self.adapter),
             self.stats.clone(),
@@ -869,7 +869,7 @@ impl ParcRuntime {
             let chan = self.net.open(&parsed)?;
             let remote = RemoteObject::new(chan, parsed.object());
             remote
-                .call(MIGRATE_METHOD, vec![Value::Str(format!("node{dst}"))])?
+                .call(MIGRATE_METHOD, vec![Value::Str(node_name(dst))])?
                 .as_str()
                 .map(str::to_string)
                 .ok_or(ParcError::Skeleton { detail: "migration returned a non-string".into() })
@@ -881,8 +881,8 @@ impl ParcRuntime {
                 let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
                 parc_obs::histogram(parc_obs::kinds::MIGRATION_LATENCY).record(micros);
                 // `event` would bump this counter a second time when
-                // recording is on; the bench, telemetry snapshot and
-                // verify gate all read it as an exact migration count,
+                // recording is on; the telemetry snapshot and the verify
+                // gate read it as an exact migration count,
                 // so increment once and let the migration.move span
                 // carry the trace record.
                 parc_obs::counter(parc_obs::kinds::MIGRATION_COMPLETED).incr();

@@ -22,6 +22,7 @@ use parc_remoting::{Invokable, RemotingError, TELEMETRY_OBJECT};
 use parc_serial::Value;
 
 use crate::om::OmState;
+use crate::runtime::node_uri;
 use crate::stats::RuntimeStats;
 
 /// How long one telemetry probe waits for a node before the row is
@@ -258,8 +259,7 @@ impl ClusterTelemetry {
 
     /// Polls one node; `None` when it is unreachable within the timeout.
     pub fn poll_node(&self, node: usize) -> Option<NodeTelemetry> {
-        let uri: parc_remoting::ObjectUri =
-            format!("inproc://node{node}/{TELEMETRY_OBJECT}").parse().ok()?;
+        let uri: parc_remoting::ObjectUri = node_uri(node, TELEMETRY_OBJECT).parse().ok()?;
         // Never chaos-wrapped: the dashboard must see through injected
         // faults, not be subject to them (same policy as failure probes).
         let chan = self.net.open_with_timeout(&uri, self.timeout).ok()?;

@@ -8,7 +8,8 @@
 //! The disabled path is the contract the whole stack relies on: when
 //! recording is off, `enter` is one relaxed atomic load and the guard
 //! drop is a `None` check — cheap enough to leave in every hot path
-//! (`crates/bench/benches/obs_overhead.rs` pins the cost).
+//! (10 ns per disabled span against 254 ns enabled, EXPERIMENTS.md
+//! "Retired baselines").
 
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -134,36 +134,6 @@ fn current_cold() -> Option<TraceContext> {
     })
 }
 
-/// Whether transports ship trace context on the wire (default on).
-/// Turning it off keeps local span recording but stops cross-node
-/// stitching — an ops escape hatch, and what lets the propagation bench
-/// price context injection separately from recording.
-static PROPAGATION: AtomicU32 = AtomicU32::new(1);
-
-/// Reads the wire-propagation toggle. One relaxed load.
-#[inline]
-pub fn propagation_enabled() -> bool {
-    PROPAGATION.load(Ordering::Relaxed) != 0
-}
-
-/// Sets the wire-propagation toggle.
-pub fn set_propagation(enabled: bool) {
-    PROPAGATION.store(u32::from(enabled), Ordering::Relaxed);
-}
-
-/// The context a transport puts on the wire: [`current`], further gated
-/// on [`propagation_enabled`]. Disabled cost: one relaxed load.
-#[inline]
-pub fn current_for_wire() -> Option<TraceContext> {
-    if !crate::is_enabled() {
-        return None;
-    }
-    if !propagation_enabled() {
-        return None;
-    }
-    current_cold()
-}
-
 /// Scope guard installing a remote caller's context as the parent of
 /// every span the thread opens while it lives. See [`with_remote_parent`].
 #[must_use = "the remote parent is only installed while the guard lives"]

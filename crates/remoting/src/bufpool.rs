@@ -99,17 +99,6 @@ impl BufferPool {
     pub fn stats(&self) -> (u64, u64) {
         (self.hits.load(Ordering::Relaxed), self.misses.load(Ordering::Relaxed))
     }
-
-    /// Fraction of checkouts served from the pool (0 when unused).
-    pub fn hit_rate(&self) -> f64 {
-        let (hits, misses) = self.stats();
-        let total = hits + misses;
-        if total == 0 {
-            0.0
-        } else {
-            hits as f64 / total as f64
-        }
-    }
 }
 
 impl Default for BufferPool {
@@ -153,7 +142,6 @@ mod tests {
         }
         let (hits, misses) = pool.stats();
         assert_eq!((hits, misses), (10, 1));
-        assert!(pool.hit_rate() > 0.9);
     }
 
     #[test]

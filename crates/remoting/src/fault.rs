@@ -9,11 +9,10 @@
 //! what makes chaos tests replayable and lets `scripts/verify.sh` assert
 //! trace equality across runs.
 //!
-//! The plan is reusable from three places:
+//! The plan is reusable from two places:
 //!
 //! * tests construct one directly ([`FaultPlan::new`]) and wrap any
 //!   channel in a [`ChaosChannel`];
-//! * benches do the same to measure recovery throughput;
 //! * `PARC_CHAOS=<seed>:<spec>` arms a process-global plan that the
 //!   inproc and TCP channel providers consult when opening channels
 //!   ([`FaultPlan::from_env`] / [`wrap_if_chaotic`]).

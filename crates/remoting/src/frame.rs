@@ -91,12 +91,11 @@ pub struct TraceExt {
 }
 
 impl TraceExt {
-    /// The sender's current trace context, if tracing is live and wire
-    /// propagation is on — one relaxed atomic load when recording is
-    /// disabled.
+    /// The sender's current trace context, if tracing is live — one
+    /// relaxed atomic load when recording is disabled.
     #[inline]
     pub fn capture() -> Option<TraceExt> {
-        parc_obs::trace::current_for_wire().map(TraceExt::from_context)
+        parc_obs::trace::current().map(TraceExt::from_context)
     }
 
     /// Converts an obs-layer context into its wire form.

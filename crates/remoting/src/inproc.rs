@@ -308,7 +308,7 @@ impl InprocClient {
         let _span = parc_obs::Span::enter(parc_obs::kinds::CHANNEL_SEND);
         // Captured inside the send span: the server dispatch becomes a
         // child of this `channel.send`, mirroring the TCP transport.
-        let trace = parc_obs::trace::current_for_wire();
+        let trace = parc_obs::trace::current();
         let decoded = CallMessage::decode(&formatter, &bytes).map_err(|e| e.to_string());
         let serving = self.shared.serving.read();
         let serving = serving.as_ref().ok_or_else(stopped)?;

@@ -283,3 +283,10 @@ echo "ok: wire format pinned (${wire_counts# })"
 # warnings denied, so a lint cannot accumulate unnoticed.
 cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "ok: clippy clean (workspace, all targets, -D warnings)"
+
+# Gate 15: the paper's figures. `crates/bench` holds exactly the
+# programs that print §4's figures and tables and the two §3.1
+# ablations; clippy only compiles them, so run every one to completion.
+# Their shapes are asserted by tests/experiment_shapes.rs (gate 2).
+cargo bench --offline -q -p parc-bench --benches
+echo "ok: paper figure programs ran ($(grep -c '^\[\[bench\]\]' crates/bench/Cargo.toml) bench targets)"
