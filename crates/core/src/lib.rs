@@ -22,9 +22,6 @@
 //!   demand ([`factory`], Fig. 6);
 //! * dynamic **grain-size adaptation** driven by measured call costs
 //!   ([`adapt`]);
-//! * dependence-graph tracking for the §3.1 observation that copying
-//!   parallel-object references can turn the application's DAG into a
-//!   cyclic graph ([`dag`]);
 //! * [`farm`] and [`pipeline`] skeletons — the two decompositions the
 //!   paper's evaluation uses (Ray Tracer farm, prime-sieve pipeline).
 //!
@@ -58,7 +55,6 @@
 pub mod adapt;
 pub mod batch;
 pub mod config;
-pub mod dag;
 pub mod directory;
 pub mod error;
 pub mod factory;
@@ -73,7 +69,6 @@ pub mod txn;
 
 pub use adapt::{BatchConfig, BatchController, GrainAdapter};
 pub use config::{GrainConfig, Placement};
-pub use dag::DependenceGraph;
 pub use directory::{ObjectDirectory, PlacedObject, RingConfig};
 pub use error::ParcError;
 pub use farm::Farm;

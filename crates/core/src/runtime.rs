@@ -28,7 +28,6 @@ use parc_sync::Mutex;
 
 use crate::adapt::GrainAdapter;
 use crate::config::{GrainConfig, Placement};
-use crate::dag::DependenceGraph;
 use crate::directory::{ObjectDirectory, RingConfig};
 use crate::error::ParcError;
 use crate::factory::{ClassRegistry, FactoryService, FACTORY_OBJECT, MIGRATE_METHOD};
@@ -186,7 +185,6 @@ impl RuntimeBuilder {
             created: AtomicU64::new(0),
             adapter: Arc::new(GrainAdapter::mono_default()),
             stats,
-            dag: Arc::new(DependenceGraph::new()),
             directory,
             probe_ttl: self.probe_ttl,
             probe_cache: Mutex::new(None),
@@ -447,7 +445,6 @@ pub struct ParcRuntime {
     created: AtomicU64,
     adapter: Arc<GrainAdapter>,
     stats: RuntimeStats,
-    dag: Arc<DependenceGraph>,
     directory: Arc<ObjectDirectory>,
     probe_ttl: Duration,
     probe_cache: Mutex<Option<ProbeCache>>,
@@ -493,11 +490,6 @@ impl ParcRuntime {
     /// The grain-size adapter.
     pub fn adapter(&self) -> &Arc<GrainAdapter> {
         &self.adapter
-    }
-
-    /// The application dependence graph.
-    pub fn dag(&self) -> &Arc<DependenceGraph> {
-        &self.dag
     }
 
     /// The grain configuration the runtime was booted with.
@@ -725,7 +717,7 @@ impl ParcRuntime {
             .get(class)
             .ok_or_else(|| ParcError::UnknownClass { class: class.to_string() })?;
         let io = factory();
-        let id = self.new_object_id(class);
+        let id = self.new_object_id();
         self.stats.record_local_creation();
         self.created.fetch_add(1, Ordering::Relaxed);
         Ok(Po::new(
@@ -778,7 +770,7 @@ impl ParcRuntime {
     }
 
     fn wrap_distributed(&self, class: &str, target: Target) -> Po {
-        let id = self.new_object_id(class);
+        let id = self.new_object_id();
         self.stats.record_remote_creation();
         self.created.fetch_add(1, Ordering::Relaxed);
         if let Target::Remote { node, io_name, .. } = &target {
@@ -803,7 +795,7 @@ impl ParcRuntime {
     /// URI parse or channel failures.
     pub fn proxy_from_uri(&self, uri: &str) -> Result<Po, ParcError> {
         let target = self.failover.target_from_uri(uri)?;
-        let id = self.new_object_id("(proxy)");
+        let id = self.new_object_id();
         Ok(Po::new(
             id,
             "(proxy)".to_string(),
@@ -971,21 +963,13 @@ impl ParcRuntime {
         RebalancerHandle { stop, thread: Some(thread) }
     }
 
-    /// Records that `holder` received/holds a reference to `held`
-    /// (dependence-graph bookkeeping for §3.1).
-    pub fn record_reference(&self, holder: &Po, held: &Po) {
-        self.dag.add_reference(holder.id(), held.id());
-    }
-
     /// Total parallel objects created so far.
     pub fn objects_created(&self) -> u64 {
         self.created.load(Ordering::Relaxed)
     }
 
-    fn new_object_id(&self, class: &str) -> u64 {
-        let id = self.next_object_id.fetch_add(1, Ordering::Relaxed);
-        self.dag.add_object(id, class);
-        id
+    fn new_object_id(&self) -> u64 {
+        self.next_object_id.fetch_add(1, Ordering::Relaxed)
     }
 }
 
@@ -1237,17 +1221,6 @@ mod tests {
         let alias = rt.proxy_from_uri(&uri).unwrap();
         assert_eq!(alias.call("total", vec![]).unwrap(), Value::I64(3));
         assert_eq!(alias.node(), original.node());
-    }
-
-    #[test]
-    fn reference_recording_builds_the_dag() {
-        let rt = runtime(2, GrainConfig::default());
-        let a = rt.create("Counter").unwrap();
-        let b = rt.create("Counter").unwrap();
-        rt.record_reference(&a, &b);
-        assert!(rt.dag().is_dag());
-        rt.record_reference(&b, &a);
-        assert!(!rt.dag().is_dag(), "reference cycle detected per §3.1");
     }
 
     #[test]

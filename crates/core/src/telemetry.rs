@@ -222,20 +222,13 @@ pub fn decode_snapshot(value: &Value) -> Option<NodeTelemetry> {
 pub struct ClusterTelemetry {
     net: InprocNetwork,
     nodes: usize,
-    timeout: Duration,
 }
 
 impl ClusterTelemetry {
-    /// Creates a poller over `nodes` endpoints of `net` with the default
-    /// [`POLL_TIMEOUT`].
+    /// Creates a poller over `nodes` endpoints of `net`; each probe waits
+    /// at most [`POLL_TIMEOUT`].
     pub fn new(net: InprocNetwork, nodes: usize) -> ClusterTelemetry {
-        ClusterTelemetry { net, nodes, timeout: POLL_TIMEOUT }
-    }
-
-    /// Overrides the per-probe timeout.
-    pub fn with_timeout(mut self, timeout: Duration) -> ClusterTelemetry {
-        self.timeout = timeout;
-        self
+        ClusterTelemetry { net, nodes }
     }
 
     /// Number of nodes polled per round.
@@ -262,7 +255,7 @@ impl ClusterTelemetry {
         let uri: parc_remoting::ObjectUri = node_uri(node, TELEMETRY_OBJECT).parse().ok()?;
         // Never chaos-wrapped: the dashboard must see through injected
         // faults, not be subject to them (same policy as failure probes).
-        let chan = self.net.open_with_timeout(&uri, self.timeout).ok()?;
+        let chan = self.net.open_with_timeout(&uri, POLL_TIMEOUT).ok()?;
         let reply = RemoteObject::new(chan, TELEMETRY_OBJECT).call("snapshot", vec![]).ok()?;
         decode_snapshot(&reply)
     }

@@ -6,58 +6,20 @@ use std::fmt;
 /// Failure modes of the MPI subset.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MpiError {
-    /// A rank outside `0..size`.
-    BadRank {
-        /// The offending rank.
-        rank: usize,
-        /// Communicator size.
-        size: usize,
-    },
-    /// A receive timed out — in a correct program this means deadlock.
-    Timeout {
-        /// Receiving rank.
-        rank: usize,
-        /// Source it was waiting on (`usize::MAX` = any).
-        source: usize,
-        /// Tag it was waiting on (`i32::MIN` = any).
-        tag: i32,
-    },
     /// Unpack past the end of a packed buffer.
     Truncated {
-        /// Bytes requested.
+        /// Bytes requested (`usize::MAX` when the count overflows).
         wanted: usize,
         /// Bytes available.
         available: usize,
-    },
-    /// The peer process exited (its mailbox is gone).
-    PeerGone {
-        /// The vanished rank.
-        rank: usize,
-    },
-    /// Buffer length did not match the collective's contract.
-    LengthMismatch {
-        /// What the collective expected.
-        expected: usize,
-        /// What it got.
-        got: usize,
     },
 }
 
 impl fmt::Display for MpiError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            MpiError::BadRank { rank, size } => {
-                write!(f, "rank {rank} outside communicator of size {size}")
-            }
-            MpiError::Timeout { rank, source, tag } => {
-                write!(f, "recv on rank {rank} from source {source} tag {tag} timed out (deadlock?)")
-            }
             MpiError::Truncated { wanted, available } => {
                 write!(f, "unpack of {wanted} bytes but only {available} remain")
-            }
-            MpiError::PeerGone { rank } => write!(f, "peer rank {rank} has exited"),
-            MpiError::LengthMismatch { expected, got } => {
-                write!(f, "buffer length {got} does not match expected {expected}")
             }
         }
     }
@@ -71,7 +33,6 @@ mod tests {
 
     #[test]
     fn displays_are_informative() {
-        assert!(MpiError::BadRank { rank: 9, size: 4 }.to_string().contains('9'));
         assert!(MpiError::Truncated { wanted: 8, available: 2 }.to_string().contains('8'));
     }
 

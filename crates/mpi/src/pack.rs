@@ -8,7 +8,6 @@
 //! framing overhead — which is precisely why the MPI curve of Fig. 8a runs
 //! at the wire limit while the remoting stacks pay serialization tax.
 
-use crate::datatype::Datatype;
 use crate::error::MpiError;
 
 /// A contiguous pack/unpack buffer with a read position.
@@ -84,6 +83,17 @@ impl PackBuffer {
         Ok(s)
     }
 
+    /// Takes `count` elements of `width` bytes each. A count whose byte
+    /// size overflows `usize` is [`MpiError::Truncated`] too: lengths read
+    /// off a socket are untrusted and must never panic the decoder.
+    fn take_elems(&mut self, count: usize, width: usize) -> Result<&[u8], MpiError> {
+        let n = count.checked_mul(width).ok_or(MpiError::Truncated {
+            wanted: usize::MAX,
+            available: self.remaining(),
+        })?;
+        self.take(n)
+    }
+
     /// Unpacks `count` raw bytes.
     ///
     /// # Errors
@@ -99,7 +109,7 @@ impl PackBuffer {
     ///
     /// [`MpiError::Truncated`] when fewer bytes remain.
     pub fn unpack_i32(&mut self, count: usize) -> Result<Vec<i32>, MpiError> {
-        let raw = self.take(count * 4)?;
+        let raw = self.take_elems(count, 4)?;
         Ok(raw
             .chunks_exact(4)
             .map(|c| i32::from_le_bytes([c[0], c[1], c[2], c[3]]))
@@ -112,7 +122,7 @@ impl PackBuffer {
     ///
     /// [`MpiError::Truncated`] when fewer bytes remain.
     pub fn unpack_f64(&mut self, count: usize) -> Result<Vec<f64>, MpiError> {
-        let raw = self.take(count * 8)?;
+        let raw = self.take_elems(count, 8)?;
         Ok(raw
             .chunks_exact(8)
             .map(|c| {
@@ -133,11 +143,6 @@ impl PackBuffer {
         let mut b = [0u8; 8];
         b.copy_from_slice(raw);
         Ok(u64::from_le_bytes(b))
-    }
-
-    /// `MPI_Pack_size`: exact packed size for `count` elements of `dt`.
-    pub fn pack_size(count: usize, dt: Datatype) -> usize {
-        count * dt.size()
     }
 }
 
@@ -166,7 +171,8 @@ mod tests {
         let mut buf = PackBuffer::new();
         buf.pack_i32(&[0; 1000]);
         assert_eq!(buf.len(), 4000);
-        assert_eq!(PackBuffer::pack_size(1000, Datatype::Int), 4000);
+        buf.pack_f64(&[0.0; 10]);
+        assert_eq!(buf.len(), 4080);
     }
 
     #[test]
@@ -175,6 +181,20 @@ mod tests {
         assert!(matches!(buf.unpack_f64(1), Err(MpiError::Truncated { .. })));
         assert_eq!(buf.remaining(), 7, "failed unpack consumes nothing");
         assert!(buf.unpack_i32(1).is_ok());
+    }
+
+    #[test]
+    fn overflowing_counts_are_truncation_not_panic() {
+        let mut buf = PackBuffer::from_bytes(vec![0; 4]);
+        assert!(matches!(
+            buf.unpack_i32(usize::MAX / 4 + 1),
+            Err(MpiError::Truncated { wanted: usize::MAX, available: 4 })
+        ));
+        assert!(matches!(
+            buf.unpack_f64(usize::MAX / 8 + 1),
+            Err(MpiError::Truncated { wanted: usize::MAX, available: 4 })
+        ));
+        assert_eq!(buf.unpack_i32(1).unwrap(), vec![0], "failed unpacks consume nothing");
     }
 
     #[test]

@@ -182,14 +182,6 @@ pub const TELEMETRY_POLL: &str = "telemetry.poll";
 
 /// One RMI stub call (marshal → dispatch → unmarshal).
 pub const RMI_CALL: &str = "rmi.call";
-/// MPI buffered send.
-pub const MPI_SEND: &str = "mpi.send";
-/// MPI matched receive.
-pub const MPI_RECV: &str = "mpi.recv";
-/// `MPI_Pack` of a typed slice into the contiguous buffer.
-pub const MPI_PACK: &str = "mpi.pack";
-/// `MPI_Unpack` of a typed slice out of the contiguous buffer.
-pub const MPI_UNPACK: &str = "mpi.unpack";
 
 // ---- simulation vocabulary (parc-sim Trace) ----
 //
@@ -271,10 +263,6 @@ mod tests {
             super::TELEMETRY_DISPATCH,
             super::TELEMETRY_POLL,
             super::RMI_CALL,
-            super::MPI_SEND,
-            super::MPI_RECV,
-            super::MPI_PACK,
-            super::MPI_UNPACK,
             super::SEND,
             super::RECV,
             super::TICK,

@@ -195,11 +195,6 @@ pub fn node_name(id: u32) -> Option<String> {
         .cloned()
 }
 
-/// Every interned node name, in id order.
-pub fn node_names() -> Vec<String> {
-    node_names_table().lock().unwrap_or_else(std::sync::PoisonError::into_inner).clone()
-}
-
 /// Sets the process-wide default node identity (single-node-per-process
 /// deployments; threads without an override record under it).
 pub fn set_process_node(name: &str) {

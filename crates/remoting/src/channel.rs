@@ -178,11 +178,6 @@ impl RemoteObject {
         self
     }
 
-    /// The proxy's retry policy.
-    pub fn retry_policy(&self) -> &RetryPolicy {
-        &self.retry
-    }
-
     /// The published object name this proxy targets.
     pub fn object(&self) -> &str {
         &self.object

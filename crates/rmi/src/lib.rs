@@ -1,8 +1,8 @@
-//! # parc-rmi — the Java RMI (and `java.nio`) baseline
+//! # parc-rmi — the Java RMI baseline
 //!
 //! The paper benchmarks Mono remoting against Java RMI (SDK 1.4.2) and
-//! mentions the then-new `java.nio` package. This crate rebuilds both as
-//! *baselines*: functionally real (you can export objects, bind them in a
+//! mentions the then-new `java.nio` package. This crate rebuilds RMI as a
+//! *baseline*: functionally real (you can export objects, bind them in a
 //! registry, look them up and invoke them), with the RMI cost structure the
 //! paper measures — Java-serialization wire format (class descriptors,
 //! fixed-width big-endian primitives) and the heavier per-call path.
@@ -20,13 +20,12 @@
 //! 5. stubs are the generic [`RmiStub`] (the `rmic`-generated proxy
 //!    stand-in).
 //!
-//! The [`nio`] module is a small buffer-oriented message-passing layer —
-//! the "more low level, based on message passing" comparison point for the
-//! latency table.
+//! The paper's `java.nio` row ("more low level, based on message passing",
+//! latency close to Mono's) is not rebuilt: E3 takes it from the
+//! `parc-sim` cost model (`StackModel::java_nio` in `parc-bench`).
 
 pub mod error;
 pub mod naming;
-pub mod nio;
 pub mod registry;
 pub mod stub;
 pub mod unicast;

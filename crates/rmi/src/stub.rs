@@ -8,7 +8,6 @@
 //! harness feeds those into the network model for Fig. 8a.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use parc_serial::{Formatter, JavaFormatter, Value};
 
@@ -137,12 +136,10 @@ impl std::fmt::Debug for RmiStub {
     }
 }
 
-/// Shared-ownership stub handle (stubs are commonly cloned across worker
-/// threads in the farm benchmarks).
-pub type SharedStub = Arc<RmiStub>;
-
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::unicast::FnRemote;
 

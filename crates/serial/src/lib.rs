@@ -8,17 +8,14 @@
 //!
 //! * a dynamic [`Value`] model able to represent the argument/return payloads
 //!   that flow between parallel objects (primitives, arrays, strings, lists,
-//!   named structs, and back-references for shared/cyclic graphs);
+//!   named structs, and `Ref` back-references, which every format encodes);
 //! * [`ToValue`]/[`FromValue`] conversions so ordinary Rust types can cross
 //!   the wire;
 //! * three wire formats behind the common [`Formatter`] trait:
 //!   [`BinaryFormatter`] (compact, models Mono's binary/TCP channel),
 //!   [`SoapFormatter`] (text/XML-ish, models the HTTP channel and explains
 //!   its poor bandwidth in Fig. 8b), and [`JavaFormatter`] (class
-//!   descriptors and heavier framing, models Java serialization under RMI);
-//! * a [`graph`] module that turns shared/cyclic object graphs into
-//!   `Ref`-based trees and back, mirroring how both .NET and Java
-//!   serialization preserve object identity.
+//!   descriptors and heavier framing, models Java serialization under RMI).
 //!
 //! Wire sizes produced here are *real*: the benchmark harness feeds actual
 //! encoded byte counts into the network model, which is what makes the
@@ -40,7 +37,6 @@
 pub mod binary;
 pub mod convert;
 pub mod error;
-pub mod graph;
 pub mod javaser;
 pub mod soap;
 pub mod value;
@@ -49,7 +45,6 @@ pub mod varint;
 pub use binary::BinaryFormatter;
 pub use convert::{FromValue, ToValue};
 pub use error::SerialError;
-pub use graph::{GraphBuilder, GraphReader};
 pub use javaser::JavaFormatter;
 pub use soap::SoapFormatter;
 pub use value::{StructValue, Value};

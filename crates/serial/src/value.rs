@@ -6,8 +6,7 @@
 //! [`Value`] is therefore a closed, self-describing model: primitives,
 //! strings, byte/int/float arrays (the payloads the paper's ping-pong and
 //! Ray Tracer exchange), heterogeneous lists, named structs, and
-//! back-references used by the [`crate::graph`] encoder for shared or cyclic
-//! structures.
+//! back-references (`Ref`), which every wire format encodes.
 
 use std::fmt;
 
@@ -101,8 +100,7 @@ pub enum Value {
     List(Vec<Value>),
     /// A named aggregate (a serialized passive object).
     Struct(StructValue),
-    /// A back-reference to a previously encoded graph node
-    /// (see [`crate::graph`]).
+    /// A back-reference to a previously encoded graph node.
     Ref(u32),
 }
 

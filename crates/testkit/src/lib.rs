@@ -55,7 +55,7 @@ pub const DEFAULT_SEED: u64 = 0x5eed_c0de_2005_9e37;
 /// Default number of generated cases per property (proptest's default).
 pub const DEFAULT_CASES: u32 = 256;
 
-/// Default cap on shrink candidate executions per failure.
+/// Cap on shrink candidate executions per failure.
 pub const DEFAULT_SHRINK_BUDGET: u32 = 2048;
 
 /// Configuration for one property check.
@@ -63,12 +63,11 @@ pub const DEFAULT_SHRINK_BUDGET: u32 = 2048;
 pub struct Config {
     cases: u32,
     seed: u64,
-    shrink_budget: u32,
 }
 
 impl Default for Config {
     fn default() -> Config {
-        Config { cases: DEFAULT_CASES, seed: seed_from_env(), shrink_budget: DEFAULT_SHRINK_BUDGET }
+        Config { cases: DEFAULT_CASES, seed: seed_from_env() }
     }
 }
 
@@ -98,12 +97,6 @@ impl Config {
     /// variable still wins over the built-in default, not over this).
     pub fn with_seed(mut self, seed: u64) -> Config {
         self.seed = seed;
-        self
-    }
-
-    /// Overrides the shrink budget (candidate executions per failure).
-    pub fn with_shrink_budget(mut self, budget: u32) -> Config {
-        self.shrink_budget = budget;
         self
     }
 
@@ -153,7 +146,7 @@ impl Config {
         // while the shrinker probes; restore it for the final report.
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let minimal = shrink::shrink_tape(tape, self.shrink_budget, |candidate| {
+        let minimal = shrink::shrink_tape(tape, DEFAULT_SHRINK_BUDGET, |candidate| {
             let mut src = Source::replay(candidate);
             // A generator panic on a mutated tape means the candidate is
             // invalid, not that the property failed.

@@ -5,8 +5,8 @@
 //!
 //! * [`serial`] — the serialization substrate (wire formats, `Value` model);
 //! * [`remoting`] — the hand-built .NET-remoting-style RPC stack;
-//! * [`rmi`] — the Java RMI + `nio` baselines;
-//! * [`mpi`] — the MPI baseline;
+//! * [`rmi`] — the Java RMI baseline;
+//! * [`mpi`] — the MPI baseline's explicit pack/unpack buffer;
 //! * [`sim`] — the discrete-event cluster simulator;
 //! * [`scoopp`] — the paper's contribution: the SCOOPP/ParC# runtime;
 //! * [`apps`] — the evaluation workloads (Ray Tracer, prime sieve, ...);

@@ -104,27 +104,3 @@ fn farm_gather_after_scatter_is_a_barrier() {
     let grand: i64 = totals.iter().map(|v| v.as_i64().unwrap()).sum();
     assert_eq!(grand, 5050);
 }
-
-#[test]
-fn pipeline_reference_cycles_are_reported_not_fatal() {
-    // Wire a deliberate back-edge and confirm the DAG tracker flags it
-    // while the runtime keeps operating (§3.1's cyclic dependence graphs).
-    let mut b = ParcRuntime::builder();
-    b.nodes(2);
-    let rt = b.build().unwrap();
-    register_prime_filter_class(&rt);
-    let p = Pipeline::new(&rt, PRIME_SERVER_CLASS, 3, "connect").unwrap();
-    assert!(rt.dag().is_dag());
-    // Tail gets a reference back to the head (a cycle in the reference
-    // graph — legal, tracked, reported).
-    rt.record_reference(p.tail(), p.head());
-    assert!(!rt.dag().is_dag());
-    assert!(!rt.dag().cyclic_objects().is_empty());
-    // The pipeline still works.
-    p.feed("process", vec![Value::I32Array(vec![2, 3, 4])]).unwrap();
-    p.flush().unwrap();
-    for stage in p.stages() {
-        stage.call("drain", vec![]).unwrap();
-    }
-    assert_eq!(p.head().call("prime", vec![]).unwrap(), Value::I32(2));
-}
