@@ -143,8 +143,10 @@ pub fn agglomeration_sweep(ratios: &[f64], objects: usize) -> Vec<AgglomerationP
         .collect()
 }
 
-/// E8: mean sync-call time through a PO vs through a raw remoting proxy,
-/// over `calls` calls each.
+/// E8: total sync-call time through a PO vs through a raw remoting proxy,
+/// over `calls` calls each. Each call is timed on its own and the two
+/// sides interleave, alternating which goes first, so a burst of noise
+/// from the rest of the machine lands on both sides alike.
 ///
 /// # Panics
 ///
@@ -166,17 +168,26 @@ pub fn platform_overhead(calls: usize) -> (Duration, Duration) {
         raw.call("total", vec![]).expect("warm raw");
     }
 
-    let start = Instant::now();
-    for _ in 0..calls {
+    let time_po = || {
+        let start = Instant::now();
         po.call("total", vec![]).expect("po call");
-    }
-    let po_time = start.elapsed();
-
-    let start = Instant::now();
-    for _ in 0..calls {
+        start.elapsed()
+    };
+    let time_raw = || {
+        let start = Instant::now();
         raw.call("total", vec![]).expect("raw call");
+        start.elapsed()
+    };
+    let (mut po_time, mut raw_time) = (Duration::ZERO, Duration::ZERO);
+    for i in 0..calls {
+        if i % 2 == 0 {
+            po_time += time_po();
+            raw_time += time_raw();
+        } else {
+            raw_time += time_raw();
+            po_time += time_po();
+        }
     }
-    let raw_time = start.elapsed();
     (po_time, raw_time)
 }
 

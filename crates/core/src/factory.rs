@@ -94,14 +94,12 @@ impl std::fmt::Debug for ClassRegistry {
 
 static NEXT_IO_ID: AtomicU64 = AtomicU64::new(1);
 
-/// The wrapper every created IO is registered behind. It counts every
-/// dispatch into the node's OM activity counter (the per-node calls/s
-/// signal the telemetry plane reports) and serves the server half of live
-/// migration: a two-way [`MIGRATE_METHOD`] call snapshots the IO,
+/// The wrapper every created IO is registered behind: the server half of
+/// live migration. A two-way [`MIGRATE_METHOD`] call snapshots the IO,
 /// re-creates it on the destination and swaps this registration for a
 /// [`Forwarder`]. Because `__migrate` travels through the object's own
-/// mailbox, nothing else runs on the object while it executes — PR 4's
-/// one-in-flight-call guarantee is the quiesce step.
+/// mailbox, nothing else runs on the object while it executes — the
+/// mailbox's one-in-flight-call guarantee is the quiesce step.
 struct MigratableHost {
     name: String,
     class: String,
@@ -183,7 +181,6 @@ impl Invokable for MigratableHost {
             })?;
             return self.migrate(dst);
         }
-        self.om.call_dispatched();
         self.inner.invoke(method, args)
     }
 }
@@ -310,7 +307,14 @@ mod tests {
     use super::*;
     use crate::batch::{encode_flat_call, FLAT_BATCH_METHOD};
     use parc_remoting::dispatcher::FnInvokable;
+    use parc_remoting::MailboxScheduler;
     use parc_serial::BinaryFormatter;
+
+    /// OM state over a fresh one-worker scheduler (the factory only
+    /// touches its hosted-object count).
+    fn om_state() -> Arc<OmState> {
+        Arc::new(OmState::new(MailboxScheduler::with_workers(1).depth_handle()))
+    }
 
     fn service() -> (FactoryService, ObjectTable, Arc<OmState>) {
         let registry = ClassRegistry::new();
@@ -320,7 +324,7 @@ mod tests {
             }))
         });
         let objects = ObjectTable::new();
-        let om = Arc::new(OmState::new());
+        let om = om_state();
         let svc = FactoryService::new(
             0,
             registry,
@@ -409,7 +413,7 @@ mod tests {
             1,
             registry,
             objects.clone(),
-            Arc::new(OmState::new()),
+            om_state(),
             InprocNetwork::new(),
             Arc::new(ClaimTable::new()),
         );
@@ -437,7 +441,7 @@ mod tests {
             }))
         });
         let objects = ObjectTable::new();
-        let om = Arc::new(OmState::new());
+        let om = om_state();
         let svc = FactoryService::new(
             0,
             registry,

@@ -76,7 +76,7 @@ pub use pipeline::Pipeline;
 pub use po::Po;
 pub use runtime::{ParcRuntime, RebalanceConfig, RebalancerHandle, RuntimeBuilder};
 pub use stats::RuntimeStats;
-pub use telemetry::{ClusterTelemetry, NodeTelemetry, TelemetryService};
+pub use telemetry::{ClusterTelemetry, NodeTelemetry};
 pub use txn::Reservation;
 
 /// Convenient glob-import surface.

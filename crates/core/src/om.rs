@@ -4,68 +4,49 @@
 //! each processing node. The OM controls the grain-size adaptation by
 //! instructing PO objects to perform method call aggregation and/or object
 //! agglomeration"*, and cooperates on placement and load balancing. Here
-//! the OM is a remoting-published service (`__om`) whose load counter the
-//! placement policies consult; grain-size instructions flow through the
-//! shared [`crate::GrainAdapter`].
+//! the OM is a remoting-published service (`__om`) answering one method,
+//! `snapshot`: the node's [`crate::NodeTelemetry`] row (hosted objects,
+//! mailbox backlog, scheduler counters, …). Placement, the failure
+//! detector, the rebalancer and `parc-top` all ask it through
+//! [`crate::ClusterTelemetry::poll_node`]; grain-size instructions flow
+//! through the shared [`crate::GrainAdapter`].
 
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
 use parc_remoting::{DispatchDepth, Invokable, RemotingError};
 use parc_serial::Value;
-use parc_sync::Mutex;
+
+use crate::stats::RuntimeStats;
 
 /// The well-known name every node publishes its OM under.
 pub const OM_OBJECT: &str = "__om";
 
 /// Node-local object-manager state (shared with the published service).
-#[derive(Default)]
 pub struct OmState {
     /// Number of implementation objects hosted on the node.
     hosted: AtomicI64,
-    /// Total method calls dispatched to this node's IOs (activity proxy).
-    dispatched: AtomicI64,
-    /// Live view into the node endpoint's mailbox scheduler, when the
-    /// endpoint dispatches through one.
-    dispatch_depth: Mutex<Option<DispatchDepth>>,
+    /// Live view into the node endpoint's mailbox scheduler.
+    depth: DispatchDepth,
 }
 
 impl OmState {
-    /// Creates zeroed state.
-    pub fn new() -> OmState {
-        OmState::default()
-    }
-
-    /// Attaches the node endpoint's mailbox-depth handle so placement and
-    /// adaptation policies observe real dispatch backpressure, not just
-    /// hosted-object counts.
-    pub fn attach_dispatch_depth(&self, depth: DispatchDepth) {
-        *self.dispatch_depth.lock() = Some(depth);
+    /// Creates state with no hosted objects over the node's mailbox
+    /// scheduler, so placement and adaptation observe real dispatch
+    /// backpressure, not just hosted-object counts.
+    pub fn new(depth: DispatchDepth) -> OmState {
+        OmState { hosted: AtomicI64::new(0), depth }
     }
 
     /// Calls queued-or-running across all of the node's mailboxes right
-    /// now (0 when no scheduler is attached).
+    /// now.
     pub fn queue_depth(&self) -> i64 {
-        self.dispatch_depth
-            .lock()
-            .as_ref()
-            .map_or(0, |d| i64::try_from(d.pending()).unwrap_or(i64::MAX))
+        i64::try_from(self.depth.pending()).unwrap_or(i64::MAX)
     }
 
-    /// Deepest single-object backlog on the node (0 when no scheduler is
-    /// attached) — the head-of-line pressure one hot object exerts.
-    pub fn max_object_depth(&self) -> i64 {
-        self.dispatch_depth
-            .lock()
-            .as_ref()
-            .map_or(0, |d| i64::try_from(d.max_object_depth()).unwrap_or(i64::MAX))
-    }
-
-    /// Scheduler counter snapshot through the attached depth handle
-    /// (`None` when no scheduler is attached) — executed jobs, steals,
-    /// pending backlog and busy workers for the telemetry plane.
-    pub fn dispatch_stats(&self) -> Option<parc_remoting::DispatchStats> {
-        self.dispatch_depth.lock().as_ref().map(parc_remoting::DispatchDepth::stats)
+    /// The node's mailbox scheduler: backlog and counters.
+    pub fn dispatch_depth(&self) -> &DispatchDepth {
+        &self.depth
     }
 
     /// Records an IO creation on this node.
@@ -78,19 +59,9 @@ impl OmState {
         self.hosted.fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// Records call activity.
-    pub fn call_dispatched(&self) {
-        self.dispatched.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Current load metric: hosted objects.
+    /// Implementation objects hosted on the node.
     pub fn load(&self) -> i64 {
         self.hosted.load(Ordering::Relaxed)
-    }
-
-    /// Lifetime dispatched-call count.
-    pub fn dispatched(&self) -> i64 {
-        self.dispatched.load(Ordering::Relaxed)
     }
 }
 
@@ -98,23 +69,24 @@ impl std::fmt::Debug for OmState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("OmState")
             .field("hosted", &self.load())
-            .field("dispatched", &self.dispatched())
             .field("queue_depth", &self.queue_depth())
             .finish()
     }
 }
 
-/// The published OM service: lets peers query load and push notifications,
-/// mirroring the OM cooperation of Fig. 3 (calls *c*).
+/// The published OM service: answers `snapshot` with the node's telemetry
+/// row, the one question peers ask a node about itself (Fig. 3, calls *c*).
 pub struct OmService {
     node: usize,
     state: Arc<OmState>,
+    stats: RuntimeStats,
 }
 
 impl OmService {
-    /// Creates the service for `node` over shared `state`.
-    pub fn new(node: usize, state: Arc<OmState>) -> OmService {
-        OmService { node, state }
+    /// Creates the service for `node` over its OM state and the runtime's
+    /// shared counters.
+    pub fn new(node: usize, state: Arc<OmState>, stats: RuntimeStats) -> OmService {
+        OmService { node, state, stats }
     }
 }
 
@@ -122,44 +94,24 @@ impl Invokable for OmService {
     fn invoke(&self, method: &str, _args: &[Value]) -> Result<Value, RemotingError> {
         let _span = parc_obs::Span::enter(parc_obs::kinds::OM_DISPATCH);
         match method {
-            "load" => Ok(Value::I64(self.state.load())),
-            "dispatched" => Ok(Value::I64(self.state.dispatched())),
-            "queue_depth" => Ok(Value::I64(self.state.queue_depth())),
-            "max_object_depth" => Ok(Value::I64(self.state.max_object_depth())),
-            "node" => Ok(Value::I64(self.node as i64)),
-            "created" => {
-                self.state.object_created();
-                Ok(Value::Null)
-            }
-            "destroyed" => {
-                self.state.object_destroyed();
-                Ok(Value::Null)
-            }
+            "snapshot" => Ok(crate::telemetry::snapshot(self.node, &self.state, &self.stats)),
             _ => Err(RemotingError::MethodNotFound {
                 object: OM_OBJECT.to_string(),
                 method: method.to_string(),
             }),
         }
-        .inspect(|_| {
-            let query = matches!(
-                method,
-                "load" | "dispatched" | "queue_depth" | "max_object_depth" | "node"
-            );
-            if !query {
-                // Mutations count as activity too.
-                self.state.call_dispatched();
-            }
-        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parc_remoting::MailboxScheduler;
 
     #[test]
     fn load_tracks_creations_and_destructions() {
-        let state = Arc::new(OmState::new());
+        let sched = MailboxScheduler::with_workers(1);
+        let state = OmState::new(sched.depth_handle());
         state.object_created();
         state.object_created();
         state.object_destroyed();
@@ -167,20 +119,10 @@ mod tests {
     }
 
     #[test]
-    fn service_answers_queries() {
-        let state = Arc::new(OmState::new());
-        let om = OmService::new(3, Arc::clone(&state));
-        assert_eq!(om.invoke("node", &[]).unwrap(), Value::I64(3));
-        assert_eq!(om.invoke("load", &[]).unwrap(), Value::I64(0));
-        om.invoke("created", &[]).unwrap();
-        assert_eq!(om.invoke("load", &[]).unwrap(), Value::I64(1));
-        om.invoke("destroyed", &[]).unwrap();
-        assert_eq!(om.invoke("load", &[]).unwrap(), Value::I64(0));
-    }
-
-    #[test]
     fn unknown_method_rejected() {
-        let om = OmService::new(0, Arc::new(OmState::new()));
+        let sched = MailboxScheduler::with_workers(1);
+        let state = Arc::new(OmState::new(sched.depth_handle()));
+        let om = OmService::new(0, state, RuntimeStats::new());
         assert!(matches!(
             om.invoke("frobnicate", &[]),
             Err(RemotingError::MethodNotFound { .. })
@@ -188,36 +130,23 @@ mod tests {
     }
 
     #[test]
-    fn queue_depth_reflects_attached_scheduler() {
-        let state = Arc::new(OmState::new());
-        assert_eq!(state.queue_depth(), 0, "no scheduler attached yet");
-        let sched = parc_remoting::MailboxScheduler::with_workers(1);
-        state.attach_dispatch_depth(sched.depth_handle());
+    fn queue_depth_reflects_the_scheduler() {
+        let sched = MailboxScheduler::with_workers(1);
+        let state = Arc::new(OmState::new(sched.depth_handle()));
+        assert_eq!(state.queue_depth(), 0, "idle scheduler");
         let (hold_tx, hold_rx) = std::sync::mpsc::channel::<()>();
         sched.enqueue("hot", move || {
             let _ = hold_rx.recv();
         });
         sched.enqueue("hot", || {});
-        let om = OmService::new(0, Arc::clone(&state));
+        let om = OmService::new(0, Arc::clone(&state), RuntimeStats::new());
         // At least the queued (not yet running) job is visible.
-        let depth = om.invoke("queue_depth", &[]).unwrap();
-        assert!(matches!(depth, Value::I64(d) if d >= 1), "saw {depth:?}");
-        let max = om.invoke("max_object_depth", &[]).unwrap();
-        assert!(matches!(max, Value::I64(d) if d >= 1), "saw {max:?}");
+        let row = crate::telemetry::decode_snapshot(&om.invoke("snapshot", &[]).unwrap())
+            .expect("layout decodes");
+        assert!(row.queue_depth >= 1, "saw {}", row.queue_depth);
+        assert!(row.max_object_depth >= 1, "saw {}", row.max_object_depth);
         hold_tx.send(()).unwrap();
         drop(sched);
         assert_eq!(state.queue_depth(), 0, "drained scheduler reports empty");
-        assert_eq!(state.dispatched(), 0, "depth queries are not activity");
-    }
-
-    #[test]
-    fn dispatched_counts_mutations() {
-        let state = Arc::new(OmState::new());
-        let om = OmService::new(0, Arc::clone(&state));
-        om.invoke("created", &[]).unwrap();
-        om.invoke("destroyed", &[]).unwrap();
-        assert_eq!(state.dispatched(), 2);
-        om.invoke("load", &[]).unwrap();
-        assert_eq!(state.dispatched(), 2, "queries are not activity");
     }
 }

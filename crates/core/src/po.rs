@@ -295,7 +295,7 @@ impl Po {
         // filled buffer ships its pre-serialized flat bytes — the per-call
         // encoding already happened at enqueue time, so the flush itself
         // moves one `Bytes` value. A failed send hands the payload back
-        // (`post_reclaim*`), so a failover retry re-ships the same calls
+        // (`post_reclaim_always`), so a failover retry re-ships the same calls
         // to the replacement target.
         let n = buffer.count as u64;
         buffer.count = 0;

@@ -9,7 +9,7 @@
 //!
 //! The runtime is also fault-aware. Each node carries a liveness lease
 //! (reusing the remoting [`LeaseManager`]); [`ParcRuntime::detect_failures`]
-//! probes the OMs and marks nodes whose lease lapsed as dead,
+//! polls the OMs and marks nodes whose lease lapsed as dead,
 //! [`ParcRuntime::kill_node`] kills one deliberately (tests, chaos runs).
 //! Dead nodes drop out of every placement policy, proxies created through
 //! the runtime re-create their objects on survivors via [`FailoverState`],
@@ -34,14 +34,10 @@ use crate::factory::{ClassRegistry, FactoryService, FACTORY_OBJECT, MIGRATE_METH
 use crate::om::{OmService, OmState, OM_OBJECT};
 use crate::po::{Po, Target};
 use crate::stats::RuntimeStats;
-use crate::telemetry::{ClusterTelemetry, TelemetryService};
-
-/// How long a liveness probe waits for a node's OM before counting the
-/// probe as failed.
-const PROBE_TIMEOUT: Duration = Duration::from_millis(250);
+use crate::telemetry::ClusterTelemetry;
 
 /// Default TTL of the `LeastLoaded` probe cache: one load sweep serves
-/// every `create()` within this window instead of 2×N RPCs per create.
+/// every `create()` within this window instead of N RPCs per create.
 const DEFAULT_PROBE_TTL: Duration = Duration::from_millis(25);
 
 /// Builder for [`ParcRuntime`].
@@ -53,7 +49,6 @@ pub struct RuntimeBuilder {
     node_lease_ttl: Duration,
     claim_ttl: Duration,
     probe_ttl: Duration,
-    ring: RingConfig,
 }
 
 impl Default for RuntimeBuilder {
@@ -65,7 +60,6 @@ impl Default for RuntimeBuilder {
             node_lease_ttl: Duration::ZERO,
             claim_ttl: parc_remoting::lease::DEFAULT_CLAIM_TTL,
             probe_ttl: DEFAULT_PROBE_TTL,
-            ring: RingConfig::default(),
         }
     }
 }
@@ -104,13 +98,6 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Ring configuration for [`Placement::Ring`] (seed, virtual nodes,
-    /// bucket table size).
-    pub fn ring(&mut self, ring: RingConfig) -> &mut Self {
-        self.ring = ring;
-        self
-    }
-
     /// Grace period for the node failure detector. A node whose liveness
     /// probe fails is only declared dead once its lease (renewed by every
     /// successful probe) has lapsed. The default of zero makes
@@ -145,10 +132,10 @@ impl RuntimeBuilder {
         self.grain.validate()?;
         let net = InprocNetwork::new();
         let registry = ClassRegistry::new();
-        // Created before the nodes boot: every node's telemetry service
-        // shares the runtime's counters.
+        // Created before the nodes boot: every node's OM reports the
+        // runtime's counters in its telemetry row.
         let stats = RuntimeStats::new();
-        let directory = Arc::new(ObjectDirectory::new(self.nodes, self.ring));
+        let directory = Arc::new(ObjectDirectory::new(self.nodes, RingConfig::default()));
         let mut endpoints = Vec::with_capacity(self.nodes);
         let mut om_states = Vec::with_capacity(self.nodes);
         for node in 0..self.nodes {
@@ -224,15 +211,17 @@ fn boot_node(
     claim_ttl: Duration,
 ) -> Result<(InprocEndpoint, Arc<OmState>), ParcError> {
     let ep = net.create_endpoint(node_name(node))?;
-    let om_state = Arc::new(OmState::new());
-    if let Some(depth) = ep.dispatch_depth() {
-        om_state.attach_dispatch_depth(depth);
-    }
+    let depth = ep.dispatch_depth().ok_or(ParcError::Config {
+        detail: "runtime nodes dispatch through a mailbox scheduler".into(),
+    })?;
+    let om_state = Arc::new(OmState::new(depth));
     // Per-node claim table: every IO the factory creates is claimable,
     // and its claim leases expire against this node's clock.
     let claims = Arc::new(parc_remoting::ClaimTable::with_ttl(claim_ttl));
-    ep.objects()
-        .register_singleton(OM_OBJECT, Arc::new(OmService::new(node, Arc::clone(&om_state))));
+    ep.objects().register_singleton(
+        OM_OBJECT,
+        Arc::new(OmService::new(node, Arc::clone(&om_state), stats.clone())),
+    );
     ep.objects().register_singleton(
         FACTORY_OBJECT,
         Arc::new(FactoryService::new(
@@ -243,13 +232,6 @@ fn boot_node(
             net.clone(),
             claims,
         )),
-    );
-    // The telemetry plane: every node answers `snapshot` on the
-    // well-known `__telemetry` object (stats snapshot, dispatch depth,
-    // queue-wait quantiles, fault counters).
-    ep.objects().register_singleton(
-        parc_remoting::TELEMETRY_OBJECT,
-        Arc::new(TelemetryService::new(node, Arc::clone(&om_state), stats.clone())),
     );
     Ok((ep, om_state))
 }
@@ -298,8 +280,8 @@ pub(crate) struct FailoverState {
     /// target is required (skeletons wire stages by URI) but every real
     /// node is dead.
     rescue: Mutex<Option<InprocEndpoint>>,
-    /// The runtime's shared counters, so the rescue endpoint's telemetry
-    /// service reports the same numbers as the real nodes'.
+    /// The runtime's shared counters, so the rescue endpoint's OM reports
+    /// the same numbers as the real nodes'.
     stats: RuntimeStats,
     /// The sharded object directory: ring routing plus the location index.
     /// Failover keeps it honest — a dead node must stop receiving keys.
@@ -451,7 +433,7 @@ pub struct ParcRuntime {
 }
 
 /// One round of least-loaded probe results, reused until `at + ttl` so a
-/// burst of creations costs one probe sweep instead of `2·N` RPCs each.
+/// burst of creations costs one probe sweep instead of `N` RPCs each.
 struct ProbeCache {
     at: Instant,
     /// `(node, load)` for every node alive at probe time.
@@ -481,8 +463,9 @@ impl ParcRuntime {
         &self.stats
     }
 
-    /// A poller over every node's `__telemetry` object — the read side of
-    /// the live telemetry plane (`parc-top` renders its rows).
+    /// A poller over every node's OM — the read side of the live telemetry
+    /// plane and the one way the runtime asks a node about itself
+    /// (`parc-top` renders its rows).
     pub fn telemetry(&self) -> ClusterTelemetry {
         ClusterTelemetry::new(self.net.clone(), self.nodes())
     }
@@ -551,37 +534,25 @@ impl ParcRuntime {
         self.failover.mark_dead(node)
     }
 
-    /// Runs one round of the lease-based failure detector: probes every
+    /// Runs one round of the lease-based failure detector: polls every
     /// alive node's OM, renews the liveness lease of responsive nodes, and
     /// marks nodes whose lease lapsed as dead. Returns the newly-dead
     /// nodes. With the default zero [`RuntimeBuilder::node_lease_ttl`] a
     /// single failed probe is fatal; a longer TTL tolerates transient
     /// (e.g. chaos-injected) probe failures until the lease runs out.
     pub fn detect_failures(&self) -> Vec<usize> {
+        let telemetry = self.telemetry();
         let mut newly_dead = Vec::new();
-        for node in 0..self.nodes() {
-            if !self.failover.is_alive(node) {
-                continue;
-            }
+        for node in self.failover.alive_nodes() {
             let name = node_name(node);
-            let probe = (|| -> Result<(), ParcError> {
-                let uri: parc_remoting::ObjectUri = node_uri(node, OM_OBJECT).parse()?;
-                let chan = self.net.open_with_timeout(&uri, PROBE_TIMEOUT)?;
-                RemoteObject::new(chan, OM_OBJECT).call("node", vec![])?;
-                Ok(())
-            })();
+            let answered = telemetry.poll_node(node).is_some();
             let now = self.failover.now();
-            match probe {
-                Ok(()) => {
-                    self.failover.leases.renew(&name, now);
-                }
-                Err(_) => {
-                    if self.failover.leases.remaining(&name, now).unwrap_or(0) == 0
-                        && self.failover.mark_dead(node)
-                    {
-                        newly_dead.push(node);
-                    }
-                }
+            if answered {
+                self.failover.leases.renew(&name, now);
+            } else if self.failover.leases.remaining(&name, now).unwrap_or(0) == 0
+                && self.failover.mark_dead(node)
+            {
+                newly_dead.push(node);
             }
         }
         newly_dead
@@ -617,13 +588,12 @@ impl ParcRuntime {
             }
             Placement::LeastLoaded => {
                 // Ask every OM for its load, as the cooperating OMs of
-                // Fig. 3 do (calls c), and take the least loaded. Load is
-                // hosted objects plus live mailbox backlog, so a node
-                // whose queues are jammed loses ties even when it hosts
-                // fewer objects. Probe results are cached for a short TTL
-                // so a burst of creations costs one sweep, not 2·N RPCs
-                // each; the chosen node's cached load is bumped so
-                // back-to-back creations within one TTL still spread.
+                // Fig. 3 do (calls c), and take the least loaded
+                // ([`crate::NodeTelemetry::load`]). Probe results are
+                // cached for a short TTL so a burst of creations costs one
+                // sweep, not N RPCs each; the chosen node's cached load is
+                // bumped so back-to-back creations within one TTL still
+                // spread.
                 let mut cache = self.probe_cache.lock();
                 let stale = cache
                     .as_ref()
@@ -652,29 +622,19 @@ impl ParcRuntime {
     }
 
     /// One full probe sweep over the alive nodes (the uncached
-    /// least-loaded scan), under a `placement.probe` span.
+    /// least-loaded scan), under a `placement.probe` span: one bounded
+    /// poll per node, and a node that does not answer within
+    /// [`crate::telemetry::POLL_TIMEOUT`] ranks last.
     fn probe_loads(&self) -> ProbeCache {
         let _span = parc_obs::Span::enter(parc_obs::kinds::PLACEMENT_PROBE);
-        let mut loads = Vec::new();
-        for node in self.failover.alive_nodes() {
-            let ask = |method: &str| {
-                self.om_remote(node)
-                    .and_then(|om| om.call(method, vec![]).map_err(ParcError::from))
-                    .ok()
-                    .and_then(|v| v.as_i64())
-            };
-            let load = ask("load")
-                .map(|l| l.saturating_add(ask("queue_depth").unwrap_or(0)))
-                .unwrap_or(i64::MAX);
-            loads.push((node, load));
-        }
+        let telemetry = self.telemetry();
+        let loads = self
+            .failover
+            .alive_nodes()
+            .into_iter()
+            .map(|node| (node, telemetry.poll_node(node).map_or(i64::MAX, |t| t.load())))
+            .collect();
         ProbeCache { at: Instant::now(), loads }
-    }
-
-    fn om_remote(&self, node: usize) -> Result<RemoteObject, ParcError> {
-        let uri: parc_remoting::ObjectUri = node_uri(node, OM_OBJECT).parse()?;
-        let chan = self.net.open(&uri)?;
-        Ok(RemoteObject::new(chan, OM_OBJECT))
     }
 
     /// Creates a parallel object, letting the runtime decide between
@@ -899,7 +859,7 @@ impl ParcRuntime {
         let mut loads: Vec<(usize, i64)> = Vec::new();
         for node in self.failover.alive_nodes() {
             if let Some(t) = telemetry.poll_node(node) {
-                loads.push((node, t.hosted.saturating_add(t.queue_depth)));
+                loads.push((node, t.load()));
             }
         }
         if loads.len() < 2 {
@@ -1480,7 +1440,7 @@ mod tests {
             .probe_ttl(Duration::from_secs(3600));
         let rt = b.build().unwrap();
         counter_class(&rt);
-        // First create pays the sweep: 2 probe RPCs per node + 1 create.
+        // First create pays the sweep: 1 probe RPC per node + 1 create.
         rt.create("Counter").unwrap();
         let after_first = total_messages(&rt);
         rt.create("Counter").unwrap();
@@ -1502,7 +1462,7 @@ mod tests {
         rt.create("Counter").unwrap();
         assert_eq!(
             total_messages(&rt) - after_first,
-            2 * 3 + 1,
+            3 + 1,
             "TTL zero keeps the paper's original full scan per create"
         );
     }

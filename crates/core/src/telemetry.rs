@@ -1,27 +1,28 @@
 //! The live cluster telemetry plane.
 //!
-//! Every runtime node publishes a well-known `__telemetry` object (see
-//! [`parc_remoting::TELEMETRY_OBJECT`]) next to its OM and factory. The
-//! service answers `snapshot` with a fixed-layout list of `I64`s covering
-//! the node's OM load counters, mailbox-scheduler stats, queue-wait
-//! latency quantiles and process-wide fault counters — everything a
-//! cluster dashboard needs, served over the ordinary remoting stack so it
-//! works across any transport the node happens to listen on.
+//! Every runtime node's OM (the well-known `__om` object, see
+//! [`crate::om::OM_OBJECT`]) answers `snapshot` with [`snapshot`]'s
+//! fixed-layout list of `I64`s covering the node's OM load counters,
+//! mailbox-scheduler stats, queue-wait latency quantiles and process-wide
+//! fault counters — everything a cluster dashboard needs, served over the
+//! ordinary remoting stack so it works across any transport the node
+//! happens to listen on.
 //!
-//! [`ClusterTelemetry`] is the read side: it polls every node's
-//! `__telemetry` object (with a short timeout so dead nodes cost one
-//! bounded probe, not a hang) and returns one [`NodeTelemetry`] row per
-//! node. The `parc-top` binary renders those rows as a refreshing table.
+//! [`ClusterTelemetry`] is the read side and the one way runtime code asks
+//! a node about itself: placement, the failure detector, the rebalancer
+//! and `parc-top` all call [`ClusterTelemetry::poll_node`], which waits at
+//! most [`POLL_TIMEOUT`] so a dead or saturated node costs one bounded
+//! probe, not a hang. [`ClusterTelemetry::poll`] returns one
+//! [`NodeTelemetry`] row per node; the `parc-top` binary renders those
+//! rows as a refreshing table.
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use parc_remoting::channel::RemoteObject;
 use parc_remoting::inproc::InprocNetwork;
-use parc_remoting::{Invokable, RemotingError, TELEMETRY_OBJECT};
 use parc_serial::Value;
 
-use crate::om::OmState;
+use crate::om::{OmState, OM_OBJECT};
 use crate::runtime::node_uri;
 use crate::stats::RuntimeStats;
 
@@ -30,83 +31,49 @@ use crate::stats::RuntimeStats;
 pub const POLL_TIMEOUT: Duration = Duration::from_millis(250);
 
 /// Number of `I64` fields in the `snapshot` list, in order: node, hosted,
-/// dispatched, queue_depth, max_object_depth, executed, steals, busy,
-/// queue-wait p50 (ns), queue-wait p99 (ns), faults injected, objects
-/// failed over, async calls, sync calls, messages sent, batches sent,
-/// calls in batches, batch-controller shrinks, batch-controller grows,
-/// migrations completed, forwarding entries outstanding, ring epoch,
-/// claims acquired, claims aborted, claim-wait p99 (ns).
-pub const SNAPSHOT_FIELDS: usize = 25;
+/// queue_depth, max_object_depth, executed, steals, busy, queue-wait p50
+/// (ns), queue-wait p99 (ns), faults injected, objects failed over, async
+/// calls, sync calls, messages sent, batches sent, calls in batches,
+/// batch-controller shrinks, batch-controller grows, migrations completed,
+/// forwarding entries outstanding, ring epoch, claims acquired, claims
+/// aborted, claim-wait p99 (ns).
+pub const SNAPSHOT_FIELDS: usize = 24;
 
-/// The published per-node telemetry service.
-pub struct TelemetryService {
-    node: usize,
-    state: Arc<OmState>,
-    stats: RuntimeStats,
-}
-
-impl TelemetryService {
-    /// Creates the service for `node` over the node's OM state and the
-    /// runtime's shared counters.
-    pub fn new(node: usize, state: Arc<OmState>, stats: RuntimeStats) -> TelemetryService {
-        TelemetryService { node, state, stats }
-    }
-
-    fn snapshot_value(&self) -> Value {
-        let (executed, steals, busy) = self.state.dispatch_stats().map_or((0, 0, 0), |d| {
-            (
-                i64::try_from(d.executed).unwrap_or(i64::MAX),
-                i64::try_from(d.stolen).unwrap_or(i64::MAX),
-                i64::try_from(d.busy).unwrap_or(i64::MAX),
-            )
-        });
-        let wait = parc_obs::histogram(parc_obs::kinds::MAILBOX_WAIT);
-        let snap = self.stats.snapshot();
-        let clamp = |v: u64| i64::try_from(v).unwrap_or(i64::MAX);
-        Value::List(vec![
-            Value::I64(self.node as i64),
-            Value::I64(self.state.load()),
-            Value::I64(self.state.dispatched()),
-            Value::I64(self.state.queue_depth()),
-            Value::I64(self.state.max_object_depth()),
-            Value::I64(executed),
-            Value::I64(steals),
-            Value::I64(busy),
-            Value::I64(clamp(wait.percentile(50.0))),
-            Value::I64(clamp(wait.percentile(99.0))),
-            Value::I64(clamp(parc_obs::counter(parc_obs::kinds::FAULT_INJECTED).get())),
-            Value::I64(clamp(parc_obs::counter(parc_obs::kinds::OBJECT_FAILED_OVER).get())),
-            Value::I64(clamp(snap.async_calls)),
-            Value::I64(clamp(snap.sync_calls)),
-            Value::I64(clamp(snap.messages_sent)),
-            Value::I64(clamp(snap.batches_sent)),
-            Value::I64(clamp(snap.calls_in_batches)),
-            Value::I64(clamp(parc_obs::counter(parc_obs::kinds::BATCH_SHRINK).get())),
-            Value::I64(clamp(parc_obs::counter(parc_obs::kinds::BATCH_GROW).get())),
-            Value::I64(clamp(parc_obs::counter(parc_obs::kinds::MIGRATION_COMPLETED).get())),
-            Value::I64(parc_obs::gauge(parc_obs::kinds::DIRECTORY_FORWARDS).get()),
-            Value::I64(parc_obs::gauge(parc_obs::kinds::RING_EPOCH).get()),
-            Value::I64(clamp(parc_obs::counter(parc_obs::kinds::CLAIM_ACQUIRED).get())),
-            Value::I64(clamp(parc_obs::counter(parc_obs::kinds::CLAIM_ABORTED).get())),
-            Value::I64(clamp(
-                parc_obs::histogram(parc_obs::kinds::CLAIM_WAIT).percentile(99.0),
-            )),
-        ])
-    }
-}
-
-impl Invokable for TelemetryService {
-    fn invoke(&self, method: &str, _args: &[Value]) -> Result<Value, RemotingError> {
-        let _span = parc_obs::Span::enter(parc_obs::kinds::TELEMETRY_DISPATCH);
-        match method {
-            "snapshot" => Ok(self.snapshot_value()),
-            "node" => Ok(Value::I64(self.node as i64)),
-            _ => Err(RemotingError::MethodNotFound {
-                object: TELEMETRY_OBJECT.to_string(),
-                method: method.to_string(),
-            }),
-        }
-    }
+/// Encodes `node`'s telemetry row — what its OM answers to `snapshot` —
+/// from its OM state and the runtime's shared counters.
+pub fn snapshot(node: usize, state: &OmState, stats: &RuntimeStats) -> Value {
+    let clamp = |v: u64| i64::try_from(v).unwrap_or(i64::MAX);
+    let size = |v: usize| i64::try_from(v).unwrap_or(i64::MAX);
+    let depth = state.dispatch_depth();
+    let dispatch = depth.stats();
+    let wait = parc_obs::histogram(parc_obs::kinds::MAILBOX_WAIT);
+    let snap = stats.snapshot();
+    Value::List(vec![
+        Value::I64(node as i64),
+        Value::I64(state.load()),
+        Value::I64(state.queue_depth()),
+        Value::I64(size(depth.max_object_depth())),
+        Value::I64(clamp(dispatch.executed)),
+        Value::I64(clamp(dispatch.stolen)),
+        Value::I64(size(dispatch.busy)),
+        Value::I64(clamp(wait.percentile(50.0))),
+        Value::I64(clamp(wait.percentile(99.0))),
+        Value::I64(clamp(parc_obs::counter(parc_obs::kinds::FAULT_INJECTED).get())),
+        Value::I64(clamp(parc_obs::counter(parc_obs::kinds::OBJECT_FAILED_OVER).get())),
+        Value::I64(clamp(snap.async_calls)),
+        Value::I64(clamp(snap.sync_calls)),
+        Value::I64(clamp(snap.messages_sent)),
+        Value::I64(clamp(snap.batches_sent)),
+        Value::I64(clamp(snap.calls_in_batches)),
+        Value::I64(clamp(parc_obs::counter(parc_obs::kinds::BATCH_SHRINK).get())),
+        Value::I64(clamp(parc_obs::counter(parc_obs::kinds::BATCH_GROW).get())),
+        Value::I64(clamp(parc_obs::counter(parc_obs::kinds::MIGRATION_COMPLETED).get())),
+        Value::I64(parc_obs::gauge(parc_obs::kinds::DIRECTORY_FORWARDS).get()),
+        Value::I64(parc_obs::gauge(parc_obs::kinds::RING_EPOCH).get()),
+        Value::I64(clamp(parc_obs::counter(parc_obs::kinds::CLAIM_ACQUIRED).get())),
+        Value::I64(clamp(parc_obs::counter(parc_obs::kinds::CLAIM_ABORTED).get())),
+        Value::I64(clamp(parc_obs::histogram(parc_obs::kinds::CLAIM_WAIT).percentile(99.0))),
+    ])
 }
 
 /// One node's telemetry row, as decoded from its `snapshot` reply.
@@ -121,8 +88,6 @@ pub struct NodeTelemetry {
     pub alive: bool,
     /// Implementation objects hosted on the node.
     pub hosted: i64,
-    /// Lifetime method calls dispatched to the node's IOs.
-    pub dispatched: i64,
     /// Calls queued-or-running across the node's mailboxes.
     pub queue_depth: i64,
     /// Deepest single-object backlog (head-of-line pressure).
@@ -174,8 +139,17 @@ pub struct NodeTelemetry {
     pub claim_wait_p99_ns: i64,
 }
 
+impl NodeTelemetry {
+    /// The placement load: hosted objects plus live mailbox backlog, so a
+    /// node whose queues are jammed loses ties even when it hosts fewer
+    /// objects. Shared by `LeastLoaded` placement and the rebalancer.
+    pub fn load(&self) -> i64 {
+        self.hosted.saturating_add(self.queue_depth)
+    }
+}
+
 /// Decodes one `snapshot` reply. `None` when the value is not the
-/// fixed-layout list the service emits.
+/// fixed-layout list [`snapshot`] emits.
 pub fn decode_snapshot(value: &Value) -> Option<NodeTelemetry> {
     let items = value.as_list()?;
     if items.len() != SNAPSHOT_FIELDS {
@@ -189,29 +163,28 @@ pub fn decode_snapshot(value: &Value) -> Option<NodeTelemetry> {
         node: f[0],
         alive: true,
         hosted: f[1],
-        dispatched: f[2],
-        queue_depth: f[3],
-        max_object_depth: f[4],
-        executed: f[5],
-        steals: f[6],
-        busy: f[7],
-        queue_wait_p50_ns: f[8],
-        queue_wait_p99_ns: f[9],
-        faults_injected: f[10],
-        objects_failed_over: f[11],
-        async_calls: f[12],
-        sync_calls: f[13],
-        messages_sent: f[14],
-        batches_sent: f[15],
-        calls_in_batches: f[16],
-        batch_shrinks: f[17],
-        batch_grows: f[18],
-        migrations: f[19],
-        forwards: f[20],
-        ring_epoch: f[21],
-        claims_acquired: f[22],
-        claims_aborted: f[23],
-        claim_wait_p99_ns: f[24],
+        queue_depth: f[2],
+        max_object_depth: f[3],
+        executed: f[4],
+        steals: f[5],
+        busy: f[6],
+        queue_wait_p50_ns: f[7],
+        queue_wait_p99_ns: f[8],
+        faults_injected: f[9],
+        objects_failed_over: f[10],
+        async_calls: f[11],
+        sync_calls: f[12],
+        messages_sent: f[13],
+        batches_sent: f[14],
+        calls_in_batches: f[15],
+        batch_shrinks: f[16],
+        batch_grows: f[17],
+        migrations: f[18],
+        forwards: f[19],
+        ring_epoch: f[20],
+        claims_acquired: f[21],
+        claims_aborted: f[22],
+        claim_wait_p99_ns: f[23],
     })
 }
 
@@ -250,13 +223,15 @@ impl ClusterTelemetry {
             .collect()
     }
 
-    /// Polls one node; `None` when it is unreachable within the timeout.
+    /// Polls one node's OM; `None` when it is unreachable within
+    /// [`POLL_TIMEOUT`] (dead, or every mailbox worker busy).
     pub fn poll_node(&self, node: usize) -> Option<NodeTelemetry> {
-        let uri: parc_remoting::ObjectUri = node_uri(node, TELEMETRY_OBJECT).parse().ok()?;
-        // Never chaos-wrapped: the dashboard must see through injected
-        // faults, not be subject to them (same policy as failure probes).
+        let uri: parc_remoting::ObjectUri = node_uri(node, OM_OBJECT).parse().ok()?;
+        // Never chaos-wrapped: placement, failure detection and the
+        // dashboard must see through injected faults, not be subject to
+        // them.
         let chan = self.net.open_with_timeout(&uri, POLL_TIMEOUT).ok()?;
-        let reply = RemoteObject::new(chan, TELEMETRY_OBJECT).call("snapshot", vec![]).ok()?;
+        let reply = RemoteObject::new(chan, OM_OBJECT).call("snapshot", vec![]).ok()?;
         decode_snapshot(&reply)
     }
 }
@@ -271,6 +246,7 @@ impl std::fmt::Debug for ClusterTelemetry {
 mod tests {
     use super::*;
     use crate::runtime::ParcRuntime;
+    use std::sync::Arc;
     use parc_remoting::dispatcher::FnInvokable;
 
     fn noop_class(rt: &ParcRuntime) {
@@ -281,23 +257,14 @@ mod tests {
 
     #[test]
     fn service_snapshot_has_fixed_layout() {
-        let state = Arc::new(OmState::new());
+        let sched = parc_remoting::MailboxScheduler::with_workers(1);
+        let state = OmState::new(sched.depth_handle());
         state.object_created();
-        let svc = TelemetryService::new(7, Arc::clone(&state), RuntimeStats::new());
-        let v = svc.invoke("snapshot", &[]).unwrap();
+        let v = snapshot(7, &state, &RuntimeStats::new());
         let row = decode_snapshot(&v).expect("layout decodes");
         assert_eq!(row.node, 7);
         assert_eq!(row.hosted, 1);
         assert!(row.alive);
-    }
-
-    #[test]
-    fn unknown_method_rejected() {
-        let svc = TelemetryService::new(0, Arc::new(OmState::new()), RuntimeStats::new());
-        assert!(matches!(
-            svc.invoke("frobnicate", &[]),
-            Err(RemotingError::MethodNotFound { .. })
-        ));
     }
 
     #[test]
@@ -373,7 +340,7 @@ mod tests {
             po.call("tick", vec![]).unwrap();
         }
         let rows = rt.telemetry().poll();
-        assert!(rows[1].dispatched >= 5, "saw {}", rows[1].dispatched);
+        assert!(rows[1].executed >= 5, "saw {}", rows[1].executed);
         assert!(rows[1].sync_calls >= 5, "runtime counters ride along");
     }
 }

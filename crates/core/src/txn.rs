@@ -241,8 +241,7 @@ impl ParcRuntime {
             if attempt > 0 {
                 std::thread::sleep(backoff(attempt));
             }
-            let target: parc_remoting::ObjectUri =
-                format!("inproc://{authority}/{object}").parse()?;
+            let target = parc_remoting::ObjectUri::new(parsed.scheme(), &authority, &object)?;
             let chan = match self.network().open(&target) {
                 Ok(chan) => chan,
                 Err(e) => {
@@ -267,8 +266,8 @@ impl ParcRuntime {
                         let relocated: parc_remoting::ObjectUri = new_uri.parse()?;
                         authority = relocated.authority().to_string();
                     }
-                    let alias_uri: parc_remoting::ObjectUri =
-                        format!("inproc://{authority}/{alias}").parse()?;
+                    let alias_uri =
+                        parc_remoting::ObjectUri::new(parsed.scheme(), &authority, &alias)?;
                     let chan = self.network().open(&alias_uri)?;
                     return Ok(ClaimHandle {
                         uri: uri.to_string(),

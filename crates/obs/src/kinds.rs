@@ -173,8 +173,6 @@ pub const RING_DROPPED: &str = "ring.dropped";
 /// Event: the flight recorder wrote a post-mortem dump
 /// (`reason=.. seq=..`).
 pub const FLIGHT_DUMP: &str = "flight.dump";
-/// One call served by a node's `/telemetry` well-known object.
-pub const TELEMETRY_DISPATCH: &str = "telemetry.dispatch";
 /// One cluster-wide poll by a `ClusterTelemetry` aggregator.
 pub const TELEMETRY_POLL: &str = "telemetry.poll";
 
@@ -260,7 +258,6 @@ mod tests {
             super::REBALANCE_ROUND,
             super::RING_DROPPED,
             super::FLIGHT_DUMP,
-            super::TELEMETRY_DISPATCH,
             super::TELEMETRY_POLL,
             super::RMI_CALL,
             super::SEND,

@@ -242,22 +242,10 @@ impl RemoteObject {
     /// Like [`RemoteObject::call`], but hands the argument vector back on
     /// failure so a failover layer can retry the same invocation against a
     /// *different* target (new object name, new channel) without cloning
-    /// the arguments up front on the success path.
-    ///
-    /// # Errors
-    ///
-    /// The failure paired with the untouched arguments.
-    pub fn call_reclaim(
-        &self,
-        method: &str,
-        args: Vec<Value>,
-    ) -> Result<Value, (RemotingError, Vec<Value>)> {
-        self.call_reclaim_located(method, args).map(|(value, _)| value)
-    }
-
-    /// Like [`RemoteObject::call_reclaim`], but also surfaces the `Moved`
-    /// location when the reply travelled through a forwarding entry — the
-    /// caller can repoint its channel at the object's new home.
+    /// the arguments up front on the success path. Also surfaces the
+    /// `Moved` location when the reply travelled through a forwarding
+    /// entry — the caller can repoint its channel at the object's new
+    /// home.
     ///
     /// # Errors
     ///
@@ -283,37 +271,17 @@ impl RemoteObject {
     ///
     /// Only local send failures.
     pub fn post(&self, method: &str, args: Vec<Value>) -> Result<usize, RemotingError> {
-        self.post_reclaim(method, args).map_err(|(e, _)| e)
+        self.post_reclaim_always(method, args).map(|(n, _)| n).map_err(|(e, _)| e)
     }
 
-    /// Like [`RemoteObject::post`], but hands the argument vector back when
-    /// every retry attempt failed (see [`RemoteObject::call_reclaim`]).
-    ///
-    /// # Errors
-    ///
-    /// The last send failure paired with the untouched arguments.
-    pub fn post_reclaim(
-        &self,
-        method: &str,
-        args: Vec<Value>,
-    ) -> Result<usize, (RemotingError, Vec<Value>)> {
-        let _span = parc_obs::Span::enter(parc_obs::kinds::POST);
-        let mut msg = CallMessage::one_way(self.object.clone(), method, args);
-        msg.call_id = next_call_id();
-        // One-way posts always retry transparently: there is no reply to
-        // duplicate, so redelivery after a transient send failure is the
-        // best available approximation of at-least-once.
-        match self.retry.run(|| self.channel.post(&msg)) {
-            Ok(n) => Ok(n),
-            Err(e) => Err((e, msg.args)),
-        }
-    }
-
-    /// Like [`RemoteObject::post_reclaim`], but hands the argument vector
-    /// back on **success** as well: channels take the message by
-    /// reference, so the arguments survive serialization untouched. The
-    /// batch flush path uses this to check its pooled flat-encoded buffer
-    /// back into the buffer pool once the bytes are on the wire.
+    /// Like [`RemoteObject::post`], but hands the argument vector back:
+    /// on failure, once every retry attempt failed, so a failover layer
+    /// can re-ship the same calls elsewhere (see
+    /// [`RemoteObject::call_reclaim_located`]); and on **success** as
+    /// well, since channels take the message by reference and the
+    /// arguments survive serialization untouched. The batch flush path
+    /// uses this to check its pooled flat-encoded buffer back into the
+    /// buffer pool once the bytes are on the wire.
     ///
     /// # Errors
     ///
@@ -485,15 +453,15 @@ mod tests {
     fn reclaim_variants_hand_arguments_back_on_failure() {
         let obj = flaky_object(10, 1);
         let args = vec![Value::I32(7), Value::Str("x".into())];
-        let (e, back) = obj.call_reclaim("m", args.clone()).unwrap_err();
+        let (e, back) = obj.call_reclaim_located("m", args.clone()).unwrap_err();
         assert!(e.is_retryable());
         assert_eq!(back, args);
-        let (_, back) = obj.post_reclaim("m", args.clone()).unwrap_err();
+        let (_, back) = obj.post_reclaim_always("m", args.clone()).unwrap_err();
         assert_eq!(back, args);
         // And the success path still completes through the same entry points.
         let healthy = flaky_object(0, 1);
-        assert_eq!(healthy.call_reclaim("m", args.clone()).unwrap(), Value::I32(1));
-        assert_eq!(healthy.post_reclaim("m", args).unwrap(), 1);
+        assert_eq!(healthy.call_reclaim_located("m", args.clone()).unwrap().0, Value::I32(1));
+        assert_eq!(healthy.post_reclaim_always("m", args).unwrap().0, 1);
     }
 
     #[test]

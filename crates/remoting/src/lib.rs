@@ -98,4 +98,4 @@ pub use reserve::{
 pub use retry::RetryPolicy;
 pub use threadpool::ThreadPool;
 pub use uri::ObjectUri;
-pub use wellknown::{ObjectTable, WellKnownObjectMode, TELEMETRY_OBJECT};
+pub use wellknown::{ObjectTable, WellKnownObjectMode};

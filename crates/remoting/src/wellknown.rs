@@ -20,12 +20,6 @@ use parc_sync::RwLock;
 use crate::dispatcher::Invokable;
 use crate::error::RemotingError;
 
-/// Reserved name of the per-node telemetry plane object every runtime
-/// endpoint publishes (the `/telemetry` well-known object): a singleton
-/// serving stats snapshots, dispatch depth, latency quantiles and fault
-/// counters over the ordinary remoting stack.
-pub const TELEMETRY_OBJECT: &str = "__telemetry";
-
 /// Publication mode for a well-known service type (.NET
 /// `WellKnownObjectMode`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -290,3 +290,23 @@ echo "ok: clippy clean (workspace, all targets, -D warnings)"
 # Their shapes are asserted by tests/experiment_shapes.rs (gate 2).
 cargo bench --offline -q -p parc-bench --benches
 echo "ok: paper figure programs ran ($(grep -c '^\[\[bench\]\]' crates/bench/Cargo.toml) bench targets)"
+
+# Gate 16: the telemetry plane's reference consumer. `parc-top` asks
+# every node's OM for its `snapshot` row once per tick; over two nodes
+# and two ticks, every tick must render one `up` row per node.
+top_nodes=2
+top_ticks=2
+top_out=$(cargo run --release --offline -q --bin parc-top -- \
+    --nodes "${top_nodes}" --ticks "${top_ticks}" --interval-ms 50 --no-clear)
+if ! printf '%s\n' "$top_out" | awk -v nodes="${top_nodes}" -v ticks="${top_ticks}" '
+        /^parc-top — tick / { t++; next }
+        t && $1 ~ /^[0-9]+$/ && $2 == "up" { up[t]++ }
+        END {
+            if (t != ticks) exit 1
+            for (i = 1; i <= t; i++) if (up[i] != nodes) exit 1
+        }'; then
+    printf '%s\n' "$top_out" >&2
+    echo "FAIL: parc-top did not render one up row per node on every tick" >&2
+    exit 1
+fi
+echo "ok: parc-top rendered ${top_nodes} up rows on each of ${top_ticks} ticks"

@@ -1,8 +1,9 @@
 //! `parc-top` — live cluster telemetry, `top`-style.
 //!
 //! Boots a ParC# runtime, drives a small synthetic load against it, and
-//! polls every node's `__telemetry` object each tick, rendering a
-//! refreshing per-node table: calls/s, queue-wait p50/p99, dispatch queue
+//! polls every node's OM (`__om.snapshot`) each tick, rendering a
+//! refreshing per-node table: calls/s (jobs the node's mailbox scheduler
+//! executed, batches counting once), queue-wait p50/p99, dispatch queue
 //! depth, work steals, mean batch size over the interval, injected faults,
 //! object failovers, live migrations, outstanding forwarding entries and
 //! the directory ring epoch. The same
@@ -156,7 +157,7 @@ fn render(rows: &[NodeTelemetry], last: &[NodeTelemetry], elapsed: f64, tick: u6
     for row in rows {
         let prev = last.iter().find(|p| p.node == row.node);
         let calls_per_s = prev
-            .map(|p| (row.dispatched - p.dispatched).max(0) as f64 / elapsed)
+            .map(|p| (row.executed - p.executed).max(0) as f64 / elapsed)
             .unwrap_or(0.0);
         // Mean batch size over the last interval: aggregated calls per
         // aggregate message. Blank intervals (no batches) render 0.

@@ -17,7 +17,7 @@ use parc::remoting::tcp::{TcpChannelProvider, TcpClientChannel, TcpServerChannel
 use parc::remoting::{
     Activator, ChaosChannel, FaultPlan, FaultSpec, LeaseManager, RemotingError, RetryPolicy,
 };
-use parc::scoopp::{Farm, GrainConfig, ParcRuntime, Pipeline};
+use parc::scoopp::{Farm, GrainConfig, ParcRuntime, Pipeline, Placement};
 use parc::serial::{BinaryFormatter, Formatter, SerialError, Value};
 
 fn echo() -> Arc<dyn parc::remoting::Invokable> {
@@ -129,6 +129,51 @@ fn scoopp_create_on_dead_class_does_not_wedge_the_node() {
     // The node's factory still works afterwards.
     let po = rt.create("Good").unwrap();
     assert!(po.call("m", vec![]).is_ok());
+}
+
+/// A node whose every mailbox worker is held costs placement one bounded
+/// probe: `LeastLoaded` asks each OM through the telemetry poll, so the
+/// jammed node ranks last within the poll deadline instead of holding
+/// `create` until its workers free up.
+#[test]
+fn least_loaded_create_skips_a_node_whose_workers_are_all_blocked() {
+    let mut b = ParcRuntime::builder();
+    b.nodes(2).placement(Placement::LeastLoaded);
+    let rt = b.build().unwrap();
+    let (started_tx, started_rx) = std::sync::mpsc::channel::<()>();
+    let release = Arc::new((std::sync::Mutex::new(false), std::sync::Condvar::new()));
+    let gate = Arc::clone(&release);
+    rt.register_class("Blocker", move || {
+        let (started_tx, gate) = (started_tx.clone(), Arc::clone(&gate));
+        Arc::new(FnInvokable(move |_: &str, _: &[Value]| {
+            let _ = started_tx.send(());
+            let (open, cv) = &*gate;
+            // Bounded, so a regression fails the test instead of hanging it.
+            let held = open.lock().unwrap();
+            let _ = cv.wait_timeout_while(held, Duration::from_secs(5), |open| !*open);
+            Ok(Value::Null)
+        }))
+    });
+    rt.register_class("Good", echo);
+    // One blocker more than there are workers: every worker is held and
+    // one call still queues behind them.
+    let workers = parc::remoting::mailbox::workers_from_env();
+    let blockers: Vec<_> = (0..=workers).map(|_| rt.create_on("Blocker", 0).unwrap()).collect();
+    for po in &blockers {
+        po.post("hold", vec![]).unwrap();
+    }
+    for _ in 0..workers {
+        started_rx.recv_timeout(Duration::from_secs(5)).expect("a worker of node 0 took a blocker");
+    }
+
+    let started = std::time::Instant::now();
+    let po = rt.create("Good").unwrap();
+    let took = started.elapsed();
+    let (open, cv) = &*release;
+    *open.lock().unwrap() = true;
+    cv.notify_all();
+    assert_eq!(po.node(), Some(1), "the saturated node must not win placement");
+    assert!(took < Duration::from_secs(1), "create waited {took:?} on a saturated node");
 }
 
 // ---------------------------------------------------------------------------

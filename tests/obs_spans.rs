@@ -161,7 +161,7 @@ fn telemetry_queue_wait_is_fed_by_the_mailbox() {
     let rows = rt.telemetry().poll();
     parc::obs::set_enabled(false);
 
-    assert!(rows[1].dispatched >= 5, "saw {}", rows[1].dispatched);
+    assert!(rows[1].executed >= 5, "saw {}", rows[1].executed);
     assert!(rows[1].queue_wait_p50_ns > 0, "queue-wait p50 read 0 after 5 calls");
     assert!(rows[1].queue_wait_p99_ns > 0, "queue-wait p99 read 0 after 5 calls");
 }
