@@ -18,6 +18,12 @@
 //! `__migrate` resolve the object table at dispatch time, so they hit the
 //! forwarder and relay to the new home in their original order (the
 //! forwarder relays strictly two-way). See DESIGN.md §13.
+//!
+//! Both sides ask a factory through one function, `create_on_node`:
+//! the runtime's node table to create (placement, the rescue endpoint,
+//! failover), and `MigratableHost` to re-create with state. The handle
+//! it returns rides the factory's channel, so a migration opens no second
+//! channel and has nothing to undo once the copy exists.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -32,7 +38,7 @@ use parc_sync::RwLock;
 
 use crate::batch::BatchDispatcher;
 use crate::om::OmState;
-use crate::runtime::{node_of, node_uri};
+use crate::nodes::{node_of, node_uri};
 
 /// Method a migratable IO implements to export its state (any [`Value`]).
 /// IOs without it migrate stateless — the re-created instance starts from
@@ -92,6 +98,33 @@ impl std::fmt::Debug for ClassRegistry {
     }
 }
 
+/// Creates an object of `class` on runtime node `node` through the node's
+/// factory: `create`, or `create_with_state` when migration hands over a
+/// snapshot. Returns the new object's name and a handle to it over the
+/// factory's own channel. The one place either call is sent from.
+pub(crate) fn create_on_node(
+    net: &InprocNetwork,
+    node: usize,
+    class: &str,
+    state: Option<Value>,
+) -> Result<(String, RemoteObject), RemotingError> {
+    let uri: parc_remoting::ObjectUri = node_uri(node, FACTORY_OBJECT).parse()?;
+    let chan = net.open(&uri)?;
+    let factory = RemoteObject::new(Arc::clone(&chan), FACTORY_OBJECT);
+    let class = Value::Str(class.to_string());
+    let reply = match state {
+        None => factory.call("create", vec![class])?,
+        Some(state) => factory.call("create_with_state", vec![class, state])?,
+    };
+    let name = reply
+        .as_str()
+        .ok_or_else(|| RemotingError::ServerFault {
+            detail: "factory returned a non-string".into(),
+        })?
+        .to_string();
+    Ok((name.clone(), RemoteObject::new(chan, name)))
+}
+
 static NEXT_IO_ID: AtomicU64 = AtomicU64::new(1);
 
 /// The wrapper every created IO is registered behind: the server half of
@@ -124,42 +157,16 @@ impl MigratableHost {
         }
         // 1. Snapshot. IOs that expose no __snapshot migrate stateless.
         let state = match self.inner.invoke(SNAPSHOT_METHOD, &[]) {
-            Ok(state) => state,
-            Err(RemotingError::MethodNotFound { .. }) => Value::Null,
+            Ok(state) => Some(state),
+            Err(RemotingError::MethodNotFound { .. }) => None,
             Err(e) => return Err(e),
         };
-        // 2. Re-create (and restore) on the destination factory.
-        let factory_uri: parc_remoting::ObjectUri = node_uri(dst, FACTORY_OBJECT).parse()?;
-        let chan = self.net.open(&factory_uri)?;
-        let factory = RemoteObject::new(Arc::clone(&chan), FACTORY_OBJECT);
-        let new_name = factory
-            .call(
-                "create_with_state",
-                vec![Value::Str(self.class.clone()), state],
-            )?
-            .as_str()
-            .ok_or_else(|| RemotingError::ServerFault {
-                detail: "destination factory returned a non-string".into(),
-            })?
-            .to_string();
+        // 2. Re-create (and restore) on the destination factory. The relay
+        //    handle rides the factory's channel, so once the copy exists
+        //    nothing is left that can fail.
+        let (new_name, target) = create_on_node(&self.net, dst, &self.class, state)?;
         let new_uri = node_uri(dst, &new_name);
-        // 3. Open the relay channel. If this fails the move aborts: undo
-        //    the destination copy (best effort) and keep serving here.
-        let target_uri: parc_remoting::ObjectUri = match new_uri.parse() {
-            Ok(uri) => uri,
-            Err(e) => {
-                let _ = factory.call("destroy", vec![Value::Str(new_name)]);
-                return Err(e);
-            }
-        };
-        let target = match self.net.open(&target_uri) {
-            Ok(chan) => RemoteObject::new(chan, new_name.clone()),
-            Err(e) => {
-                let _ = factory.call("destroy", vec![Value::Str(new_name)]);
-                return Err(e);
-            }
-        };
-        // 4. Swap this registration for the forwarding entry. From this
+        // 3. Swap this registration for the forwarding entry. From this
         //    dispatch on, calls queued behind __migrate resolve the
         //    forwarder and relay in arrival order.
         self.objects
@@ -248,51 +255,22 @@ impl FactoryService {
         self.om.object_created();
         Ok(name)
     }
-
-    fn destroy(&self, name: &str) -> bool {
-        let removed = self.objects.unregister(name);
-        if removed {
-            self.om.object_destroyed();
-        }
-        removed
-    }
 }
 
 impl Invokable for FactoryService {
     fn invoke(&self, method: &str, args: &[Value]) -> Result<Value, RemotingError> {
         match method {
-            "create" => {
+            "create" | "create_with_state" => {
                 let class = args.first().and_then(Value::as_str).ok_or_else(|| {
                     RemotingError::BadArguments {
-                        method: "create".into(),
+                        method: method.into(),
                         detail: "expected a class name string".into(),
                     }
                 })?;
-                self.create(class, None).map(Value::Str)
-            }
-            "create_with_state" => {
-                let class = args.first().and_then(Value::as_str).ok_or_else(|| {
-                    RemotingError::BadArguments {
-                        method: "create_with_state".into(),
-                        detail: "expected a class name string".into(),
-                    }
-                })?;
-                // Null means "no snapshot" (a stateless migration): the
+                // No state, or a Null one (a stateless migration): the
                 // fresh instance keeps its constructor state.
-                let state = match args.get(1) {
-                    None | Some(Value::Null) => None,
-                    Some(state) => Some(state.clone()),
-                };
+                let state = args.get(1).filter(|state| **state != Value::Null).cloned();
                 self.create(class, state).map(Value::Str)
-            }
-            "destroy" => {
-                let name = args.first().and_then(Value::as_str).ok_or_else(|| {
-                    RemotingError::BadArguments {
-                        method: "destroy".into(),
-                        detail: "expected an object name string".into(),
-                    }
-                })?;
-                Ok(Value::Bool(self.destroy(name)))
             }
             _ => Err(RemotingError::MethodNotFound {
                 object: FACTORY_OBJECT.to_string(),
@@ -373,20 +351,6 @@ mod tests {
         assert!(svc.invoke("create", &[Value::Str("Ghost".into())]).is_err());
         assert!(svc.invoke("create", &[Value::I32(1)]).is_err());
         assert!(svc.invoke("create", &[]).is_err());
-    }
-
-    #[test]
-    fn destroy_unregisters_and_decrements_load() {
-        let (svc, objects, om) = service();
-        let name = svc.invoke("create", &[Value::Str("Echo".into())]).unwrap();
-        let name_s = name.as_str().unwrap().to_string();
-        assert_eq!(svc.invoke("destroy", &[name]).unwrap(), Value::Bool(true));
-        assert!(!objects.contains(&name_s));
-        assert_eq!(om.load(), 0);
-        assert_eq!(
-            svc.invoke("destroy", &[Value::Str(name_s)]).unwrap(),
-            Value::Bool(false)
-        );
     }
 
     #[test]

@@ -59,9 +59,11 @@ pub mod directory;
 pub mod error;
 pub mod factory;
 pub mod farm;
+mod nodes;
 pub mod om;
 pub mod pipeline;
 pub mod po;
+mod rebalance;
 pub mod runtime;
 pub mod stats;
 pub mod telemetry;

@@ -44,7 +44,7 @@ use crate::adapt::{BatchConfig, BatchController, GrainAdapter};
 use crate::batch::{encode_flat_call, BatchDispatcher, FLAT_BATCH_METHOD};
 use crate::config::GrainConfig;
 use crate::error::ParcError;
-use crate::runtime::{node_name, node_uri, FailoverState};
+use crate::nodes::{node_name, node_uri, Nodes};
 use crate::stats::RuntimeStats;
 
 /// Where the implementation object lives.
@@ -95,7 +95,7 @@ pub struct Po {
     feedback_seen: AtomicU64,
     formatter: BinaryFormatter,
     stats: RuntimeStats,
-    failover: Option<Arc<FailoverState>>,
+    failover: Option<Arc<Nodes>>,
 }
 
 impl Po {
@@ -106,7 +106,7 @@ impl Po {
         grain: &GrainConfig,
         adapter: Arc<GrainAdapter>,
         stats: RuntimeStats,
-        failover: Option<Arc<FailoverState>>,
+        failover: Option<Arc<Nodes>>,
     ) -> Po {
         Po {
             id,
@@ -432,25 +432,18 @@ impl Po {
         }
     }
 
-    /// Points this proxy at `uri` (an object's post-migration home).
-    /// Best-effort: a proxy without a failover handle (no channel opener)
-    /// keeps calling through the forwarding entry, which stays correct.
-    fn repoint(&self, uri: &str) {
-        let Some(failover) = &self.failover else { return };
-        let Ok(new_target) = failover.target_from_uri(uri) else { return };
-        let mut target = self.target.write();
-        // Never demote a proxy that degraded to local execution.
-        if matches!(&*target, Target::Remote { .. }) {
-            *target = new_target;
-        }
-    }
-
-    /// Runtime-driven rewire after an explicit [`migrate`] — the initiator
-    /// already knows the new home, so it skips the forwarded-call hop.
+    /// Points this proxy at `uri`, its object's post-migration home: on a
+    /// `Moved` reply, or after an explicit [`migrate`] whose initiator
+    /// already knows the new home. Best-effort: a proxy without a failover
+    /// handle (no channel opener) keeps calling through the forwarding
+    /// entry, which stays correct.
     ///
     /// [`migrate`]: crate::ParcRuntime::migrate
-    pub(crate) fn rewire(&self, new_target: Target) {
+    pub(crate) fn repoint(&self, uri: &str) {
+        let Some(failover) = &self.failover else { return };
+        let Ok(new_target) = failover.open(uri) else { return };
         let mut target = self.target.write();
+        // Never demote a proxy that degraded to local execution.
         if matches!(&*target, Target::Remote { .. }) {
             *target = new_target;
         }
@@ -472,13 +465,13 @@ impl Po {
         };
         let started = Instant::now();
         let mut target = self.target.write();
-        match &*target {
-            Target::Remote { node, .. } if *node == failed_node => {}
+        let io_name = match &*target {
+            Target::Remote { node, io_name, .. } if *node == failed_node => io_name.clone(),
             // Someone else already moved the object (or it degraded to
             // local); retry against whatever is installed now.
             _ => return true,
-        }
-        match failover.replace_target(&self.class, failed_node) {
+        };
+        match failover.replace_target(&self.class, failed_node, &io_name) {
             Ok(new_target) => {
                 let destination = match &new_target {
                     Target::Remote { node, .. } => node_name(*node),
@@ -595,8 +588,8 @@ mod tests {
 
     // Remote-target behaviour (buffering, batch flush, ordering with sync
     // calls) and failover (node death, re-creation, local degradation) are
-    // exercised end-to-end in runtime.rs tests, where real inproc
-    // endpoints host the IOs.
+    // exercised end-to-end in the runtime.rs and nodes.rs tests, where real
+    // inproc endpoints host the IOs.
 
     /// A server-side recorder: `work` appends its first argument, `len`
     /// returns how many calls have applied so far. Wrapped in a

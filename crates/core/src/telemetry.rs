@@ -23,7 +23,7 @@ use parc_remoting::inproc::InprocNetwork;
 use parc_serial::Value;
 
 use crate::om::{OmState, OM_OBJECT};
-use crate::runtime::node_uri;
+use crate::nodes::node_uri;
 use crate::stats::RuntimeStats;
 
 /// How long one telemetry probe waits for a node before the row is

@@ -241,6 +241,26 @@ fn ring_placement_with_rebalancer_thread_end_to_end() {
     assert!(rt.create("Journal").is_ok());
 }
 
+#[test]
+fn failed_over_objects_are_indexed_where_they_live() {
+    let rt = ParcRuntime::builder().nodes(3).build().unwrap();
+    register_journal(&rt);
+    let objects: Vec<_> = (0..6).map(|_| rt.create_on("Journal", 0).unwrap()).collect();
+    assert!(rt.kill_node(0));
+    for po in &objects {
+        po.call("note", vec![Value::I64(1)]).unwrap();
+        assert_eq!(po.node(), Some(1), "failover walks to the next survivor");
+    }
+    // The dead home's entries are gone and each replacement is indexed
+    // where it lives, so the rebalancer sees node 1's skew.
+    assert!(rt.directory().objects_on(0).is_empty());
+    assert_eq!(rt.directory().objects_on(1).len(), 6);
+    assert!(rt.rebalance_once(&RebalanceConfig::default()) >= 1);
+    for po in &objects {
+        po.call("note", vec![Value::I64(2)]).unwrap();
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Remoting-level forwarder conformance: inproc and TCP transports
 // ---------------------------------------------------------------------------
