@@ -1,6 +1,6 @@
 //! Run-time grain-size adaptation.
 //!
-//! SCOOPP's run-time system ([9] in the paper) measures how expensive
+//! SCOOPP's run-time system (\[9\] in the paper) measures how expensive
 //! method calls actually are and removes parallelism when grains are too
 //! fine: short calls get *aggregated* into bigger messages, and when calls
 //! are so short that even shipping them is a loss, new objects get

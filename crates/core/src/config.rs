@@ -1,4 +1,5 @@
-//! Runtime configuration: grain-size policy and object placement.
+//! Runtime configuration: the grain-size policy and the placement
+//! policy (round-robin or least-loaded).
 
 use std::fmt;
 
@@ -9,12 +10,9 @@ pub enum Placement {
     /// Cycle through nodes in order — ParC++'s default policy.
     #[default]
     RoundRobin,
-    /// Query every OM's load and pick the least loaded node.
+    /// Query every OM's load and pick the least loaded node (the OMs'
+    /// cooperation of Fig. 3; one probe sweep serves a short burst).
     LeastLoaded,
-    /// Resolve through the sharded object directory's consistent-hash
-    /// ring — O(1), no placement RPCs; load feedback arrives out of band
-    /// as ring weight updates from the rebalancer.
-    Ring,
 }
 
 impl fmt::Display for Placement {
@@ -22,7 +20,6 @@ impl fmt::Display for Placement {
         match self {
             Placement::RoundRobin => f.write_str("round-robin"),
             Placement::LeastLoaded => f.write_str("least-loaded"),
-            Placement::Ring => f.write_str("ring"),
         }
     }
 }
@@ -104,7 +101,6 @@ mod tests {
     fn placement_displays() {
         assert_eq!(Placement::RoundRobin.to_string(), "round-robin");
         assert_eq!(Placement::LeastLoaded.to_string(), "least-loaded");
-        assert_eq!(Placement::Ring.to_string(), "ring");
         assert_eq!(Placement::default(), Placement::RoundRobin);
     }
 }

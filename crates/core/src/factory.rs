@@ -8,7 +8,7 @@
 //! registers it in the node's object table under a fresh name, and returns
 //! that name to the caller (which builds the PO around it).
 //!
-//! The wrapper each IO is registered behind ([`MigratableHost`]) is also
+//! The wrapper each IO is registered behind (`MigratableHost`) is also
 //! the server half of **live migration**. A two-way `__migrate(dst)` call
 //! — sent through the object's ordinary channel, so the mailbox
 //! scheduler's one-in-flight-call-per-object guarantee quiesces the
@@ -47,7 +47,7 @@ pub const SNAPSHOT_METHOD: &str = "__snapshot";
 /// Method a migratable IO implements to import a previously exported
 /// state value before serving its first call on the new node.
 pub const RESTORE_METHOD: &str = "__restore";
-/// The migration trigger, served by the [`MigratableHost`] wrapper (IOs
+/// The migration trigger, served by the `MigratableHost` wrapper (IOs
 /// never see it). Argument: destination endpoint name (`node{i}`).
 /// Returns the object's new URI.
 pub const MIGRATE_METHOD: &str = "__migrate";

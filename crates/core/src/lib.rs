@@ -71,7 +71,7 @@ pub mod txn;
 
 pub use adapt::{BatchConfig, BatchController, GrainAdapter};
 pub use config::{GrainConfig, Placement};
-pub use directory::{ObjectDirectory, PlacedObject, RingConfig};
+pub use directory::ObjectDirectory;
 pub use error::ParcError;
 pub use farm::Farm;
 pub use pipeline::Pipeline;
@@ -84,7 +84,7 @@ pub use txn::Reservation;
 /// Convenient glob-import surface.
 pub mod prelude {
     pub use crate::config::{GrainConfig, Placement};
-    pub use crate::directory::{ObjectDirectory, RingConfig};
+    pub use crate::directory::ObjectDirectory;
     pub use crate::error::ParcError;
     pub use crate::farm::Farm;
     pub use crate::pipeline::Pipeline;

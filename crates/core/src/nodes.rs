@@ -2,14 +2,21 @@
 //!
 //! [`Nodes`] holds what the runtime knows about its nodes: the network,
 //! each node's endpoint and OM state, the class registry, the counters,
-//! the object directory, the failure detector's flags and leases, and the
-//! rescue endpoint. The runtime and every distributed [`crate::Po`] share
-//! it, so a proxy fails over without the runtime handle.
+//! the object location index, the failure detector's flags and leases,
+//! and the rescue endpoint. The runtime and every distributed
+//! [`crate::Po`] share it, so a proxy fails over without the runtime
+//! handle.
 //!
 //! [`Nodes::create`] is the one way to create an object on a node, and
 //! the one place that indexes it: every distributed object the runtime
 //! created is indexed at its current node. Failover drops the dead
 //! home's entry; migration relocates it.
+//!
+//! One rule decides that a node is dead, whoever asks: an answered poll
+//! renews the node's lease, a missed poll marks it dead once that lease
+//! has lapsed. The periodic detector applies it to every alive node, and
+//! failover applies it to the one node a call failed against before it
+//! moves an object off that node.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -20,7 +27,7 @@ use parc_remoting::inproc::{InprocEndpoint, InprocNetwork};
 use parc_remoting::LeaseManager;
 use parc_sync::Mutex;
 
-use crate::directory::{ObjectDirectory, RingConfig};
+use crate::directory::ObjectDirectory;
 use crate::error::ParcError;
 use crate::factory::{create_on_node, ClassRegistry, FactoryService, FACTORY_OBJECT};
 use crate::om::{OmService, OmState, OM_OBJECT};
@@ -90,8 +97,7 @@ pub(crate) struct Nodes {
     /// The runtime's shared counters, reported by every node's OM (the
     /// rescue endpoint's included).
     pub(crate) stats: RuntimeStats,
-    /// The sharded object directory: ring routing plus the location index.
-    /// Failover keeps it honest — a dead node must stop receiving keys.
+    /// The location index of every distributed object created here.
     pub(crate) directory: Arc<ObjectDirectory>,
     /// Every node's endpoint handle. Dropping a handle removes its
     /// endpoint from the network, so the table keeps them; `kill` and
@@ -137,7 +143,7 @@ impl Nodes {
             net,
             registry,
             stats,
-            directory: Arc::new(ObjectDirectory::new(count, RingConfig::default())),
+            directory: Arc::new(ObjectDirectory::new()),
             endpoints,
             om_states,
             alive: (0..count).map(|_| AtomicBool::new(true)).collect(),
@@ -195,7 +201,6 @@ impl Nodes {
         let Some(flag) = self.alive.get(node) else { return false };
         let transitioned = flag.swap(false, Ordering::Relaxed);
         if transitioned {
-            self.directory.set_alive(node, false);
             self.leases.cancel(&node_name(node));
             parc_obs::counter(parc_obs::kinds::NODE_FAILED).incr();
             parc_obs::event(parc_obs::kinds::NODE_FAILED, || format!("node={}", node_name(node)));
@@ -223,22 +228,40 @@ impl Nodes {
         self.alive_nodes().into_iter().map(|node| (node, telemetry.poll_node(node))).collect()
     }
 
-    /// One round of the lease-based failure detector: renews the lease
-    /// of every alive node that answers its poll and marks dead those
-    /// whose lease lapsed. Returns the newly-dead nodes.
-    pub(crate) fn detect_failures(&self) -> Vec<usize> {
-        let mut newly_dead = Vec::new();
-        for (node, row) in self.poll_alive() {
-            let name = node_name(node);
-            let now = self.now();
-            if row.is_some() {
-                self.leases.renew(&name, now);
-            } else if self.leases.remaining(&name, now).unwrap_or(0) == 0 && self.mark_dead(node)
-            {
-                newly_dead.push(node);
-            }
+    /// The failure detector's rule for one poll of `node`: an answered
+    /// poll renews its lease, a missed one marks it dead once the lease
+    /// has lapsed. Returns `true` on the alive→dead transition.
+    fn judge_poll(&self, node: usize, answered: bool) -> bool {
+        let name = node_name(node);
+        let now = self.now();
+        if answered {
+            self.leases.renew(&name, now);
+            return false;
         }
-        newly_dead
+        self.leases.remaining(&name, now).unwrap_or(0) == 0 && self.mark_dead(node)
+    }
+
+    /// One round of the lease-based failure detector: applies
+    /// [`Nodes::judge_poll`] to every alive node. Returns the newly-dead
+    /// nodes.
+    pub(crate) fn detect_failures(&self) -> Vec<usize> {
+        self.poll_alive()
+            .into_iter()
+            .filter(|(node, row)| self.judge_poll(*node, row.is_some()))
+            .map(|(node, _)| node)
+            .collect()
+    }
+
+    /// Whether `node` is dead: already marked so, or it misses one poll
+    /// after its lease has lapsed. Failover asks this before it moves an
+    /// object off `node`, so a single failed call (a dropped reply, a
+    /// timeout) cannot bury a node that still answers.
+    pub(crate) fn confirm_dead(&self, node: usize) -> bool {
+        if self.is_alive(node) {
+            let answered = self.telemetry().poll_node(node).is_some();
+            self.judge_poll(node, answered);
+        }
+        !self.is_alive(node)
     }
 
     /// Stops every endpoint, the rescue endpoint included, exactly as
@@ -264,7 +287,7 @@ impl Nodes {
             return Err(ParcError::UnknownClass { class: class.to_string() });
         }
         let (io_name, remote) = create_on_node(&self.net, node, class, None)?;
-        self.directory.register(node_uri(node, &io_name), class, node);
+        self.directory.register(node_uri(node, &io_name), node);
         Ok(Target::Remote { remote, node, io_name })
     }
 
@@ -296,20 +319,19 @@ impl Nodes {
         Ok(Target::Remote { remote, node, io_name: parsed.object().to_string() })
     }
 
-    /// Picks a new home for the object `io_name` of `class` after
-    /// `failed_node` died: the next surviving node (nodes whose factory
-    /// also fails are marked dead and skipped), or — with no survivors —
-    /// a fresh local instance, degrading to local synchronous execution.
-    /// The dead home's index entry is dropped first. The alive set only
-    /// shrinks and `Target::Local` never fails over, so recovery
-    /// terminates.
+    /// Picks a new home for the object `io_name` of `class` once
+    /// `failed_node` is confirmed dead ([`Nodes::confirm_dead`]): the next
+    /// surviving node (nodes whose factory also fails are marked dead and
+    /// skipped), or — with no survivors — a fresh local instance,
+    /// degrading to local synchronous execution. The dead home's index
+    /// entry is dropped first. The alive set only shrinks and
+    /// `Target::Local` never fails over, so recovery terminates.
     pub(crate) fn replace_target(
         &self,
         class: &str,
         failed_node: usize,
         io_name: &str,
     ) -> Result<Target, ParcError> {
-        self.mark_dead(failed_node);
         self.directory.unregister(&node_uri(failed_node, io_name));
         // Looked up first: a proxy built from a bare URI has no class to
         // re-create, and must not fail every survivor's factory in turn.

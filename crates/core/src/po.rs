@@ -8,7 +8,7 @@
 //! * asynchronous calls ([`Po::post`]) are buffered and shipped as one
 //!   aggregate message once `maxCalls` accumulate (Fig. 7); on an adaptive
 //!   proxy `maxCalls` is driven by the closed-loop
-//!   [`BatchController`](crate::adapt::BatchController) once reply frames
+//!   [`crate::adapt::BatchController`] once reply frames
 //!   start reporting the server's dispatch depth, and a max-linger
 //!   deadline (checked at every enqueue) ships a partial buffer whose
 //!   oldest call has waited too long, so low-rate callers are never
@@ -24,10 +24,12 @@
 //!   program order is preserved, then block for the result.
 //!
 //! The PO is also the recovery point of the fault-tolerance layer: when a
-//! send fails with a transient error and the runtime handed the proxy a
-//! failover handle, the PO re-creates its implementation object on a
-//! surviving node (or, with no survivors, locally in the caller's grain)
-//! and retries — the caller never observes the node death. The re-created
+//! send fails with a transient error, the runtime handed the proxy a
+//! failover handle, and the failure detector confirms the node dead, the
+//! PO re-creates its implementation object on a surviving node (or, with
+//! no survivors, locally in the caller's grain) and retries — the caller
+//! never observes the node death. A failed call against a node that still
+//! answers its poll surfaces to the caller instead. The re-created
 //! object starts from the class constructor; state the lost instance had
 //! accumulated is gone. See DESIGN.md §10 for the full fault model.
 
@@ -453,8 +455,9 @@ impl Po {
     /// `failed_node` after `err`. Returns `true` when the caller should
     /// retry: either this thread installed a replacement target, or a
     /// racing thread already moved the object. Non-transient errors,
-    /// proxies without a failover handle, and failed re-creation return
-    /// `false` so the original error surfaces.
+    /// proxies without a failover handle, a node the failure detector
+    /// does not confirm dead, and failed re-creation return `false` so
+    /// the original error surfaces.
     fn try_failover(&self, failed_node: usize, err: &ParcError) -> bool {
         let transient = matches!(err, ParcError::Remoting(e) if e.is_retryable());
         if !transient {
@@ -471,6 +474,9 @@ impl Po {
             // local); retry against whatever is installed now.
             _ => return true,
         };
+        if !failover.confirm_dead(failed_node) {
+            return false;
+        }
         match failover.replace_target(&self.class, failed_node, &io_name) {
             Ok(new_target) => {
                 let destination = match &new_target {

@@ -3,9 +3,9 @@
 //! [`ParcRuntime::migrate_uri`] sends `__migrate(dst)` through the
 //! object's own mailbox; `factory.rs`'s `MigratableHost` re-creates the
 //! object on `dst` and leaves a forwarder behind. The runtime then
-//! relocates the object's index entry and bumps the ring epoch.
-//! [`ParcRuntime::rebalance_once`] turns one poll sweep into ring weights
-//! and migrations off the hottest node.
+//! relocates the object's entry in the location index.
+//! [`ParcRuntime::rebalance_once`] turns one poll sweep into migrations
+//! off the hottest node, picked from the location index.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -71,7 +71,6 @@ impl ParcRuntime {
         match result {
             Ok(new_uri) => {
                 self.directory().relocate(uri, new_uri.clone(), dst);
-                self.directory().bump_epoch();
                 let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
                 parc_obs::histogram(parc_obs::kinds::MIGRATION_LATENCY).record(micros);
                 // `event` would bump this counter a second time when
@@ -89,9 +88,8 @@ impl ParcRuntime {
         }
     }
 
-    /// Runs one rebalancer round: polls every node's telemetry, refreshes
-    /// the ring weights from observed load, and migrates up to
-    /// [`RebalanceConfig::max_migrations_per_round`] objects off the
+    /// Runs one rebalancer round: polls every node's telemetry and migrates
+    /// up to [`RebalanceConfig::max_migrations_per_round`] objects off the
     /// hottest node when it exceeds `high_ratio ×` the mean load. Returns
     /// how many objects moved. Failed migrations abort cleanly and count
     /// as zero.
@@ -106,13 +104,6 @@ impl ParcRuntime {
         if loads.len() < 2 {
             return 0;
         }
-        // Load feedback for ring placement: weight ∝ 1 / (1 + load), so
-        // new objects drift away from hot nodes even between migrations.
-        let mut weights = vec![0.0; self.nodes()];
-        for &(node, load) in &loads {
-            weights[node] = 1.0 / (1.0 + load.max(0) as f64);
-        }
-        self.directory().set_weights(&weights);
         let total: i64 = loads.iter().map(|&(_, l)| l.max(0)).sum();
         let mean = total as f64 / loads.len() as f64;
         let &(hot, hot_load) = loads.iter().max_by_key(|&&(_, l)| l).unwrap();
@@ -125,7 +116,7 @@ impl ParcRuntime {
         }
         let mut moved = 0;
         let mut projected = hot_load;
-        for (uri, _class) in self.directory().objects_on(hot) {
+        for uri in self.directory().objects_on(hot) {
             if moved >= cfg.max_migrations_per_round
                 || (projected as f64) <= cfg.low_ratio * mean.max(1.0)
             {
@@ -141,7 +132,9 @@ impl ParcRuntime {
 
     /// Spawns the background rebalancer thread; it runs
     /// [`ParcRuntime::rebalance_once`] every [`RebalanceConfig::interval`]
-    /// until the returned handle is stopped or dropped.
+    /// until the returned handle is stopped or dropped. Between rounds the
+    /// thread parks; stopping the handle unparks it, so `stop` returns
+    /// without waiting out the interval.
     pub fn start_rebalancer(self: &Arc<Self>, cfg: RebalanceConfig) -> RebalancerHandle {
         let stop = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&stop);
@@ -149,15 +142,16 @@ impl ParcRuntime {
         let thread = std::thread::Builder::new()
             .name("parc-rebalancer".into())
             .spawn(move || {
+                let mut next_round = Instant::now();
+                // Re-checked after every wake: a park may also end early.
                 while !flag.load(Ordering::Relaxed) {
-                    rt.rebalance_once(&cfg);
-                    let mut waited = Duration::ZERO;
-                    // Sleep in short slices so stop() returns promptly.
-                    while waited < cfg.interval && !flag.load(Ordering::Relaxed) {
-                        let slice = (cfg.interval - waited).min(Duration::from_millis(10));
-                        std::thread::sleep(slice);
-                        waited += slice;
+                    let now = Instant::now();
+                    if now < next_round {
+                        std::thread::park_timeout(next_round - now);
+                        continue;
                     }
+                    rt.rebalance_once(&cfg);
+                    next_round = Instant::now() + cfg.interval;
                 }
             })
             .expect("spawn rebalancer thread");
@@ -203,7 +197,7 @@ pub struct RebalancerHandle {
 }
 
 impl RebalancerHandle {
-    /// Signals the thread to stop and joins it.
+    /// Signals the thread to stop, wakes it and joins it.
     pub fn stop(mut self) {
         self.shutdown();
     }
@@ -211,6 +205,7 @@ impl RebalancerHandle {
     fn shutdown(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(thread) = self.thread.take() {
+            thread.thread().unpark();
             let _ = thread.join();
         }
     }
@@ -268,7 +263,7 @@ mod tests {
         assert_eq!(cell.node(), Some(1), "proxy repointed at the new home");
         assert_eq!(cell.call("get", vec![]).unwrap(), Value::I64(42));
         assert_eq!(
-            rt.directory().location(&new_uri).map(|p| p.node),
+            rt.directory().location(&new_uri),
             Some(1),
             "directory index follows the move"
         );

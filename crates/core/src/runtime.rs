@@ -23,7 +23,7 @@ use parc_sync::Mutex;
 
 use crate::adapt::GrainAdapter;
 use crate::config::{GrainConfig, Placement};
-use crate::directory::{mix64, ObjectDirectory};
+use crate::directory::ObjectDirectory;
 use crate::error::ParcError;
 use crate::nodes::Nodes;
 use crate::po::{Po, Target};
@@ -38,6 +38,15 @@ const DEFAULT_PROBE_TTL: Duration = Duration::from_millis(25);
 
 /// Seed of the agglomeration coin's SplitMix64 stream.
 const AGGLOMERATION_SEED: u64 = 0x5eed;
+
+/// SplitMix64 finalizer: the k-th agglomeration draw is
+/// `mix64(AGGLOMERATION_SEED + k·γ)`.
+fn mix64(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
 
 /// Builder for [`ParcRuntime`].
 #[derive(Debug, Clone)]
@@ -276,7 +285,7 @@ impl ParcRuntime {
     /// Picks a hosting node among the alive ones, or `None` when every
     /// node is dead. With all nodes alive each policy behaves exactly as
     /// before fault-awareness (round-robin cycles 0,1,2,…).
-    fn place(&self, class: &str) -> Option<usize> {
+    fn place(&self) -> Option<usize> {
         let nodes = self.nodes();
         match self.placement {
             Placement::RoundRobin => {
@@ -312,14 +321,6 @@ impl ParcRuntime {
                 loads[slot].1 = loads[slot].1.saturating_add(1);
                 Some(loads[slot].0)
             }
-            Placement::Ring => {
-                // O(1): hash a fresh placement key through the directory's
-                // consistent-hash ring. No RPCs — load feedback arrives out
-                // of band as ring weight updates from the rebalancer.
-                let key =
-                    format!("{class}#{}", self.rr_counter.fetch_add(1, Ordering::Relaxed));
-                self.directory().resolve(&key).map(|(node, _epoch)| node)
-            }
         }
     }
 
@@ -354,7 +355,7 @@ impl ParcRuntime {
             });
             return self.create_local(class);
         }
-        match self.place(class) {
+        match self.place() {
             Some(node) => self.create_on(class, node),
             None => {
                 parc_obs::event(parc_obs::kinds::AGGLOMERATE, || {
@@ -448,8 +449,8 @@ impl ParcRuntime {
         Ok(self.po("(proxy)", self.nodes.open(uri)?))
     }
 
-    /// The sharded object directory: consistent-hash routing table plus
-    /// the live location index (which object lives on which node).
+    /// The object location index: which node each distributed object
+    /// the runtime created lives on.
     pub fn directory(&self) -> &Arc<ObjectDirectory> {
         &self.nodes.directory
     }
@@ -709,43 +710,6 @@ pub(crate) mod tests {
         assert!(c.is_local(), "no live node → degraded local creation");
         c.post("bump", vec![Value::I32(3)]).unwrap();
         assert_eq!(c.call("total", vec![]).unwrap(), Value::I64(3));
-    }
-
-    #[test]
-    fn ring_placement_spreads_and_skips_dead_nodes() {
-        let rt = placed(4, Placement::Ring, DEFAULT_PROBE_TTL);
-        let nodes: Vec<usize> =
-            (0..40).map(|_| rt.create("Counter").unwrap().node().unwrap()).collect();
-        for n in 0..4 {
-            assert!(nodes.contains(&n), "node {n} never chosen by the ring");
-        }
-        rt.mark_node_dead(2);
-        for _ in 0..20 {
-            assert_ne!(rt.create("Counter").unwrap().node(), Some(2));
-        }
-    }
-
-    #[test]
-    fn ring_placement_is_deterministic() {
-        let run = || {
-            let rt = placed(4, Placement::Ring, DEFAULT_PROBE_TTL);
-            (0..20)
-                .map(|_| rt.create("Counter").unwrap().node().unwrap())
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(run(), run(), "same seed and sequence, same placement");
-    }
-
-    #[test]
-    fn ring_create_performs_zero_placement_rpcs() {
-        let rt = placed(4, Placement::Ring, DEFAULT_PROBE_TTL);
-        let before = total_messages(&rt);
-        for _ in 0..10 {
-            rt.create("Counter").unwrap();
-        }
-        // Exactly one factory call per create — placement itself costs
-        // zero messages.
-        assert_eq!(total_messages(&rt) - before, 10);
     }
 
     #[test]

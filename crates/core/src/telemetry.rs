@@ -35,9 +35,9 @@ pub const POLL_TIMEOUT: Duration = Duration::from_millis(250);
 /// (ns), queue-wait p99 (ns), faults injected, objects failed over, async
 /// calls, sync calls, messages sent, batches sent, calls in batches,
 /// batch-controller shrinks, batch-controller grows, migrations completed,
-/// forwarding entries outstanding, ring epoch, claims acquired, claims
-/// aborted, claim-wait p99 (ns).
-pub const SNAPSHOT_FIELDS: usize = 24;
+/// forwarding entries outstanding, claims acquired, claims aborted,
+/// claim-wait p99 (ns).
+pub const SNAPSHOT_FIELDS: usize = 23;
 
 /// Encodes `node`'s telemetry row — what its OM answers to `snapshot` —
 /// from its OM state and the runtime's shared counters.
@@ -69,7 +69,6 @@ pub fn snapshot(node: usize, state: &OmState, stats: &RuntimeStats) -> Value {
         Value::I64(clamp(parc_obs::counter(parc_obs::kinds::BATCH_GROW).get())),
         Value::I64(clamp(parc_obs::counter(parc_obs::kinds::MIGRATION_COMPLETED).get())),
         Value::I64(parc_obs::gauge(parc_obs::kinds::DIRECTORY_FORWARDS).get()),
-        Value::I64(parc_obs::gauge(parc_obs::kinds::RING_EPOCH).get()),
         Value::I64(clamp(parc_obs::counter(parc_obs::kinds::CLAIM_ACQUIRED).get())),
         Value::I64(clamp(parc_obs::counter(parc_obs::kinds::CLAIM_ABORTED).get())),
         Value::I64(clamp(parc_obs::histogram(parc_obs::kinds::CLAIM_WAIT).percentile(99.0))),
@@ -128,8 +127,6 @@ pub struct NodeTelemetry {
     pub migrations: i64,
     /// Forwarding entries currently installed (process-wide).
     pub forwards: i64,
-    /// Current object-directory routing epoch (process-wide).
-    pub ring_epoch: i64,
     /// Reservation claims granted so far (process-wide).
     pub claims_acquired: i64,
     /// Reservation claims aborted — lease expiry or partial-acquire
@@ -181,10 +178,9 @@ pub fn decode_snapshot(value: &Value) -> Option<NodeTelemetry> {
         batch_grows: f[17],
         migrations: f[18],
         forwards: f[19],
-        ring_epoch: f[20],
-        claims_acquired: f[21],
-        claims_aborted: f[22],
-        claim_wait_p99_ns: f[23],
+        claims_acquired: f[20],
+        claims_aborted: f[21],
+        claim_wait_p99_ns: f[22],
     })
 }
 
@@ -303,13 +299,11 @@ mod tests {
 
     #[test]
     fn migration_plane_rides_along() {
-        // Booting any runtime publishes a ring table, so the epoch gauge
-        // is live; the counters are process-wide and only grow, so the
-        // assertions stay monotone under parallel tests.
+        // The counters are process-wide and only grow, so the assertions
+        // stay monotone under parallel tests.
         let rt = ParcRuntime::builder().nodes(2).build().unwrap();
         noop_class(&rt);
         let rows = rt.telemetry().poll();
-        assert!(rows[0].ring_epoch >= 1, "ring epoch gauge is live");
         assert!(rows[0].migrations >= 0);
         assert!(rows[0].forwards >= 0);
     }

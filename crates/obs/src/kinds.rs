@@ -52,8 +52,8 @@ pub const REPLY: &str = "reply";
 /// the time a call waits for a dispatch worker on every transport. The
 /// name stays because the `callpath` benchmark still reads it.
 pub const QUEUE_WAIT: &str = "queue.wait";
-/// Histogram-only: time a task spent queued in a [`ThreadPool`] before a
-/// worker ran it.
+/// Histogram-only: time a task spent queued in a
+/// `parc_remoting::ThreadPool` before a worker ran it.
 pub const POOL_WAIT: &str = "pool.wait";
 
 // ---- mailbox dispatch (per-object executors) ----
@@ -142,8 +142,6 @@ pub const CLAIM_WAIT: &str = "claim.wait";
 /// Span: one load-probe sweep refreshing the `LeastLoaded` placement
 /// cache (the only placement path that still performs RPCs).
 pub const PLACEMENT_PROBE: &str = "placement.probe";
-/// Gauge: current epoch of the published ring routing table.
-pub const RING_EPOCH: &str = "ring.epoch";
 /// Counter/event: a live migration began (`uri=.. from=.. to=..`).
 pub const MIGRATION_STARTED: &str = "migration.started";
 /// Counter/event: a live migration installed the object at its new home
@@ -152,10 +150,11 @@ pub const MIGRATION_COMPLETED: &str = "migration.completed";
 /// Counter/event: a live migration aborted with the object intact at the
 /// source (`uri=.. reason=..`).
 pub const MIGRATION_ABORTED: &str = "migration.aborted";
-/// Histogram: nanoseconds from migration start to directory flip.
+/// Histogram: microseconds from migration start to the location-index
+/// update.
 pub const MIGRATION_LATENCY: &str = "migration.latency";
 /// Span: one end-to-end `migrate(uri, dst)` — quiesce, snapshot,
-/// re-create, install forwarder, flip epoch.
+/// re-create, install forwarder.
 pub const MIGRATION_MOVE: &str = "migration.move";
 /// Counter: calls relayed through a migrated object's forwarding entry.
 pub const DIRECTORY_FORWARD: &str = "directory.forward";
@@ -247,7 +246,6 @@ mod tests {
             super::CLAIM_RELEASED,
             super::CLAIM_WAIT,
             super::PLACEMENT_PROBE,
-            super::RING_EPOCH,
             super::MIGRATION_STARTED,
             super::MIGRATION_COMPLETED,
             super::MIGRATION_ABORTED,

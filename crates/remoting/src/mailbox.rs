@@ -22,7 +22,7 @@
 //! queue. A scheduled mailbox lives on exactly one run queue (or in the
 //! hands of exactly one worker), which is what makes the one-in-flight
 //! guarantee structural rather than lock-enforced. A worker gives a
-//! mailbox up after [`BATCH_LIMIT`] consecutive jobs so one hot object
+//! mailbox up after `BATCH_LIMIT` consecutive jobs so one hot object
 //! cannot starve its home sibling mailboxes.
 //!
 //! Observability: enqueue→run latency lands in the

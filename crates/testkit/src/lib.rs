@@ -3,7 +3,7 @@
 //! A hermetic replacement for the `proptest` suites the workspace used to
 //! carry: no registry dependencies, no persisted regression files, and a
 //! fully deterministic case stream driven by the same
-//! [`SplitMix64`](parc_sim::SplitMix64) generator the simulator uses.
+//! [`parc_sim::SplitMix64`] generator the simulator uses.
 //!
 //! ## Model
 //!

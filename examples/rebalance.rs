@@ -1,18 +1,18 @@
-//! Sharded directory end to end: ring placement, a deliberately skewed
-//! object population, and the load-driven rebalancer migrating objects
-//! off the hot node while clients keep calling.
+//! Live migration end to end: a deliberately skewed object population
+//! and the load-driven rebalancer migrating objects off the hot node
+//! while clients keep calling.
 //!
-//! Run with: `cargo run --example ring_rebalance [nodes] [objects]`
+//! Run with: `cargo run --example rebalance [nodes] [objects]`
 //!
 //! Every counter object starts on node 0. The rebalancer watches the
-//! per-node telemetry, shifts ring weights toward the idle nodes, and
-//! live-migrates counters until the cluster is within its hysteresis
-//! band — all while the client threads keep incrementing. The example
-//! asserts that no increment was lost or reordered across migration.
+//! per-node telemetry and live-migrates counters, picked from the object
+//! location index, until the cluster is within its hysteresis band — all
+//! while the client threads keep incrementing. The example asserts that
+//! no increment was lost or reordered across migration.
 //!
 //! Set `PARC_OBS=1` to record spans/events; the run then prints the
 //! metrics summary (including `migration.completed`) and writes a
-//! Chrome/Perfetto trace to `target/ring_rebalance_trace.json`.
+//! Chrome/Perfetto trace to `target/rebalance_trace.json`.
 
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
@@ -20,7 +20,7 @@ use std::time::Duration;
 
 use parc::remoting::dispatcher::FnInvokable;
 use parc::remoting::RemotingError;
-use parc::scoopp::{ParcRuntime, Placement, RebalanceConfig};
+use parc::scoopp::{ParcRuntime, RebalanceConfig};
 use parc::serial::Value;
 
 const CLIENTS: usize = 3;
@@ -56,19 +56,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let nodes: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(3);
     let objects: usize = std::env::args().nth(2).and_then(|s| s.parse().ok()).unwrap_or(9);
 
-    let mut builder = ParcRuntime::builder();
-    builder.nodes(nodes).placement(Placement::Ring);
-    let runtime = Arc::new(builder.build()?);
+    let runtime = Arc::new(ParcRuntime::builder().nodes(nodes).build()?);
     register_counter(&runtime);
 
-    // Skew on purpose: every counter starts on node 0, so the directory
+    // Skew on purpose: every counter starts on node 0, so the rebalancer
     // sees one hot node and (nodes - 1) idle ones.
     let counters: Vec<_> =
         (0..objects).map(|_| runtime.create_on("Counter", 0)).collect::<Result<_, _>>()?;
-    println!(
-        "placed {objects} counters on node 0 of {nodes} (ring epoch {})",
-        runtime.directory().epoch()
-    );
+    println!("placed {objects} counters on node 0 of {nodes}");
 
     // Aggressive interval so a short example run converges; the other
     // fields keep their defaults.
@@ -108,7 +103,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(migrated >= 1, "the skewed population must trigger at least one migration");
 
     if parc::obs::is_enabled() {
-        let trace = "target/ring_rebalance_trace.json";
+        let trace = "target/rebalance_trace.json";
         parc::obs::export::write_chrome_trace(trace)?;
         println!("\n{}", parc::obs::export::text_summary());
         println!("chrome trace written to {trace} (load in ui.perfetto.dev)");

@@ -138,18 +138,15 @@ cargo run --release --offline -q -p parc-obs --bin parc-trace-check -- \
     target/merged_trace.json --cross-node --min-events 100
 echo "ok: cross-node tracing passed (${jsonl_count} node files merged, causal graph valid)"
 
-# Gate 9: sharded directory + live migration. The property suite proves
-# the consistent-hash ring (deterministic seeded lookup, minimal
-# remapping on node death, epoch safety, bounded-memory resolution at
-# 1M keys) and the migration suite proves state transfer, forwarding,
-# proxy repointing, clean aborts, and per-client FIFO across a mid-run
-# migration. Then a traced skewed run must observe the rebalancer
-# actually live-migrate objects (migration.completed > 0 in the metrics
-# summary, the example also asserts no increment was lost) and emit a
-# structurally valid Chrome trace.
-cargo test -q --offline --test directory_properties
+# Gate 9: live migration. The migration suite proves state transfer,
+# forwarding, proxy repointing, clean aborts, per-client FIFO across a
+# mid-run migration, and a location index that follows every move. Then
+# a traced skewed run must observe the rebalancer actually live-migrate
+# objects (migration.completed > 0 in the metrics summary, the example
+# also asserts no increment was lost) and emit a structurally valid
+# Chrome trace.
 cargo test -q --offline --test migration
-rebalance_out=$(PARC_OBS=1 cargo run --release --offline -q --example ring_rebalance 2>&1)
+rebalance_out=$(PARC_OBS=1 cargo run --release --offline -q --example rebalance 2>&1)
 migrations=$(printf '%s\n' "$rebalance_out" | awk '$1 == "migration.completed" { print $2 }')
 if [ -z "${migrations}" ] || [ "${migrations}" -eq 0 ]; then
     printf '%s\n' "$rebalance_out" >&2
@@ -157,8 +154,8 @@ if [ -z "${migrations}" ] || [ "${migrations}" -eq 0 ]; then
     exit 1
 fi
 cargo run --release --offline -q -p parc-obs --bin parc-trace-check -- \
-    target/ring_rebalance_trace.json --min-events 10
-echo "ok: sharded directory passed (ring + migration suites, ${migrations} live migrations, trace valid)"
+    target/rebalance_trace.json --min-events 10
+echo "ok: live migration passed (migration suite, ${migrations} live migrations, trace valid)"
 
 # Gate 10: closed-loop adaptive aggregation. A traced adaptive run must
 # ship aggregate messages (batch_flushed > 0), and the batch controller
@@ -310,3 +307,8 @@ if ! printf '%s\n' "$top_out" | awk -v nodes="${top_nodes}" -v ticks="${top_tick
     exit 1
 fi
 echo "ok: parc-top rendered ${top_nodes} up rows on each of ${top_ticks} ticks"
+
+# Gate 17: the API docs. Every intra-doc link resolves, no public doc
+# links a private item, and no doc comment is misread as markup.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
+echo "ok: rustdoc clean (workspace, -D warnings)"

@@ -5,8 +5,8 @@
 //! refreshing per-node table: calls/s (jobs the node's mailbox scheduler
 //! executed, batches counting once), queue-wait p50/p99, dispatch queue
 //! depth, work steals, mean batch size over the interval, injected faults,
-//! object failovers, live migrations, outstanding forwarding entries and
-//! the directory ring epoch. The same
+//! object failovers, live migrations, outstanding forwarding entries,
+//! and reservation claims granted and aborted. The same
 //! `ClusterTelemetry` poller works against any embedded runtime — this
 //! binary is the reference consumer.
 //!
@@ -152,7 +152,7 @@ fn render(rows: &[NodeTelemetry], last: &[NodeTelemetry], elapsed: f64, tick: u6
         elapsed * 1e3
     ));
     out.push_str(
-        "NODE   STATE  OBJECTS  CALLS/S  P50(us)  P99(us)  QDEPTH  STEALS  BATCH  FAULTS  FAILOVER  MIGR  FWD  CLAIMS  ABRT  EPOCH\n",
+        "NODE   STATE  OBJECTS  CALLS/S  P50(us)  P99(us)  QDEPTH  STEALS  BATCH  FAULTS  FAILOVER  MIGR  FWD  CLAIMS  ABRT\n",
     );
     for row in rows {
         let prev = last.iter().find(|p| p.node == row.node);
@@ -169,7 +169,7 @@ fn render(rows: &[NodeTelemetry], last: &[NodeTelemetry], elapsed: f64, tick: u6
             })
             .unwrap_or(0.0);
         out.push_str(&format!(
-            "{:<6} {:<6} {:>7} {:>8.0} {:>8.1} {:>8.1} {:>7} {:>7} {:>6.1} {:>7} {:>9} {:>5} {:>4} {:>6} {:>5} {:>6}\n",
+            "{:<6} {:<6} {:>7} {:>8.0} {:>8.1} {:>8.1} {:>7} {:>7} {:>6.1} {:>7} {:>9} {:>5} {:>4} {:>6} {:>5}\n",
             row.node,
             if row.alive { "up" } else { "DOWN" },
             row.hosted,
@@ -185,7 +185,6 @@ fn render(rows: &[NodeTelemetry], last: &[NodeTelemetry], elapsed: f64, tick: u6
             row.forwards,
             row.claims_acquired,
             row.claims_aborted,
-            row.ring_epoch,
         ));
     }
     print!("{out}");

@@ -10,10 +10,10 @@
 //! * [`sim`] — the discrete-event cluster simulator;
 //! * [`scoopp`] — the paper's contribution: the SCOOPP/ParC# runtime;
 //! * [`apps`] — the evaluation workloads (Ray Tracer, prime sieve, ...);
-//! * [`bench`] — calibration models and experiment runners;
+//! * [`bench`](mod@bench) — calibration models and experiment runners;
 //! * [`obs`] — runtime tracing, metrics and adaptation telemetry
 //!   (enable with `PARC_OBS=1`, export Chrome traces via
-//!   [`obs::export`](parc_obs::export)).
+//!   [`obs::export`]).
 //!
 //! See `README.md` for a guided tour and `DESIGN.md` for the paper-to-code
 //! map.

@@ -34,7 +34,7 @@ fn mandel_runtime(placement: Placement) -> ParcRuntime {
 fn mandel_farm_matches_oracle_under_every_placement() {
     let size = 48;
     let expected = mandel_checksum(View::default(), size, size);
-    for placement in [Placement::RoundRobin, Placement::LeastLoaded, Placement::Ring] {
+    for placement in [Placement::RoundRobin, Placement::LeastLoaded] {
         let rt = mandel_runtime(placement);
         let farm = Farm::new(&rt, "Mandel", 3).unwrap();
         let items: Vec<Vec<Value>> = (0..size)
