@@ -15,16 +15,23 @@
 //! RTT EWMA, the piggybacked remote queue depth and the adapter's call-cost
 //! estimate into one deterministic batch-size law (DESIGN.md §14).
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Duration;
 
-use parc_sync::Mutex;
-
-/// Controller state for one runtime.
+/// Controller state for one runtime. Lock-free: every proxy call feeds
+/// [`GrainAdapter::observe_call`], so the estimate is an atomic EWMA
+/// rather than state behind a runtime-wide mutex.
 #[derive(Debug)]
 pub struct GrainAdapter {
-    inner: Mutex<State>,
+    /// Per-call service-time EWMA in seconds, as `f64` bits;
+    /// [`NO_ESTIMATE`] until the first sample.
+    ewma_call_bits: AtomicU64,
+    samples: AtomicU64,
+    /// Last aggregation factor this adapter recommended; lets
+    /// `recommended_aggregation` emit an `agg_size_changed` event exactly
+    /// when the knob moves.
+    last_agg: AtomicUsize,
     /// Estimated fixed cost of one remote message (the ~273 µs of the
     /// paper's Mono latency measurement, by default).
     message_overhead: Duration,
@@ -32,15 +39,9 @@ pub struct GrainAdapter {
     max_aggregation: usize,
 }
 
-#[derive(Debug)]
-struct State {
-    ewma_call_secs: Option<f64>,
-    samples: u64,
-    // Last aggregation factor this adapter recommended; lets
-    // `recommended_aggregation` emit an `agg_size_changed` event exactly
-    // when the knob moves.
-    last_agg: usize,
-}
+/// `ewma_call_bits` before any sample: a NaN payload no arithmetic on the
+/// finite samples produces.
+const NO_ESTIMATE: u64 = u64::MAX;
 
 /// EWMA smoothing factor: recent calls dominate after ~10 samples.
 const ALPHA: f64 = 0.2;
@@ -49,7 +50,9 @@ impl GrainAdapter {
     /// Creates an adapter with the given per-message overhead estimate.
     pub fn new(message_overhead: Duration, max_aggregation: usize) -> GrainAdapter {
         GrainAdapter {
-            inner: Mutex::new(State { ewma_call_secs: None, samples: 0, last_agg: 1 }),
+            ewma_call_bits: AtomicU64::new(NO_ESTIMATE),
+            samples: AtomicU64::new(0),
+            last_agg: AtomicUsize::new(1),
             message_overhead,
             max_aggregation: max_aggregation.max(1),
         }
@@ -66,23 +69,33 @@ impl GrainAdapter {
             parc_obs::histogram(parc_obs::kinds::ADAPT_SERVICE)
                 .record(duration.as_nanos() as u64);
         }
-        let mut state = self.inner.lock();
         let secs = duration.as_secs_f64();
-        state.ewma_call_secs = Some(match state.ewma_call_secs {
-            None => secs,
-            Some(prev) => prev + ALPHA * (secs - prev),
+        // The closure always returns `Some`, so the update cannot fail.
+        let _ = self.ewma_call_bits.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
+            let next = match bits {
+                NO_ESTIMATE => secs,
+                prev => f64::from_bits(prev) + ALPHA * (secs - f64::from_bits(prev)),
+            };
+            Some(next.to_bits())
         });
-        state.samples += 1;
+        self.samples.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn ewma_call_secs(&self) -> Option<f64> {
+        match self.ewma_call_bits.load(Ordering::Relaxed) {
+            NO_ESTIMATE => None,
+            bits => Some(f64::from_bits(bits)),
+        }
     }
 
     /// Number of samples observed.
     pub fn samples(&self) -> u64 {
-        self.inner.lock().samples
+        self.samples.load(Ordering::Relaxed)
     }
 
     /// Current per-call cost estimate, if any call was observed.
     pub fn estimated_call_cost(&self) -> Option<Duration> {
-        self.inner.lock().ewma_call_secs.map(Duration::from_secs_f64)
+        self.ewma_call_secs().map(Duration::from_secs_f64)
     }
 
     /// Recommended aggregation factor: pack enough calls per message that
@@ -92,8 +105,7 @@ impl GrainAdapter {
     /// With no samples yet, the recommendation is 1 (no aggregation) —
     /// adaptation only ever *removes* parallelism it has evidence against.
     pub fn recommended_aggregation(&self) -> usize {
-        let mut state = self.inner.lock();
-        let Some(call) = state.ewma_call_secs else {
+        let Some(call) = self.ewma_call_secs() else {
             return 1;
         };
         let overhead = self.message_overhead.as_secs_f64();
@@ -107,9 +119,8 @@ impl GrainAdapter {
                 self.max_aggregation
             }
         };
-        if agg != state.last_agg {
-            let old = state.last_agg;
-            state.last_agg = agg;
+        let old = self.last_agg.swap(agg, Ordering::Relaxed);
+        if agg != old {
             parc_obs::event(parc_obs::kinds::AGG_SIZE_CHANGED, || {
                 format!(
                     "old={old} new={agg} ewma_us={:.2} overhead_us={:.2}",
@@ -125,7 +136,7 @@ impl GrainAdapter {
     /// call's work is smaller than the overhead of shipping it at the
     /// maximum aggregation — i.e. parallelism cannot pay for itself.
     pub fn should_agglomerate(&self) -> bool {
-        let Some(call) = self.inner.lock().ewma_call_secs else {
+        let Some(call) = self.ewma_call_secs() else {
             return false;
         };
         let per_call_overhead =

@@ -33,7 +33,7 @@
 //! object starts from the class constructor; state the lost instance had
 //! accumulated is gone. See DESIGN.md §10 for the full fault model.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -87,6 +87,10 @@ pub struct Po {
     class: String,
     target: RwLock<Target>,
     buffer: Mutex<AggBuffer>,
+    /// `buffer.count`, written under the `buffer` lock, so a call with
+    /// nothing buffered skips the lock. A thread always reads its own
+    /// earlier posts' writes, so its program order holds.
+    buffered: AtomicUsize,
     aggregation_factor: usize,
     adaptive: bool,
     adapter: Arc<GrainAdapter>,
@@ -115,6 +119,7 @@ impl Po {
             class,
             target: RwLock::new(target),
             buffer: Mutex::new(AggBuffer::default()),
+            buffered: AtomicUsize::new(0),
             aggregation_factor: grain.aggregation_factor,
             adaptive: grain.adaptive,
             adapter,
@@ -202,7 +207,7 @@ impl Po {
 
     /// Buffered-but-unsent asynchronous calls.
     pub fn pending(&self) -> usize {
-        self.buffer.lock().count
+        self.buffered.load(Ordering::Relaxed)
     }
 
     /// Asynchronous method invocation — SCOOPP's "no value returned" form.
@@ -261,6 +266,7 @@ impl Po {
             buffer.first = Some((method.to_string(), args));
             buffer.first_at = Some(Instant::now());
             buffer.count = 1;
+            self.buffered.store(1, Ordering::Relaxed);
             return Ok(());
         }
         if buffer.flat.is_none() {
@@ -275,6 +281,7 @@ impl Po {
         let flat = buffer.flat.as_mut().expect("installed above");
         encode_flat_call(&self.formatter, flat, method, &args).map_err(ParcError::from)?;
         buffer.count += 1;
+        self.buffered.store(buffer.count, Ordering::Relaxed);
         Ok(())
     }
 
@@ -301,6 +308,7 @@ impl Po {
         // to the replacement target.
         let n = buffer.count as u64;
         buffer.count = 0;
+        self.buffered.store(0, Ordering::Relaxed);
         buffer.first_at = None;
         let (method, initial) = if n == 1 {
             buffer.first.take().expect("one buffered call")
@@ -384,7 +392,7 @@ impl Po {
         loop {
             // Flush outside the target guard: a flush-triggered failover
             // needs the write half of the target lock.
-            {
+            if self.buffered.load(Ordering::Relaxed) != 0 {
                 let mut buffer = self.buffer.lock();
                 self.flush_buffer(&mut buffer)?;
             }
@@ -402,11 +410,14 @@ impl Po {
                     }
                     Target::Remote { remote, node, .. } => {
                         let _span = parc_obs::Span::enter(parc_obs::kinds::PO_CALL);
-                        let start = Instant::now();
                         let payload = args.take().expect("args survive failed attempts");
                         match remote.call_reclaim_located(method, payload) {
                             Ok((out, moved)) => {
-                                self.adapter.observe_call(start.elapsed());
+                                // The channel already timed the round
+                                // trip; no second clock reading here.
+                                if let Some(rtt) = parc_remoting::channel::last_round_trip() {
+                                    self.adapter.observe_call(rtt);
+                                }
                                 self.stats.record_message();
                                 drop(target);
                                 if let Some(uri) = moved {

@@ -67,6 +67,9 @@ pub const MAILBOX_DEPTH: &str = "dispatch.depth";
 pub const MAILBOX_STEAL: &str = "dispatch.steal";
 /// Gauge: dispatch workers currently inside an invocation.
 pub const MAILBOX_BUSY: &str = "dispatch.busy";
+/// Counter: two-way calls a caller's thread ran itself on an idle
+/// mailbox it was lent, instead of handing them to a dispatch worker.
+pub const DISPATCH_INLINE: &str = "dispatch.inline";
 
 // ---- SCOOPP runtime (parc-core) ----
 
@@ -223,6 +226,7 @@ mod tests {
             super::MAILBOX_DEPTH,
             super::MAILBOX_STEAL,
             super::MAILBOX_BUSY,
+            super::DISPATCH_INLINE,
             super::PO_CALL,
             super::PO_LOCAL,
             super::BATCH_FLUSH,

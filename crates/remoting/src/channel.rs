@@ -6,8 +6,10 @@
 //! both sits [`RemoteObject`] — the untyped transparent proxy every
 //! generated typed proxy wraps.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use parc_serial::Value;
 
@@ -57,6 +59,21 @@ pub trait ClientChannel: Send + Sync {
 /// EWMA smoothing denominator for the link RTT: `alpha = 1/RTT_EWMA_DIV`.
 const RTT_EWMA_DIV: u64 = 5;
 
+thread_local! {
+    /// The last round trip this thread's channel calls timed (see
+    /// [`last_round_trip`]).
+    static LAST_ROUND_TRIP: Cell<Option<Duration>> = const { Cell::new(None) };
+}
+
+/// The round trip of this thread's last [`RemoteObject`] two-way call, as
+/// its channel timed it for [`LinkFeedback::record_rtt`], so a caller that
+/// wants the call's duration (the runtime's grain adapter) need not read
+/// the clock again. `None` when that call failed, or when its transport
+/// keeps no feedback (HTTP).
+pub fn last_round_trip() -> Option<Duration> {
+    LAST_ROUND_TRIP.with(Cell::get)
+}
+
 /// What one client channel has learned about its link and its server:
 /// a round-trip-time EWMA sampled on every two-way call, and the
 /// server's dispatch backlog as piggybacked on reply frames (the
@@ -82,8 +99,10 @@ impl LinkFeedback {
     }
 
     /// Folds one measured round trip into the EWMA (`alpha = 0.2`,
-    /// integer arithmetic so replayed tapes stay deterministic).
+    /// integer arithmetic so replayed tapes stay deterministic), and
+    /// keeps it as the calling thread's [`last_round_trip`].
     pub fn record_rtt(&self, rtt: std::time::Duration) {
+        LAST_ROUND_TRIP.with(|last| last.set(Some(rtt)));
         let sample = rtt.as_nanos().min(u128::from(u64::MAX)) as u64;
         let prev = self.rtt_ewma_ns.load(Ordering::Relaxed);
         let next = if self.rtt_samples.fetch_add(1, Ordering::Relaxed) == 0 || prev == 0 {
@@ -227,6 +246,7 @@ impl RemoteObject {
         // A fresh id per attempt keeps a late reply to an abandoned
         // attempt from completing a retried call's correlation slot.
         msg.call_id = next_call_id();
+        LAST_ROUND_TRIP.with(|last| last.set(None));
         let reply = self.channel.call(msg)?;
         if reply.call_id != msg.call_id {
             return Err(RemotingError::Transport {

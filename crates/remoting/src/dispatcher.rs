@@ -6,14 +6,17 @@
 //! [`crate::remote_interface!`]) and [`dispatch`] routes a call through an
 //! [`ObjectTable`]. Every server — inproc, TCP and HTTP — hands its
 //! decoded calls to one function, `serve_call`, which enqueues them on the
-//! server's per-object mailboxes and answers through a reply sink the
-//! channel supplies; the channels differ only in framing and formatter.
+//! server's per-object mailboxes (or, for an in-process two-way call to an
+//! idle object, lends the caller the mailbox to run the call itself) and
+//! answers through a reply sink the channel supplies; the channels differ
+//! only in framing and formatter.
 //! The two socket servers also share one bind / accept loop /
 //! stop-on-drop (`SocketServer`).
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use parc_serial::Value;
 
@@ -110,17 +113,26 @@ pub(crate) struct Origin {
 /// decides whether there is one (TCP's frame flag, HTTP's `SOAPAction`,
 /// inproc's `post`/`call`), never the payload: `None` is a one-way call,
 /// so a post can never consume (or corrupt) a caller's correlation slot.
-/// A present `reply` is always answered — on the mailbox worker once the
-/// method returns (with a fault if a one-way-marked message produced no
-/// reply), or right here with a fault (call id 0) when `decoded` is an
-/// error. An undecodable post is dropped.
+/// A present `reply` is always answered — once the method returns (with
+/// a fault if a one-way-marked message produced no reply), or right here
+/// with a fault (call id 0) when `decoded` is an error. An undecodable
+/// post is dropped.
+///
+/// `inline` is the caller's deadline when the caller offers its own
+/// thread (only the in-process channel does, and only for two-way
+/// calls). If the scheduler lends it the object's idle mailbox
+/// ([`MailboxScheduler::claim_idle`]), nothing is enqueued: the job comes
+/// back, holding the mailbox, for the caller to run once it has let go
+/// of its own locks.
 pub(crate) fn serve_call<R>(
     sched: &MailboxScheduler,
     objects: &ObjectTable,
     origin: Origin,
     decoded: Result<CallMessage, String>,
     reply: Option<R>,
-) where
+    inline: Option<Duration>,
+) -> Option<impl FnOnce()>
+where
     R: FnOnce(&ReturnMessage) + Send + 'static,
 {
     let call = match decoded {
@@ -129,12 +141,14 @@ pub(crate) fn serve_call<R>(
             if let Some(reply) = reply {
                 reply(&ReturnMessage::fault(0, detail));
             }
-            return;
+            return None;
         }
     };
+    let offered = inline.filter(|_| reply.is_some());
+    let claim = offered.and_then(|deadline| sched.claim_idle(&call.object, deadline));
     let objects = objects.clone();
     let object = call.object.clone();
-    sched.enqueue(&object, move || {
+    let job = move || {
         let _node = origin.node.map(parc_obs::trace::enter_node_id);
         // The remote caller becomes the parent of every span the
         // dispatch opens.
@@ -148,7 +162,13 @@ pub(crate) fn serve_call<R>(
             let _span = parc_obs::Span::enter(parc_obs::kinds::REPLY);
             reply(&out);
         }
-    });
+    };
+    match claim {
+        Some(claim) => return Some(move || claim.run(job)),
+        None if offered.is_some() => sched.enqueue_timed(&object, job),
+        None => sched.enqueue(&object, job),
+    }
+    None
 }
 
 /// What every connection of a socket server serves with.

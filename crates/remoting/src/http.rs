@@ -177,7 +177,8 @@ fn serve_connection(stream: TcpStream, state: ServerState) {
                 let _ = done.send(());
             }
         });
-        serve_call(&state.scheduler, &state.objects, Origin::default(), decoded, reply);
+        // A socket reader never runs a method body: no inline offer.
+        serve_call(&state.scheduler, &state.objects, Origin::default(), decoded, reply, None);
         let answered = if request.post {
             write_message(&mut &*writer, "HTTP/1.1 202 Accepted", b"").is_ok()
         } else {

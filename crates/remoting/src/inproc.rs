@@ -10,7 +10,12 @@
 //! would across machines. The calling thread encodes its call, decodes it
 //! as a server would and enqueues it on the target object's mailbox
 //! itself; the worker that runs it completes the caller's reply slot. A
-//! call crosses two threads — caller and worker — and no router. Payloads
+//! two-way call to an idle object whose calls are known to be short
+//! crosses no thread at all: the scheduler lends the caller the mailbox
+//! and the caller runs the method itself, as the paper runs a call on an
+//! agglomerated object (§3.1), with per-object FIFO and one-in-flight
+//! unchanged (see [`crate::mailbox`], "Inline runs"). Any other call
+//! crosses two threads — caller and worker — and no router. Payloads
 //! still pass through the binary formatter, so marshalling costs and wire
 //! sizes are identical to the TCP channel — only the wire itself is a
 //! queue.
@@ -18,7 +23,7 @@
 //! [`InprocNetwork::stop_endpoint`] behaves like a crash with no timing
 //! window: a send either lands before it or fails with a transport error,
 //! jobs that have not started are discarded (their callers fail at once)
-//! and jobs already running finish.
+//! and jobs already running finish, on a worker or inline.
 //!
 //! This is the channel the single-machine SCOOPP runtime and most tests
 //! use; URIs look like `inproc://node0/PrimeServer`.
@@ -87,7 +92,8 @@ struct Serving {
 
 struct EndpointShared {
     /// `None` once stopped. Senders hold the read lock across their
-    /// enqueue, so a stop (the write lock) never races one.
+    /// enqueue (or mailbox claim), so a stop (the write lock) never races
+    /// one; an inline run starts only after the read lock is dropped.
     serving: RwLock<Option<Serving>>,
     bytes_received: AtomicU64,
     messages_received: AtomicU64,
@@ -299,27 +305,36 @@ impl InprocClient {
     /// A send either lands before a concurrent stop or fails here; one
     /// that lands but has not started when the stop comes is discarded
     /// with the rest of the queue, as a crash would lose it.
+    /// A two-way call may instead be lent its object's idle mailbox; it
+    /// then runs here, on the caller's thread, once the `serving` guard
+    /// is dropped, so a stop never waits for a method body.
     fn send(&self, msg: &CallMessage, reply: Option<Reply>) -> Result<usize, RemotingError> {
         let formatter = BinaryFormatter::new();
         let bytes = {
             let _span = parc_obs::Span::enter(parc_obs::kinds::SERIALIZE);
             msg.encode(&formatter)?
         };
-        let _span = parc_obs::Span::enter(parc_obs::kinds::CHANNEL_SEND);
-        // Captured inside the send span: the server dispatch becomes a
-        // child of this `channel.send`, mirroring the TCP transport.
-        let trace = parc_obs::trace::current();
-        let decoded = CallMessage::decode(&formatter, &bytes).map_err(|e| e.to_string());
-        let serving = self.shared.serving.read();
-        let serving = serving.as_ref().ok_or_else(stopped)?;
-        self.shared.bytes_received.fetch_add(bytes.len() as u64, Ordering::Relaxed);
-        self.shared.messages_received.fetch_add(1, Ordering::Relaxed);
-        let reply = reply.map(|reply| {
-            let depth = serving.scheduler.depth_handle();
-            move |out: &ReturnMessage| reply.send(out, &depth)
-        });
-        let origin = Origin { trace, node: Some(serving.node) };
-        serve_call(&serving.scheduler, &serving.objects, origin, decoded, reply);
+        let lent = {
+            let _span = parc_obs::Span::enter(parc_obs::kinds::CHANNEL_SEND);
+            // Captured inside the send span: the server dispatch becomes a
+            // child of this `channel.send`, mirroring the TCP transport.
+            let trace = parc_obs::trace::current();
+            let decoded = CallMessage::decode(&formatter, &bytes).map_err(|e| e.to_string());
+            let serving = self.shared.serving.read();
+            let serving = serving.as_ref().ok_or_else(stopped)?;
+            self.shared.bytes_received.fetch_add(bytes.len() as u64, Ordering::Relaxed);
+            self.shared.messages_received.fetch_add(1, Ordering::Relaxed);
+            let inline = reply.is_some().then_some(self.timeout);
+            let reply = reply.map(|reply| {
+                let depth = serving.scheduler.depth_handle();
+                move |out: &ReturnMessage| reply.send(out, &depth)
+            });
+            let origin = Origin { trace, node: Some(serving.node) };
+            serve_call(&serving.scheduler, &serving.objects, origin, decoded, reply, inline)
+        };
+        if let Some(run) = lent {
+            run();
+        }
         Ok(bytes.len())
     }
 }

@@ -25,19 +25,34 @@
 //! mailbox up after `BATCH_LIMIT` consecutive jobs so one hot object
 //! cannot starve its home sibling mailboxes.
 //!
+//! **Inline runs.** A two-way caller may be lent an idle mailbox
+//! (`MailboxScheduler::claim_idle`): it marks the mailbox `scheduled`
+//! under the queue lock, exactly as an enqueuer does, runs the job on its
+//! own thread, and then parks the mailbox or hands any jobs that arrived
+//! meanwhile to the home run queue. Ownership of the `scheduled` claim is
+//! what the guarantees above rest on, not the thread that holds it, so
+//! FIFO and one-in-flight hold unchanged. Two constant guards keep an
+//! inline run short and shallow: the mailbox's service-time EWMA, fed by
+//! every call that was offered inline, must be known (one worker run at
+//! least) and under the caller's deadline /
+//! [`INLINE_DEADLINE_SHARE`], and one thread nests at most
+//! [`MAX_INLINE_DEPTH`] inline runs.
+//!
 //! Observability: enqueue→run latency lands in the
-//! `dispatch.mailbox_wait` histogram, queue depth and busy-worker gauges
-//! plus a steal counter are registered under `dispatch.*` (see
+//! `dispatch.mailbox_wait` histogram (inline runs never wait, and record
+//! no sample), queue depth and busy-worker gauges plus steal and
+//! inline-run counters are registered under `dispatch.*` (see
 //! [`parc_obs::kinds`]), and a cloneable [`DispatchDepth`] handle exposes
 //! the live backlog to the object manager for placement/backpressure.
 
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use parc_obs::{kinds, Counter, Gauge, Held, Histogram};
 use parc_sync::{Condvar, Mutex, RwLock};
@@ -61,11 +76,36 @@ const BATCH_LIMIT: usize = 32;
 /// throughput.
 const CLAIM_LANE_THREADS: usize = 2;
 
+/// An inline run is allowed only while the object's service-time EWMA is
+/// under the caller's deadline divided by this: 300 ms at
+/// [`crate::retry::DEFAULT_CALL_TIMEOUT`]. A caller is never stuck
+/// running a method that usually outlasts a hundredth of its deadline.
+pub const INLINE_DEADLINE_SHARE: u32 = 100;
+
+/// Inline runs one thread may nest (an inline method that makes a
+/// two-way call that also runs inline, and so on) before the next call
+/// goes through a worker, so a call chain cannot grow the caller's stack
+/// without bound.
+pub const MAX_INLINE_DEPTH: usize = 4;
+
+/// EWMA smoothing denominator for a mailbox's service time:
+/// `alpha = 1/SERVICE_EWMA_DIV`.
+const SERVICE_EWMA_DIV: u64 = 4;
+
+thread_local! {
+    /// The schedulers (by `Shared` address) whose mailboxes this thread
+    /// is running lent jobs for, innermost last. Its length is the
+    /// nesting depth; `Drop for MailboxScheduler` reads it to detach
+    /// rather than join from inside one of its own inline runs.
+    static INLINE_RUNS: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
+}
+
 /// Obs handles every traced job records through, resolved once.
 static MAILBOX_WAIT: Held<Histogram> = Held::new(kinds::MAILBOX_WAIT, parc_obs::histogram);
 static MAILBOX_BUSY: Held<Gauge> = Held::new(kinds::MAILBOX_BUSY, parc_obs::gauge);
 static MAILBOX_DEPTH: Held<Gauge> = Held::new(kinds::MAILBOX_DEPTH, parc_obs::gauge);
 static MAILBOX_STEAL: Held<Counter> = Held::new(kinds::MAILBOX_STEAL, parc_obs::counter);
+static DISPATCH_INLINE: Held<Counter> = Held::new(kinds::DISPATCH_INLINE, parc_obs::counter);
 
 /// The configured dispatch worker count: `PARC_DISPATCH_WORKERS` when set
 /// and positive, otherwise `available_parallelism` floored at
@@ -85,6 +125,9 @@ struct Job {
     run: Box<dyn FnOnce() + Send + 'static>,
     // 0 unless obs recording was enabled at enqueue time.
     enqueued_ns: u64,
+    /// A call its caller offered to run inline: its run feeds the
+    /// mailbox's service-time EWMA. Posts and socket calls are not timed.
+    timed: bool,
 }
 
 struct MailboxQueue {
@@ -99,6 +142,55 @@ struct MailboxQueue {
 struct Mailbox {
     home: usize,
     queue: Mutex<MailboxQueue>,
+    /// Service-time EWMA in nanoseconds over the calls that could have
+    /// run inline, whether a worker or the caller ran them; 0 until the
+    /// first one finishes. Written only by the holder of the `scheduled`
+    /// claim, so plain loads and stores suffice: the queue lock orders one
+    /// holder's write before the next one's read.
+    service_ns: AtomicU64,
+}
+
+impl Mailbox {
+    /// The next queued job, or `None` after parking the mailbox
+    /// (`scheduled = false`) because nothing is queued.
+    fn pop_or_park(&self) -> Option<Job> {
+        let mut q = self.queue.lock();
+        let job = q.jobs.pop_front();
+        if job.is_none() {
+            q.scheduled = false;
+        }
+        job
+    }
+
+    /// Parks the mailbox if nothing is queued. `false` means jobs are
+    /// waiting and the holder must hand the mailbox to a run queue.
+    fn park_if_idle(&self) -> bool {
+        let mut q = self.queue.lock();
+        if q.jobs.is_empty() {
+            q.scheduled = false;
+        }
+        !q.scheduled
+    }
+
+    /// Runs one job with panics contained (a panic must not leave the
+    /// mailbox wedged at `scheduled == true`); a `timed` one folds its
+    /// duration into the service-time EWMA.
+    fn run_job(&self, job: impl FnOnce(), timed: bool) {
+        if !timed {
+            let _ = std::panic::catch_unwind(AssertUnwindSafe(job));
+            return;
+        }
+        let began = Instant::now();
+        let _ = std::panic::catch_unwind(AssertUnwindSafe(job));
+        let sample = (began.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64).max(1);
+        let prev = self.service_ns.load(Ordering::Relaxed);
+        let next = if prev == 0 {
+            sample
+        } else {
+            prev - prev / SERVICE_EWMA_DIV + sample / SERVICE_EWMA_DIV
+        };
+        self.service_ns.store(next.max(1), Ordering::Relaxed);
+    }
 }
 
 /// Home worker for an object name: a stable hash spread over the workers.
@@ -133,6 +225,7 @@ impl Shared {
             Arc::new(Mailbox {
                 home: home_of(object, self.runqs.len()),
                 queue: Mutex::new(MailboxQueue { jobs: VecDeque::new(), scheduled: false }),
+                service_ns: AtomicU64::new(0),
             })
         }))
     }
@@ -173,45 +266,36 @@ impl Shared {
     /// Drains `mb` (up to [`BATCH_LIMIT`] jobs), preserving the
     /// one-in-flight invariant: this worker exclusively owns the mailbox
     /// until it either parks it (`scheduled = false`, queue empty) or
-    /// hands it to a run queue with `scheduled` still true.
+    /// hands it to a run queue with `scheduled` still true. A job stays
+    /// pending until the worker has taken the next job or let the mailbox
+    /// go, so `pending == 0` means every mailbox is parked.
     fn run_mailbox(&self, worker: usize, mb: Arc<Mailbox>) {
+        let mut next = mb.pop_or_park();
         let mut ran = 0usize;
-        loop {
-            let job = {
-                let mut q = mb.queue.lock();
-                match q.jobs.pop_front() {
-                    Some(job) => job,
-                    None => {
-                        q.scheduled = false;
-                        return;
-                    }
-                }
-            };
+        while let Some(job) = next {
             MAILBOX_WAIT.record_wait(job.enqueued_ns);
             self.busy.fetch_add(1, Ordering::Relaxed);
             if parc_obs::is_enabled() {
                 MAILBOX_BUSY.get().adjust(1);
             }
-            // A panicking invocation must not take the worker (and with it
-            // the mailbox, wedged at `scheduled == true`) down with it.
-            let _ = std::panic::catch_unwind(AssertUnwindSafe(job.run));
+            mb.run_job(job.run, job.timed);
             if parc_obs::is_enabled() {
                 MAILBOX_BUSY.get().adjust(-1);
                 MAILBOX_DEPTH.get().adjust(-1);
             }
             self.busy.fetch_sub(1, Ordering::Relaxed);
+            ran += 1;
+            let hand_on = if ran < BATCH_LIMIT {
+                next = mb.pop_or_park();
+                false
+            } else {
+                next = None;
+                !mb.park_if_idle()
+            };
             self.executed.fetch_add(1, Ordering::Relaxed);
             self.pending.fetch_sub(1, Ordering::SeqCst);
-            ran += 1;
-            if ran >= BATCH_LIMIT {
-                {
-                    let mut q = mb.queue.lock();
-                    if q.jobs.is_empty() {
-                        q.scheduled = false;
-                        return;
-                    }
-                    // Still scheduled — ownership moves to the run queue.
-                }
+            if hand_on {
+                // Still scheduled — ownership moves to the run queue.
                 self.push_runq(worker, mb);
                 return;
             }
@@ -281,6 +365,39 @@ impl ClaimLane {
     }
 }
 
+/// An idle mailbox lent to a calling thread by
+/// [`MailboxScheduler::claim_idle`]. Dropping it unrun would wedge the
+/// mailbox at `scheduled`, so it must be [`run`](InlineClaim::run).
+#[must_use = "a claim holds its mailbox until it is run"]
+pub(crate) struct InlineClaim {
+    shared: Arc<Shared>,
+    mb: Arc<Mailbox>,
+}
+
+impl InlineClaim {
+    /// Runs `job` on this thread as the mailbox's one in-flight job, then
+    /// parks the mailbox, or hands the jobs that queued behind it to its
+    /// home run queue. Counts `executed` and `pending` as a worker does;
+    /// records no `dispatch.mailbox_wait` sample (the job never waited).
+    pub(crate) fn run(self, job: impl FnOnce()) {
+        if parc_obs::is_enabled() {
+            DISPATCH_INLINE.get().incr();
+        }
+        let key = Arc::as_ptr(&self.shared) as usize;
+        INLINE_RUNS.with(|runs| runs.borrow_mut().push(key));
+        self.mb.run_job(job, true);
+        INLINE_RUNS.with(|runs| runs.borrow_mut().pop());
+        let hand_on = !self.mb.park_if_idle();
+        self.shared.executed.fetch_add(1, Ordering::Relaxed);
+        self.shared.pending.fetch_sub(1, Ordering::SeqCst);
+        if hand_on {
+            // Still scheduled — ownership moves to the home run queue.
+            let home = self.mb.home;
+            self.shared.push_runq(home, self.mb);
+        }
+    }
+}
+
 /// The work-stealing per-object mailbox scheduler. Dropping it drains
 /// every queued job, then joins the workers.
 pub struct MailboxScheduler {
@@ -337,10 +454,23 @@ impl MailboxScheduler {
     /// workers on purpose, so the releases that end those waits must not
     /// compete with them for workers.
     pub fn enqueue(&self, object: &str, run: impl FnOnce() + Send + 'static) {
+        self.push(object, Box::new(run), false);
+    }
+
+    /// [`MailboxScheduler::enqueue`] for a two-way call whose caller
+    /// offered to run it inline but was refused: its run, on a worker,
+    /// still feeds the mailbox's service-time estimate, so the first call
+    /// to an object teaches the scheduler whether later ones may run
+    /// inline.
+    pub(crate) fn enqueue_timed(&self, object: &str, run: impl FnOnce() + Send + 'static) {
+        self.push(object, Box::new(run), true);
+    }
+
+    fn push(&self, object: &str, run: Box<dyn FnOnce() + Send + 'static>, timed: bool) {
         if self.shared.stop.load(Ordering::SeqCst) {
             return;
         }
-        let job = Job { run: Box::new(run), enqueued_ns: parc_obs::timestamp_if_enabled() };
+        let job = Job { run, enqueued_ns: parc_obs::timestamp_if_enabled(), timed };
         if crate::reserve::is_claim_plane(object) {
             let mut lane = self.claim_lane.lock();
             let _ = lane.get_or_insert_with(ClaimLane::spawn).tx.send(job);
@@ -365,6 +495,44 @@ impl MailboxScheduler {
             let home = mb.home;
             self.shared.push_runq(home, mb);
         }
+    }
+
+    /// Lends `object`'s mailbox to the calling thread, for a two-way
+    /// caller with `deadline` that offers to run its own job. The loan is
+    /// refused (`None`, so the job is enqueued as usual) unless the
+    /// mailbox is idle — not `scheduled`, so its queue is empty — and its
+    /// service-time EWMA is known and under `deadline /`
+    /// [`INLINE_DEADLINE_SHARE`], and this thread is nested in fewer than
+    /// [`MAX_INLINE_DEPTH`] inline runs. Claim-plane objects, and every
+    /// object once shutdown began, are never lent.
+    ///
+    /// A granted claim holds the mailbox exactly as a worker would: it is
+    /// marked `scheduled` under the queue lock, later enqueues queue
+    /// behind it, and it counts as one pending job until
+    /// [`InlineClaim::run`] returns.
+    pub(crate) fn claim_idle(&self, object: &str, deadline: Duration) -> Option<InlineClaim> {
+        if self.shared.stop.load(Ordering::SeqCst)
+            || crate::reserve::is_claim_plane(object)
+            || INLINE_RUNS.with(|runs| runs.borrow().len()) >= MAX_INLINE_DEPTH
+        {
+            return None;
+        }
+        // No mailbox yet means no job ever ran: the EWMA is unknown.
+        let mb = Arc::clone(self.shared.mailboxes.read().get(object)?);
+        let service = mb.service_ns.load(Ordering::Relaxed);
+        if service == 0 || u128::from(service) >= (deadline / INLINE_DEADLINE_SHARE).as_nanos() {
+            return None;
+        }
+        {
+            let mut q = mb.queue.lock();
+            if q.scheduled {
+                return None;
+            }
+            debug_assert!(q.jobs.is_empty(), "an unscheduled mailbox holds jobs");
+            q.scheduled = true;
+            self.shared.pending.fetch_add(1, Ordering::SeqCst);
+        }
+        Some(InlineClaim { shared: Arc::clone(&self.shared), mb })
     }
 
     /// Halts the scheduler the way a crash would: later enqueues are
@@ -416,13 +584,17 @@ impl Drop for MailboxScheduler {
         self.shared.wake_all();
         let lane = self.claim_lane.lock().take();
         // The last handle can be released by a job on one of this
-        // scheduler's own threads (an in-process send racing shutdown).
-        // That thread cannot join itself, and the other workers wait for
-        // its job to finish, so every thread is detached instead: each
-        // exits once the remaining work drains.
+        // scheduler's own threads (an in-process send racing shutdown), or
+        // by a job a caller's thread is running inline for it. That thread
+        // cannot join itself, and the workers wait for its job to finish,
+        // so every thread is detached instead: each exits once the
+        // remaining work drains.
         let me = std::thread::current().id();
         let lane_threads = lane.iter().flat_map(|lane| &lane.threads);
-        if self.workers.iter().chain(lane_threads).any(|t| t.thread().id() == me) {
+        let key = Arc::as_ptr(&self.shared) as usize;
+        let inline_here =
+            INLINE_RUNS.try_with(|runs| runs.borrow().contains(&key)).unwrap_or(false);
+        if inline_here || self.workers.iter().chain(lane_threads).any(|t| t.thread().id() == me) {
             return;
         }
         for w in self.workers.drain(..) {
@@ -455,11 +627,13 @@ impl std::fmt::Debug for MailboxScheduler {
 /// Counter snapshot returned by [`MailboxScheduler::stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DispatchStats {
-    /// Jobs fully executed.
+    /// Jobs fully executed, by a worker or inline on a caller's thread.
     pub executed: u64,
     /// Mailboxes a worker took from a sibling's run queue.
     pub stolen: u64,
-    /// Jobs enqueued but not yet finished.
+    /// Jobs enqueued (or lent to a caller) and not yet finished. A job
+    /// counts until its mailbox is parked or has its next job, so 0 means
+    /// every mailbox is idle.
     pub pending: usize,
     /// Workers currently inside an invocation.
     pub busy: usize,
@@ -609,13 +783,15 @@ mod tests {
             }
         }
         let sched = MailboxScheduler::with_workers(workers);
+        let (entered_tx, entered_rx) = mpsc::channel::<()>();
         let (gate_tx, gate_rx) = mpsc::channel::<()>();
         let (ran_tx, ran_rx) = mpsc::channel::<()>();
         sched.enqueue(&homed[0], move || {
+            entered_tx.send(()).unwrap();
             gate_rx.recv_timeout(Duration::from_secs(10)).expect("gate released");
         });
-        // Let worker 0 pick up the blocker before the stealable job lands.
-        std::thread::sleep(Duration::from_millis(20));
+        // A worker holds the blocker before the stealable job lands.
+        entered_rx.recv_timeout(Duration::from_secs(5)).expect("blocker never started");
         sched.enqueue(&homed[1], move || {
             ran_tx.send(()).unwrap();
         });
@@ -686,11 +862,13 @@ mod tests {
         // is parked (a claim wait), and the job that would unpark it is
         // claim-plane traffic. It must run anyway.
         let sched = MailboxScheduler::with_workers(1);
+        let (entered_tx, entered_rx) = mpsc::channel::<()>();
         let (gate_tx, gate_rx) = mpsc::channel::<()>();
         sched.enqueue("claimed-object", move || {
+            entered_tx.send(()).unwrap();
             gate_rx.recv_timeout(Duration::from_secs(10)).expect("release arrived");
         });
-        std::thread::sleep(Duration::from_millis(20));
+        entered_rx.recv_timeout(Duration::from_secs(5)).expect("the only worker never blocked");
         sched.enqueue("__claim.c1.claimed-object", move || {
             gate_tx.send(()).unwrap();
         });
@@ -752,6 +930,89 @@ mod tests {
         done_rx
             .recv_timeout(Duration::from_secs(5))
             .expect("dropping the last handle on its own worker deadlocked");
+    }
+
+    /// Waits until every job has finished and every mailbox is parked.
+    fn settle(sched: &MailboxScheduler) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while sched.stats().pending != 0 {
+            assert!(std::time::Instant::now() < deadline, "mailbox never parked");
+            std::thread::yield_now();
+        }
+    }
+
+    /// Runs one timed job on `object` through a worker, so its mailbox
+    /// has a service-time estimate, and waits until the mailbox is parked.
+    fn warm(sched: &MailboxScheduler, object: &str) {
+        sched.enqueue_timed(object, || {});
+        settle(sched);
+    }
+
+    #[test]
+    fn only_a_known_fast_idle_mailbox_is_lent() {
+        let sched = MailboxScheduler::with_workers(1);
+        let deadline = Duration::from_secs(30);
+        assert!(sched.claim_idle("fresh", deadline).is_none(), "no mailbox yet");
+        sched.enqueue("fresh", || {});
+        settle(&sched);
+        assert!(sched.claim_idle("fresh", deadline).is_none(), "untimed jobs give no estimate");
+        warm(&sched, "fresh");
+        assert!(
+            sched.claim_idle("fresh", Duration::from_nanos(100)).is_none(),
+            "a job slower than deadline / INLINE_DEADLINE_SHARE is never lent"
+        );
+        warm(&sched, "__claim.c1.fresh");
+        assert!(sched.claim_idle("__claim.c1.fresh", deadline).is_none(), "claim plane");
+        let claim = sched.claim_idle("fresh", deadline).expect("idle, known and fast");
+        assert!(sched.claim_idle("fresh", deadline).is_none(), "one holder at a time");
+        claim.run(|| {});
+        assert!(sched.claim_idle("fresh", deadline).is_some_and(|c| {
+            c.run(|| {});
+            true
+        }));
+        assert_eq!(sched.stats().pending, 0);
+    }
+
+    #[test]
+    fn jobs_enqueued_during_an_inline_run_follow_it_on_a_worker() {
+        let sched = MailboxScheduler::with_workers(1);
+        warm(&sched, "obj");
+        let claim = sched.claim_idle("obj", Duration::from_secs(30)).expect("lent");
+        let order: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
+        let (ran_tx, ran_rx) = mpsc::channel::<()>();
+        claim.run(|| {
+            let log = Arc::clone(&order);
+            sched.enqueue("obj", move || {
+                log.lock().push("queued");
+                ran_tx.send(()).unwrap();
+            });
+            // One in flight: the job queued behind this run, and the
+            // mailbox went on no run queue, so no worker can start it.
+            assert_eq!(sched.depth_handle().object_depth("obj"), 1);
+            assert_eq!(sched.shared.ready.load(Ordering::SeqCst), 0);
+            order.lock().push("inline");
+        });
+        ran_rx.recv_timeout(Duration::from_secs(5)).expect("queued job never handed on");
+        settle(&sched);
+        assert_eq!(*order.lock(), vec!["inline", "queued"]);
+        assert_eq!(sched.stats().executed, 3);
+    }
+
+    #[test]
+    fn dropping_the_last_handle_inside_an_inline_run_does_not_self_join() {
+        let sched = Arc::new(MailboxScheduler::with_workers(2));
+        warm(&sched, "self");
+        let claim = sched.claim_idle("self", Duration::from_secs(30)).expect("lent");
+        let last = sched;
+        let (done_tx, done_rx) = mpsc::channel::<()>();
+        let caller = std::thread::spawn(move || {
+            claim.run(move || drop(last));
+            done_tx.send(()).unwrap();
+        });
+        done_rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("dropping the last handle inside an inline run deadlocked");
+        caller.join().unwrap();
     }
 
     #[test]

@@ -89,7 +89,9 @@ impl<T> Slot<T> {
     /// polling first when [`fast_link`] says so, then parked. For slots
     /// that are never promoted.
     pub(crate) fn wait(&self, feedback: &LinkFeedback, deadline: Instant) -> Option<T> {
-        if fast_link(feedback) {
+        // A reply completed before the wait (an inline run) skips the spin,
+        // which would read the clock and count a `channel.spin_hit`.
+        if !self.done.load(Ordering::Acquire) && fast_link(feedback) {
             spin(deadline, || self.done.load(Ordering::Acquire).then_some(()));
         }
         match self.park(deadline) {

@@ -200,7 +200,8 @@ fn serve_connection(mut stream: TcpStream, state: ServerState) {
             move |reply: &ReturnMessage| writer.write(corr_id, reply)
         });
         let origin = Origin { trace, node: None };
-        serve_call(&state.scheduler, &state.objects, origin, decoded, reply);
+        // A socket reader never runs a method body: no inline offer.
+        serve_call(&state.scheduler, &state.objects, origin, decoded, reply, None);
     }
     bufpool::global().checkin(payload);
 }
