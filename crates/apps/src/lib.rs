@@ -1,6 +1,6 @@
 //! # parc-apps — the paper's evaluation workloads
 //!
-//! Three applications exercise the runtime exactly as §4 does:
+//! Two applications exercise the runtime exactly as §4 does:
 //!
 //! * [`raytracer`] — a Java-Grande-Forum-style Whitted ray tracer (the
 //!   64-sphere scene, 500×500 pixels in the paper), farmed by image line;
@@ -9,15 +9,12 @@
 //! * [`sieve`] — the paper's running `PrimeServer : PrimeFilter` example:
 //!   a pipeline of prime filters, plus the pure reference sieve it must
 //!   agree with ("running another application, a prime number sieve, the
-//!   Mono execution time is about the same as the JVM");
-//! * [`mandelbrot`] — an extra farm workload with strong per-line work
-//!   skew, used by the load-balancing tests and ablations.
+//!   Mono execution time is about the same as the JVM").
 //!
 //! Each module exposes (a) the pure computation, (b) a work/flop meter for
 //! the cost models, and (c) glue turning the computation into parallel
 //! objects for `parc-core`.
 
-pub mod mandelbrot;
 pub mod raytracer;
 pub mod sieve;
 

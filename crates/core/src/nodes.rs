@@ -321,11 +321,13 @@ impl Nodes {
 
     /// Picks a new home for the object `io_name` of `class` once
     /// `failed_node` is confirmed dead ([`Nodes::confirm_dead`]): the next
-    /// surviving node (nodes whose factory also fails are marked dead and
-    /// skipped), or — with no survivors — a fresh local instance,
-    /// degrading to local synchronous execution. The dead home's index
-    /// entry is dropped first. The alive set only shrinks and
-    /// `Target::Local` never fails over, so recovery terminates.
+    /// surviving node whose factory answers, or — with none — a fresh
+    /// local instance, degrading to local synchronous execution. A
+    /// survivor whose create fails is skipped and asked
+    /// [`Nodes::confirm_dead`], so only the lease rule buries it, not one
+    /// dropped create. The dead home's index entry is dropped first. Each
+    /// node is tried at most once and `Target::Local` never fails over,
+    /// so recovery terminates.
     pub(crate) fn replace_target(
         &self,
         class: &str,
@@ -348,7 +350,7 @@ impl Nodes {
             match self.create(class, node) {
                 Ok(target) => return Ok(target),
                 Err(_) => {
-                    self.mark_dead(node);
+                    self.confirm_dead(node);
                 }
             }
         }

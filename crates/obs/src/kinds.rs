@@ -52,9 +52,6 @@ pub const REPLY: &str = "reply";
 /// the time a call waits for a dispatch worker on every transport. The
 /// name stays because the `callpath` benchmark still reads it.
 pub const QUEUE_WAIT: &str = "queue.wait";
-/// Histogram-only: time a task spent queued in a
-/// `parc_remoting::ThreadPool` before a worker ran it.
-pub const POOL_WAIT: &str = "pool.wait";
 
 // ---- mailbox dispatch (per-object executors) ----
 
@@ -221,7 +218,6 @@ mod tests {
             super::DISPATCH,
             super::REPLY,
             super::QUEUE_WAIT,
-            super::POOL_WAIT,
             super::MAILBOX_WAIT,
             super::MAILBOX_DEPTH,
             super::MAILBOX_STEAL,

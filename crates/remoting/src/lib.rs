@@ -18,8 +18,8 @@
 //!   [`http`] (HTTP/1.1-style framing + SOAP formatter — Mono's
 //!   `HttpChannel`);
 //! * [`Activator::get_object`] — URI-based proxy acquisition;
-//! * [`Delegate`]s with `begin_invoke`/`end_invoke` over a real bounded
-//!   [`ThreadPool`] — the C# asynchronous-invocation mechanism of Fig. 4;
+//! * [`RemoteObject::post`] — the one-way call that plays the delegate's
+//!   role of Fig. 4 (`parc-core`'s `Po::post` builds on it);
 //! * [`LeaseManager`] — `.Net`-style lifetime leases ("object lifetime is
 //!   managed by the .Net implementation");
 //! * the [`remote_interface!`] macro — the stand-in for the ParC#
@@ -61,7 +61,6 @@
 pub mod activator;
 pub mod bufpool;
 pub mod channel;
-pub mod delegate;
 pub mod dispatcher;
 pub mod error;
 pub mod fault;
@@ -77,13 +76,11 @@ pub mod reserve;
 pub mod retry;
 mod slot;
 pub mod tcp;
-pub mod threadpool;
 pub mod uri;
 pub mod wellknown;
 
 pub use activator::Activator;
 pub use channel::{ChannelProvider, ClientChannel, RemoteObject};
-pub use delegate::{AsyncResult, Delegate};
 pub use dispatcher::Invokable;
 pub use error::RemotingError;
 pub use fault::{ChaosChannel, FaultKind, FaultPlan, FaultSpec};
@@ -96,6 +93,5 @@ pub use reserve::{
     CLAIM_METHOD, RELEASE_METHOD,
 };
 pub use retry::RetryPolicy;
-pub use threadpool::ThreadPool;
 pub use uri::ObjectUri;
 pub use wellknown::{ObjectTable, WellKnownObjectMode};

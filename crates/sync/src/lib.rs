@@ -1,8 +1,8 @@
 //! Std-only synchronization primitives for the whole workspace.
 //!
 //! The workspace builds hermetically — no registry dependencies — so the
-//! locks and channels that used to come from `parking_lot` and
-//! `crossbeam` live here instead, as thin wrappers over [`std::sync`].
+//! locks that used to come from `parking_lot` live here instead, as thin
+//! wrappers over [`std::sync`]. Channels are plain [`std::sync::mpsc`].
 //!
 //! The wrappers keep the `parking_lot` call shape (`lock()` returns a
 //! guard, not a `Result`) and define **one poisoning policy for the whole
@@ -10,11 +10,6 @@
 //! propagated. A panic while holding a lock already aborts the test or
 //! unwinds the task that observed the broken invariant; refusing every
 //! later acquisition would only convert one failure into a cascade.
-//!
-//! [`channel`] provides the multi-producer/multi-consumer queue that
-//! backs the thread pool and the in-process transport.
-
-pub mod channel;
 
 use std::sync::PoisonError;
 use std::time::Duration;

@@ -6,8 +6,8 @@ use std::sync::Arc;
 use parc::remoting::dispatcher::FnInvokable;
 use parc::remoting::tcp::{TcpChannelProvider, TcpServerChannel};
 use parc::remoting::wellknown::WellKnownObjectMode;
-use parc::remoting::{remote_interface, Activator, Delegate, Invokable, RemotingError};
-use parc::scoopp::{Farm, GrainConfig, ParcRuntime};
+use parc::remoting::{remote_interface, Activator, Invokable, RemotingError};
+use parc::scoopp::{Farm, GrainConfig, ParcRuntime, Placement};
 use parc::serial::Value;
 use parc_apps::raytracer::{render_image, render_line, Scene};
 
@@ -47,58 +47,36 @@ fn macro_proxy_over_real_tcp_with_singlecall_mode() {
 }
 
 #[test]
-fn delegates_overlap_remote_calls_like_fig4() {
-    let server = TcpServerChannel::bind("127.0.0.1:0").unwrap();
-    server.objects().register_well_known(
-        "Worker",
-        WellKnownObjectMode::Singleton,
-        || Arc::new(WorkerDispatcher(WorkerImpl)) as Arc<dyn Invokable>,
-    );
-    let uri = server.uri_for("Worker");
-    let delegate = Delegate::with_threads(4);
-    let results: Vec<_> = (0..8)
-        .map(|i| {
-            let uri = uri.clone();
-            delegate.begin_invoke(move || {
-                let provider = TcpChannelProvider::new();
-                let proxy = WorkerProxy::new(Activator::get_object(&provider, &uri).unwrap());
-                proxy.square(i).unwrap()
-            })
-        })
-        .collect();
-    let sum: i32 = results.into_iter().map(|ar| ar.end_invoke()).sum();
-    assert_eq!(sum, (0..8).map(|i| i * i).sum());
-}
-
-#[test]
 fn scoopp_farm_renders_the_same_image_as_sequential() {
     let scene = Scene::jgf(16);
     let (w, h) = (48, 48);
     let reference = render_image(&scene, w, h);
 
-    let mut builder = ParcRuntime::builder();
-    builder.nodes(3);
-    let rt = builder.build().unwrap();
-    let worker_scene = scene.clone();
-    rt.register_class("Renderer", move || {
-        let scene = worker_scene.clone();
-        Arc::new(FnInvokable(move |method: &str, args: &[Value]| match method {
-            "line" => {
-                let y = args[0].as_i64().unwrap() as usize;
-                Ok(Value::F64Array(render_line(&scene, 48, 48, y).pixels))
-            }
-            _ => Err(RemotingError::MethodNotFound {
-                object: "Renderer".into(),
-                method: method.into(),
-            }),
-        }))
-    });
-    let farm = Farm::new(&rt, "Renderer", 3).unwrap();
-    let items: Vec<Vec<Value>> = (0..h).map(|y| vec![Value::I64(y as i64)]).collect();
-    let lines = farm.map("line", items).unwrap();
-    let checksum: f64 =
-        lines.iter().map(|l| l.as_f64_array().unwrap().iter().sum::<f64>()).sum();
-    assert!((checksum - reference.checksum()).abs() < 1e-9);
+    for placement in [Placement::RoundRobin, Placement::LeastLoaded] {
+        let mut builder = ParcRuntime::builder();
+        builder.nodes(3).placement(placement);
+        let rt = builder.build().unwrap();
+        let worker_scene = scene.clone();
+        rt.register_class("Renderer", move || {
+            let scene = worker_scene.clone();
+            Arc::new(FnInvokable(move |method: &str, args: &[Value]| match method {
+                "line" => {
+                    let y = args[0].as_i64().unwrap() as usize;
+                    Ok(Value::F64Array(render_line(&scene, 48, 48, y).pixels))
+                }
+                _ => Err(RemotingError::MethodNotFound {
+                    object: "Renderer".into(),
+                    method: method.into(),
+                }),
+            }))
+        });
+        let farm = Farm::new(&rt, "Renderer", 3).unwrap();
+        let items: Vec<Vec<Value>> = (0..h).map(|y| vec![Value::I64(y as i64)]).collect();
+        let lines = farm.map("line", items).unwrap();
+        let checksum: f64 =
+            lines.iter().map(|l| l.as_f64_array().unwrap().iter().sum::<f64>()).sum();
+        assert!((checksum - reference.checksum()).abs() < 1e-9, "placement {placement}");
+    }
 }
 
 #[test]

@@ -548,7 +548,7 @@ fn farm_map_completes_while_a_node_is_killed_mid_run() {
     let mut b = ParcRuntime::builder();
     b.nodes(3);
     let rt = Arc::new(b.build().unwrap());
-    let (arrived, gate) = parc_sync::channel::unbounded::<()>();
+    let (arrived, gate) = std::sync::mpsc::channel::<()>();
     let net = rt.network().clone();
     rt.register_class("Squarer", move || {
         let (arrived, net) = (arrived.clone(), net.clone());

@@ -1,50 +1,13 @@
-//! Skeleton-level integration: farms and pipelines under skewed work and
-//! every placement policy, validated against sequential oracles.
+//! Skeleton-level integration: farms and pipelines validated against
+//! sequential oracles.
 
 use std::sync::Arc;
 
 use parc::remoting::dispatcher::FnInvokable;
 use parc::remoting::RemotingError;
-use parc::scoopp::{Farm, ParcRuntime, Placement, Pipeline};
+use parc::scoopp::{Farm, ParcRuntime, Pipeline};
 use parc::serial::Value;
-use parc_apps::mandelbrot::{mandel_checksum, mandel_line, View};
 use parc_apps::sieve::{reference_primes, register_prime_filter_class, PRIME_SERVER_CLASS};
-
-fn mandel_runtime(placement: Placement) -> ParcRuntime {
-    let mut b = ParcRuntime::builder();
-    b.nodes(3).placement(placement);
-    let rt = b.build().unwrap();
-    rt.register_class("Mandel", move || {
-        Arc::new(FnInvokable(move |method: &str, args: &[Value]| match method {
-            "line" => {
-                let y = args[0].as_i64().unwrap_or(0) as usize;
-                let n = args[1].as_i64().unwrap_or(0) as usize;
-                Ok(Value::I64(mandel_line(View::default(), n, n, y).work as i64))
-            }
-            _ => Err(RemotingError::MethodNotFound {
-                object: "Mandel".into(),
-                method: method.into(),
-            }),
-        }))
-    });
-    rt
-}
-
-#[test]
-fn mandel_farm_matches_oracle_under_every_placement() {
-    let size = 48;
-    let expected = mandel_checksum(View::default(), size, size);
-    for placement in [Placement::RoundRobin, Placement::LeastLoaded] {
-        let rt = mandel_runtime(placement);
-        let farm = Farm::new(&rt, "Mandel", 3).unwrap();
-        let items: Vec<Vec<Value>> = (0..size)
-            .map(|y| vec![Value::I64(y as i64), Value::I64(size as i64)])
-            .collect();
-        let works = farm.map("line", items).unwrap();
-        let total: u64 = works.iter().map(|w| w.as_i64().unwrap() as u64).sum();
-        assert_eq!(total, expected, "placement {placement}");
-    }
-}
 
 #[test]
 fn sieve_pipeline_scales_with_aggregation_factors() {

@@ -39,10 +39,10 @@
 
 use std::io::Read;
 use std::net::{TcpListener, TcpStream};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use parc_sync::channel::{unbounded, Receiver, Sender};
 use parc_testkit::Config;
 
 use parc::remoting::dispatcher::FnInvokable;
@@ -571,11 +571,13 @@ fn mux_single(addr: &str, timeout: Duration) -> Arc<dyn ClientChannel> {
 /// the test releases it (bounded, so a broken client cannot hang the
 /// suite). Returns the object, the start signal and the release handle.
 fn gated() -> (Arc<dyn Invokable>, Receiver<()>, Sender<()>) {
-    let (started_tx, started_rx) = unbounded();
-    let (release_tx, release_rx) = unbounded::<()>();
+    let (started_tx, started_rx) = channel();
+    let (release_tx, release_rx) = channel::<()>();
+    let release_rx = parc_sync::Mutex::new(release_rx);
     let object = Arc::new(FnInvokable(move |_: &str, _: &[Value]| {
         let _ = started_tx.send(());
         release_rx
+            .lock()
             .recv_timeout(Duration::from_secs(10))
             .map(|()| Value::Null)
             .map_err(|_| RemotingError::ServerFault { detail: "never released".into() })
